@@ -2,8 +2,8 @@
 
 rho(u) solves u*rho'(u) = -rho(u-1) with rho = 1 on [0, 1].  Closed
 forms exist through u = 2 (1 - log u on [1, 2]); past that the table is
-marched with the conservative trapezoid stepper and sharpened by one
-Richardson extrapolation against a half-step solve.
+the step-profile march at rate 1 (grid.solve_step_profile), sharpened by
+one Richardson extrapolation against a half-step solve.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import SolutionGrid, integrate_delay_equation
+from .grid import SolutionGrid, solve_step_profile
 from .piecewise import integrate_callable
 
 __all__ = [
@@ -28,19 +28,6 @@ __all__ = [
 LOG2 = float(np.log(2.0))
 
 
-def _march(u_max: float, h: float) -> np.ndarray:
-    m = round(1.0 / h)
-    n = round(u_max / h)
-    values = np.empty(n + 1)
-    u = np.arange(n + 1) * h
-    values[: m + 1] = 1.0
-    top = min(2 * m, n)
-    values[m + 1 : top + 1] = 1.0 - np.log(u[m + 1 : top + 1])
-    if n > 2 * m:
-        integrate_delay_equation(values, 2 * m + 1, m, h, rate=1.0)
-    return values
-
-
 @dataclass(frozen=True)
 class RhoTable:
     """Dense table of rho on [0, u_max] with optional Richardson sharpening."""
@@ -52,22 +39,15 @@ class RhoTable:
     def build(u_max: float = 40.0, h: float = 1e-4, richardson: bool = True) -> "RhoTable":
         if u_max < 3.0:
             raise ValueError("table must reach at least u = 3")
-        values = _march(u_max, h)
-        if richardson:
-            fine = _march(u_max, h / 2.0)
-            values = (4.0 * fine[::2] - values) / 3.0
-            # re-pin the closed-form region: extrapolation only helps past u = 2
-            m = round(1.0 / h)
-            u = np.arange(2 * m + 1) * h
-            values[: m + 1] = 1.0
-            values[m + 1 : 2 * m + 1] = 1.0 - np.log(u[m + 1 :])
-        return RhoTable(SolutionGrid(h=h, u_max=u_max, values=values), richardson)
+        return RhoTable(solve_step_profile(1.0, u_max, h, richardson), richardson)
 
     def rho(self, u: float | np.ndarray) -> float | np.ndarray:
         """rho(u); exact on [0, 2], cubic off-grid interpolation beyond."""
         u_arr = np.asarray(u, dtype=float)
         scalar = u_arr.ndim == 0
         u_arr = np.atleast_1d(u_arr)
+        if not np.all(np.isfinite(u_arr)):
+            raise ValueError("argument must be finite")
         out = np.zeros_like(u_arr)
         if np.any(u_arr < 0.0):
             raise ValueError("argument must be nonnegative")

@@ -13,11 +13,12 @@ to a single running sum per unit block, which vectorizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SolutionGrid", "integrate_delay_equation"]
+__all__ = ["SolutionGrid", "integrate_delay_equation", "solve_step_profile"]
 
 
 @dataclass(frozen=True)
@@ -105,3 +106,41 @@ def integrate_delay_equation(
         c = rate * 0.5 * h * (values[idx - m] + values[idx - m - 1]) / (idx * h - 0.5 * h)
         values[i:stop] = values[i - 1] - np.cumsum(c)
         i = stop
+
+
+def _seed_step_profile(values: np.ndarray, m: int, h: float, rate: float) -> None:
+    """Write the closed form on [0, 2]: 1 on [0, 1], 1 - rate*log u on [1, 2]."""
+    top = min(2 * m, len(values) - 1)
+    values[: m + 1] = 1.0
+    values[m + 1 : top + 1] = 1.0 - rate * np.log(np.arange(m + 1, top + 1) * h)
+
+
+def _march_step_profile(rate: float, n: int, m: int, h: float) -> np.ndarray:
+    values = np.empty(n + 1)
+    _seed_step_profile(values, m, h, rate)
+    if n > 2 * m:
+        integrate_delay_equation(values, 2 * m + 1, m, h, rate)
+    return values
+
+
+def solve_step_profile(rate: float, u_max: float, h: float, richardson: bool) -> SolutionGrid:
+    """Solve d/du[u*w] = w(u) - rate*w(u-1) with w = 1 on [0, 1] on [0, u_max].
+
+    The closed form seeds [0, 2]; the conservative stepper marches the
+    rest.  With richardson=True a half-step solve sharpens the table and
+    the closed-form region is re-pinned afterwards (extrapolation only
+    helps past u = 2).  rate = 1 gives the Dickman function, rate =
+    1 + delta the no-cutoff step profile -delta past 1.
+    """
+    if not 0.0 <= u_max < math.inf:
+        raise ValueError(f"u_max must be finite and >= 0, got {u_max}")
+    if not (0.0 < h <= 1.0 and abs(round(1.0 / h) * h - 1.0) <= 1e-12):
+        raise ValueError(f"h must divide 1 exactly, got {h}")
+    m = round(1.0 / h)
+    n = round(u_max / h)
+    values = _march_step_profile(rate, n, m, h)
+    if richardson:
+        fine = _march_step_profile(rate, 2 * n, 2 * m, h / 2.0)
+        values = (4.0 * fine[::2] - values) / 3.0
+        _seed_step_profile(values, m, h, rate)
+    return SolutionGrid(h=h, u_max=u_max, values=values)

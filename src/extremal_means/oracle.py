@@ -104,60 +104,61 @@ def random_spec(
     return MultiplicativeSpec(k=k, y=float(y), assignment=assignment, N=int(N))
 
 
+def _completely_multiplicative(at_prime: np.ndarray, spf: np.ndarray, first, combine) -> np.ndarray:
+    """out[n] = combine(out[n // spf(n)], at_prime[spf(n)]) for n >= 2, out[:2] = first.
+
+    Filled in doubling blocks [lo, 2 lo), so every lookup n // spf(n) < lo
+    lands in already-filled territory.
+    """
+    N = len(at_prime) - 1
+    out = np.empty_like(at_prime)
+    out[:2] = first
+    lo = 2
+    while lo <= N:
+        hi = min(2 * lo, N + 1)
+        p = spf[lo:hi]
+        out[lo:hi] = combine(out[np.arange(lo, hi, dtype=spf.dtype) // p], at_prime[p])
+        lo = hi
+    return out
+
+
 def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
     """Materialize f(n) for n <= N as a complex array (f[0] = 0).
 
-    Complete multiplicativity is realized through smallest-prime-factor
-    recursion f(n) = f(n / spf(n)) . f(spf(n)), evaluated in doubling
-    blocks so every lookup lands in already-filled territory.
+    Angle indices add modulo k along the smallest-prime-factor recursion;
+    the value 0 is the absorbing index k, so the array stays exact until
+    it is materialized.
     """
     N = int(N)
     if spec.N < N:
         raise ValueError(f"spec covers primes to {spec.N} < requested {N}")
     k = spec.k
-    spf = smallest_prime_factors(N)
     ell_at = np.zeros(N + 1, dtype=np.int16)
-    zero_at = np.zeros(N + 1, dtype=bool)
     for p, v in spec.assignment.items():
         if p <= N:
-            if v is None:
-                zero_at[p] = True
-            else:
-                ell_at[p] = v
-    ell = np.zeros(N + 1, dtype=np.int16)
-    nonzero = np.ones(N + 1, dtype=bool)
-    nonzero[0] = False
-    lo = 2
-    while lo <= N:
-        hi = min(2 * lo, N + 1)
-        n = np.arange(lo, hi, dtype=np.int64)
-        p = spf[lo:hi].astype(np.int64)
-        m = n // p  # m < lo, already filled (prime n gives m = 1)
-        ell[lo:hi] = (ell[m] + ell_at[p]) % k
-        nonzero[lo:hi] = nonzero[m] & ~zero_at[p]
-        lo = hi
-    roots = np.exp(2j * np.pi * np.arange(k) / k)
-    f = roots[ell]
-    f[~nonzero] = 0.0
-    return f
+            ell_at[p] = k if v is None else v
+
+    def add_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        s = (a + b) % k
+        s[(a == k) | (b == k)] = k
+        return s
+
+    ell = _completely_multiplicative(ell_at, smallest_prime_factors(N), (k, 0), add_angles)
+    return np.append(np.exp(2j * np.pi * np.arange(k) / k), 0.0)[ell]
 
 
-def build_g(f: np.ndarray, primes: np.ndarray | None = None) -> np.ndarray:
-    """Companion transform: completely multiplicative g with g(p) = |1 + f(p)| - 1."""
-    N = len(f) - 1
-    if primes is None:
-        primes = sieve_primes(N)
-    g = np.ones(N + 1)
-    g[0] = 0.0
-    gp_all = np.abs(1.0 + f[primes]) - 1.0
-    for p, gp in zip(primes.tolist(), gp_all.tolist()):
-        if abs(gp - 1.0) < 1e-15:
-            continue
-        q = p
-        while q <= N:
-            g[q::q] *= gp
-            q *= p
-    return g
+def build_g(f: np.ndarray, spf: np.ndarray | None = None) -> np.ndarray:
+    """Companion transform: completely multiplicative g with g(p) = |1 + f(p)| - 1.
+
+    spf, when given, is smallest_prime_factors(M) for some M >= len(f) - 1.
+    """
+    if spf is None:
+        spf = smallest_prime_factors(len(f) - 1)
+    return _completely_multiplicative(np.abs(1.0 + f) - 1.0, spf, (0.0, 1.0), np.multiply)
+
+
+def _primes_from_spf(spf: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(spf[2:] == np.arange(2, len(spf), dtype=spf.dtype)) + 2
 
 
 def divisor_correlation(f: np.ndarray, n_max: int) -> np.ndarray:
@@ -203,8 +204,9 @@ def transforms(f: np.ndarray, N: int, h_max: int | None = None) -> TransformBund
     N = int(N)
     if N > len(f) - 1:
         raise ValueError(f"f covers n <= {len(f) - 1} < requested {N}")
-    primes = sieve_primes(N)
-    g = build_g(f[: N + 1], primes)
+    spf = smallest_prime_factors(N)
+    primes = _primes_from_spf(spf)
+    g = build_g(f[: N + 1], spf)
     h = divisor_correlation(f, h_max if h_max is not None else N)
     deficiency = StepProfile(
         points=primes.astype(np.int64),
@@ -221,8 +223,9 @@ def divisor_domination_check(f: np.ndarray, n_max: int) -> int:
     scope; the inequality is claimed there and the count should be 0.
     """
     n_max = int(min(n_max, len(f) - 1))
-    primes = sieve_primes(n_max)
-    g = build_g(f[: n_max + 1], primes)
+    spf = smallest_prime_factors(n_max)
+    primes = _primes_from_spf(spf)
+    g = build_g(f[: n_max + 1], spf)
     f_div = np.zeros(n_max + 1, dtype=complex)
     g_div = np.zeros(n_max + 1)
     for d in range(1, n_max + 1):

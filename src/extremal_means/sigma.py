@@ -7,8 +7,8 @@ Three independent routes to the same object:
 * sigma_closed / sigma_dde: the one-parameter step profile (1, then
   -delta) admits closed forms through u = 3 and a conservative delay
   equation d/du[u*s] = s(u) - (1+delta)*s(u-1) beyond.
-* sigma_series: alternating expansion in powers of delta around the
-  delta = 0 solution, used as a cross-check only.
+* sigma_series: first-order expansion in delta around the delta = 0
+  solution, used as a cross-check only.
 
 sigma_dde and sigma_series describe the profile that keeps weight
 -delta for ALL t > 1 (no cutoff); its first zero U is where the cutoff
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import SolutionGrid, integrate_delay_equation
+from .grid import SolutionGrid, solve_step_profile
 from .piecewise import (
     ConstantSegment,
     PiecewiseFunction,
@@ -232,19 +232,6 @@ class DeltaSolution:
     I: Optional[float] = None
 
 
-def _dde_march(delta: float, u_max: float, h: float) -> np.ndarray:
-    m = round(1.0 / h)
-    n = round(u_max / h)
-    values = np.empty(n + 1)
-    u = np.arange(n + 1) * h
-    values[: m + 1] = 1.0
-    top = min(2 * m, n)
-    values[m + 1 : top + 1] = 1.0 - (1.0 + delta) * np.log(u[m + 1 : top + 1])
-    if n > 2 * m:
-        integrate_delay_equation(values, 2 * m + 1, m, h, rate=1.0 + delta)
-    return values
-
-
 def sigma_dde(
     delta: float,
     u_max: float,
@@ -264,16 +251,7 @@ def sigma_dde(
         raise ValueError("delta must lie in [0, 1]")
     if u_max < 2.0:
         raise ValueError("u_max must be >= 2")
-    values = _dde_march(delta, u_max, h)
-    if richardson:
-        fine = _dde_march(delta, u_max, h / 2.0)
-        values = (4.0 * fine[::2] - values) / 3.0
-        m = round(1.0 / h)
-        u = np.arange(2 * m + 1) * h
-        values[: m + 1] = 1.0
-        top = min(2 * m, len(values) - 1)
-        values[m + 1 : top + 1] = 1.0 - (1.0 + delta) * np.log(u[m + 1 : top + 1])
-    grid = SolutionGrid(h=h, u_max=u_max, values=values)
+    grid = solve_step_profile(1.0 + delta, u_max, h, richardson)
     U = None
     I = None
     if locate_zero and delta > 0.0:
@@ -289,37 +267,24 @@ def sigma_dde(
 # series cross-check
 
 
-def _simplex_term(j: int, u: float) -> float:
-    """T_j(u): j-fold average of the delta=0 solution against dt/t over
-    the region {t_i >= 1, sum t_i <= u}; T_j vanishes for u <= j."""
-    from .dickman import default_table
-
-    table = default_table()
-    if u <= j:
-        return 0.0
-    tol = (1e-11, 1e-9, 1e-7)[j - 1]
-    kinks = [u - i for i in range(int(math.floor(u)) + 1)]
-    if j == 1:
-        fn = lambda ts: np.asarray(table.rho(np.maximum(u - ts, 0.0))) / ts
-    else:
-        fn = lambda ts: np.array(
-            [_simplex_term(j - 1, u - t) for t in np.atleast_1d(ts)]
-        ) / np.asarray(ts)
-    return integrate_callable(fn, 1.0, u - (j - 1), tol=tol, breakpoints=kinks).value
-
-
 def sigma_series(delta: float, u: float, j_max: int) -> float:
     """Expansion of the no-cutoff solution in powers of -delta, truncated
-    after j_max correction terms.  j_max <= 3; a cross-check, not a solver."""
-    from .dickman import rho
+    after j_max correction terms.  j_max <= 1; a cross-check, not a solver.
 
-    if not 0 <= j_max <= 3:
-        raise ValueError("series truncation supports j_max in 0..3")
+    The first correction is -delta * T_1(u), T_1(u) = int_1^u rho(u-t) dt/t.
+    """
+    from .dickman import default_table
+
+    if not 0 <= j_max <= 1:
+        raise ValueError("series truncation supports j_max in 0..1")
     if u < 0:
         raise ValueError("u must be >= 0")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    total = float(rho(u))
-    for j in range(1, j_max + 1):
-        total += ((-delta) ** j / math.factorial(j)) * _simplex_term(j, u)
+    table = default_table()
+    total = float(table.rho(u))
+    if j_max == 1 and u > 1.0:
+        kinks = [u - i for i in range(int(math.floor(u)) + 1)]
+        fn = lambda ts: np.asarray(table.rho(np.maximum(u - ts, 0.0))) / ts
+        total -= delta * integrate_callable(fn, 1.0, u, tol=1e-11, breakpoints=kinks).value
     return total

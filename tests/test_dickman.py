@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extremal_means.cli import main
 from extremal_means.dickman import (
     dde_residual_max,
     default_table,
@@ -46,6 +47,14 @@ def test_rho3_against_quadrature_oracle():
 def test_negative_argument_rejected():
     with pytest.raises(ValueError):
         rho(-1.0)
+
+
+def test_non_finite_argument_rejected():
+    with pytest.raises(ValueError):
+        rho(float("nan"))
+    with pytest.raises(ValueError):
+        rho(np.array([2.5, np.nan]))
+    assert main(["dickman", "--u", "nan"]) == 2
 
 
 def test_total_integral_is_exp_gamma():

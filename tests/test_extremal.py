@@ -27,25 +27,6 @@ from extremal_means.sigma import sigma_closed
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "extremal_means" / "data"
 
-# mean values at delta = 1/(k-1), frozen from a brute Riemann sum that
-# was cross-checked against the u-keyed table's (delta, I) pairs
-MEAN_BY_ORDER = [
-    (4, 0.7001214597),
-    (5, 0.6760989550),
-    (6, 0.6568744766),
-    (7, 0.6412373104),
-    (8, 0.6282380117),
-    (9, 0.6172114826),
-    (10, 0.6076935298),
-    (11, 0.5993541012),
-    (12, 0.5919530469),
-    (13, 0.5853116139),
-    (14, 0.5792939188),
-    (15, 0.5737946709),
-    (16, 0.5687308561),
-    (17, 0.5640359793),
-]
-
 
 def read_golden(name: str) -> list[dict[str, str]]:
     with open(DATA / name, newline="") as fh:
@@ -151,10 +132,13 @@ def test_table_k_structure_vs_golden():
 
 
 def test_table_k_means_match_frozen():
+    golden = read_golden("table_k.csv")
     rows = table_by_order()
-    for (k, frozen), row in zip(MEAN_BY_ORDER, rows):
+    assert len(golden) == len(rows) == 14
+    for g, row in zip(golden, rows):
+        k = int(g["k"])
         assert row.key == k
-        assert abs(row.I - frozen) < 1e-7, f"k={k}"
+        assert abs(row.I - float(g["I"])) < 1e-7, f"k={k}"
 
 
 def test_table_keys_and_monotonicity():

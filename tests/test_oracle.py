@@ -121,6 +121,26 @@ def test_companion_g_for_order_three_is_indicator():
     assert set(np.unique(np.round(g, 12)).tolist()) == {0.0, 1.0}
 
 
+def test_companion_g_against_trial_division():
+    # y = 2 leaves only the prime 2 at value 1, so most n have several
+    # non-unit prime factors, some repeated and some at the value 0
+    N = 2000
+    spec = random_spec(4, 2.0, N, seed=9, zero_probability=0.1)
+    f = build_f(spec, N)
+    g = build_g(f)
+    assert g[0] == 0.0 and g[1] == 1.0
+    for n in range(2, N + 1):
+        expect, m, d = 1.0, n, 2
+        while d * d <= m:
+            while m % d == 0:
+                expect *= abs(1.0 + f[d]) - 1.0
+                m //= d
+            d += 1
+        if m > 1:
+            expect *= abs(1.0 + f[m]) - 1.0
+        assert abs(g[n] - expect) < 1e-12, f"n={n}"
+
+
 def test_divisor_correlation_against_brute_force():
     spec = random_spec(4, 5.0, 1000, seed=2, zero_probability=0.1)
     f = build_f(spec, 1000)

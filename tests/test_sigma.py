@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremal_means.dickman import rho
+from extremal_means.dickman import RhoTable, rho
 from extremal_means.extremal import find_U
 from extremal_means.piecewise import integrate_callable
 from extremal_means.sigma import (
@@ -59,6 +59,23 @@ def test_marched_matches_closed_on_1_3():
         sol = sigma_dde(delta, 3.0, richardson=True, locate_zero=False)
         dev = np.max(np.abs(sol.grid.value_cubic(us) - closed_reference(delta, us)))
         assert dev <= 1e-8, f"delta={delta}: {dev:.2e}"
+
+
+def test_march_rejects_bad_step_and_span_before_allocating():
+    with pytest.raises(ValueError, match="h must divide 1"):
+        sigma_dde(0.2, 5.0, h=3e-4)
+    with pytest.raises(ValueError, match="u_max must be finite"):
+        sigma_dde(0.2, float("nan"))
+    # a span ending half a node past the grid keeps both Richardson grids aligned
+    sol = sigma_dde(0.2, 3.0 + 1.5 / 1024, h=1 / 1024, locate_zero=False)
+    assert len(sol.grid.values) == 3075
+
+
+def test_rho_table_is_the_zero_drift_profile():
+    for h, richardson in ((2e-3, False), (1e-3, True)):
+        table = RhoTable.build(10.0, h, richardson)
+        sol = sigma_dde(0.0, 10.0, h=h, richardson=richardson)
+        assert np.array_equal(table.grid.values, sol.grid.values)
 
 
 def test_richardson_sharpens_coarse_march():
@@ -128,8 +145,9 @@ def test_series_truncations():
     got = sigma_series(0.1, 2.0, 1)
     assert abs(got - (1.0 - 1.1 * math.log(2.0))) < 1e-10
     assert abs(got - 0.2375381014) < 1e-9  # frozen
-    with pytest.raises(ValueError):
-        sigma_series(0.1, 2.0, 4)
+    for j_max in (2, 4):
+        with pytest.raises(ValueError):
+            sigma_series(0.1, 2.0, j_max)
 
 
 def test_series_envelope_spot():
