@@ -1,11 +1,14 @@
 """Step-profile means of multiplicative drift, their first zeros, and
 the sieve-side constructions that realize them.
 
-Layering: piecewise/grid are numerical substrate; dickman and sigma
-solve the delay and renewal equations; extremal locates first zeros and
-builds the summary tables; chi_renewal extends profiles past the zero;
-constants collects the closed-form optimization targets; oracle runs
-the integer-side experiments; verification and cli wrap everything.
+Layering, each numerical module importing only from the ones named
+before it: piecewise/grid are numerical substrate; dickman and sigma
+solve the delay and integral equations; extremal reads first zeros off
+those solutions, builds the cutoff profile chi_delta, integrates the
+means and builds the summary tables; chi_renewal extends profiles past
+the zero; constants collects the closed-form optimization targets;
+oracle runs the integer-side experiments; verification and cli wrap
+everything.
 """
 
 from .chi_renewal import ExtendedChi, extend_chi, kernel_mass, verify_sigma_vanishes
@@ -25,6 +28,7 @@ from .extremal import (
     CLOSED_FORM_DELTA,
     RootNotFoundError,
     TableRow,
+    chi_delta,
     compute_I,
     delta_for_U,
     find_U,
@@ -32,14 +36,7 @@ from .extremal import (
     table_by_first_zero,
     table_by_order,
 )
-from .sigma import (
-    DeltaSolution,
-    chi_delta,
-    sigma_closed,
-    sigma_dde,
-    sigma_series,
-    solve_volterra,
-)
+from .sigma import sigma_closed, sigma_dde, sigma_series, solve_volterra
 from .verification import CheckResult, run_checks
 
 __version__ = "0.1.0"
@@ -48,7 +45,6 @@ __all__ = [
     "CLOSED_FORM_DELTA",
     "AverageBoundResult",
     "CheckResult",
-    "DeltaSolution",
     "ExtendedChi",
     "OrderConstant",
     "RootNotFoundError",

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extremal import find_U
+from .grid import steps_per_unit
 from .piecewise import (
     ConstantSegment,
     PiecewiseFunction,
@@ -37,8 +38,7 @@ def _mean_evaluator(delta: float, U: float):
     accurate to ~1e-10, far below the O(h^2) renewal quadrature below.
     """
     u_max = float(max(2, math.ceil(U + 1e-12)))
-    grid = sigma_dde(delta, u_max, richardson=True, locate_zero=False).grid
-    return grid.value_cubic
+    return sigma_dde(delta, u_max, richardson=True).value_cubic
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,17 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    m = round(1.0 / h)
-    if abs(m * h - 1.0) > 1e-12 or m < 10:
-        raise ValueError("h must divide 1 with at least 10 steps per unit")
+    if t_max is not None and not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
 
     U = find_U(delta)
     if t_max is None:
         t_max = 4.0 * U
     if t_max <= U:
         raise ValueError(f"t_max must exceed U = {U}")
+    m = steps_per_unit(h, t_max)
+    if m < 10:
+        raise ValueError(f"h must divide 1 with at least 10 steps per unit, got {h}")
 
     mean_at = _mean_evaluator(delta, U)
     s_at_U = float(mean_at(U))          # ~0 by construction of U
@@ -181,7 +183,7 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     )
 
 
-def kernel_mass(delta: float, U: float | None = None) -> float:
+def kernel_mass(delta: float) -> float:
     """Direct quadrature of the renewal kernel over [1, U].
 
     Independent of the antiderivative identity used by extend_chi; the
@@ -190,8 +192,7 @@ def kernel_mass(delta: float, U: float | None = None) -> float:
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if U is None:
-        U = find_U(delta)
+    U = find_U(delta)
     mean_at = _mean_evaluator(delta, U)
 
     def kernel(v: np.ndarray) -> np.ndarray:
@@ -202,7 +203,7 @@ def kernel_mass(delta: float, U: float | None = None) -> float:
     return res.value
 
 
-def verify_sigma_vanishes(chi: ExtendedChi, u_max: float, h: float = 1e-4) -> float:
+def verify_sigma_vanishes(chi: ExtendedChi, u_max: float) -> float:
     """Max |mean| on grid nodes in [U, u_max] when driven by the profile.
 
     Runs the integral-equation solver against the extended profile; the
@@ -213,7 +214,7 @@ def verify_sigma_vanishes(chi: ExtendedChi, u_max: float, h: float = 1e-4) -> fl
         raise ValueError(f"u_max exceeds the extension range {chi.t_max}")
     if u_max <= chi.U:
         raise ValueError("u_max must exceed the jump point U")
-    sol = solve_volterra(chi.profile, u_max, h=h)
+    sol = solve_volterra(chi.profile, u_max)
     us = sol.grid_u()
     mask = us >= chi.U - 1e-9
     return float(np.max(np.abs(sol.values[mask])))

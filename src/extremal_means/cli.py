@@ -25,6 +25,9 @@ from .sigma import sigma_dde
 
 FORMATS = ("csv", "json", "markdown")
 
+# Most rows one grid dump (sigma, chi-extend, oracle --u-step) may print.
+MAX_ROWS = 100_000
+
 _MIN_DIGITS, _MAX_DIGITS = 6, 15
 
 
@@ -55,6 +58,12 @@ def _check_digits(digits: int) -> int:
     if not _MIN_DIGITS <= digits <= _MAX_DIGITS:
         raise ValueError(f"digits must lie in [{_MIN_DIGITS}, {_MAX_DIGITS}], got {digits}")
     return digits
+
+
+def _check_rows(span: float, step: float) -> None:
+    """Refuse a grid of more than MAX_ROWS rows before it is built."""
+    if not span / step <= MAX_ROWS:
+        raise ValueError(f"step {step} over a span of {span} gives more than {MAX_ROWS} rows")
 
 
 def _render_rows(header: list[str], rows: list[list[str]], fmt: str) -> str:
@@ -133,10 +142,11 @@ def render_sigma_grid(delta: float, u_max: float, step: float, fmt: str, digits:
     _check_digits(digits)
     if not 0.0 < step <= u_max:
         raise ValueError(f"step must lie in (0, u_max], got {step}")
-    sol = sigma_dde(delta, max(u_max, 2.0), richardson=True, locate_zero=False)
+    _check_rows(u_max, step)
+    sol = sigma_dde(delta, max(u_max, 2.0), richardson=True)
     us = np.arange(0.0, u_max + step / 2.0, step)
-    us = us[us <= sol.grid.u_max + 1e-12]
-    vals = sol.grid.value_cubic(us)
+    us = us[us <= sol.u_max + 1e-12]
+    vals = sol.value_cubic(us)
     rows = [[_fmt_key(u), fmt_table(v, digits)] for u, v in zip(us, vals)]
     return _render_rows(["u", "sigma"], rows, fmt)
 
@@ -148,6 +158,7 @@ def render_chi_grid(
     ext = extend_chi(delta, t_max=t_max, h=h)
     if not 0.0 < step <= ext.t_max:
         raise ValueError(f"step must lie in (0, t_max], got {step}")
+    _check_rows(ext.t_max, step)
     ts = np.arange(0.0, ext.t_max - ext.h / 2.0, step)
     rows = [[_fmt_key(t), fmt_table(ext.value(float(t)), digits)] for t in ts]
     return _render_rows(["t", "chi"], rows, fmt)
@@ -156,9 +167,12 @@ def render_chi_grid(
 def render_oracle_csv(
     k: int, delta: float, y: float, n_top: int, a_mult: float, u_step: float, fmt: str
 ) -> str:
+    if not 0.0 < u_step < math.inf:
+        raise ValueError(f"u_step must be finite and positive, got {u_step}")
     spec = oracle.construct_tracking_spec(k, delta, y, a_mult, n_top)
-    f = oracle.build_f(spec, n_top)
     u_top = a_mult * find_U(delta)
+    _check_rows(u_top - 1.0, u_step)
+    f = oracle.build_f(spec, n_top)
     u_values = [float(u) for u in np.arange(1.0, u_top - 1e-12, u_step)] + [u_top]
     rows = oracle.tracking_rows(f, y, delta, u_values)
     header = ["x", "re_partial", "im_partial", "re_logmean", "im_logmean", "target", "deviation"]

@@ -134,8 +134,8 @@ def extremize_order4() -> OrderConstant:
 def order_constant(k: float) -> OrderConstant:
     """Upper-bound constant for order k (math.inf for the common limit)."""
     if k != math.inf:
-        if int(k) != k or k < 2:
-            raise ValueError(f"order must be an integer >= 2 or inf, got {k}")
+        if not (math.isfinite(k) and int(k) == k and k >= 2):
+            raise ValueError(f"order k must be an integer >= 2 or inf, got {k}")
         k = int(k)
     if k == 2:
         return OrderConstant(k=2, value=2.0 - 2.0 / math.sqrt(math.e))

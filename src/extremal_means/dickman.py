@@ -8,7 +8,7 @@ one Richardson extrapolation against a half-step solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,13 +33,12 @@ class RhoTable:
     """Dense table of rho on [0, u_max] with optional Richardson sharpening."""
 
     grid: SolutionGrid
-    richardson: bool = field(default=True)
 
     @staticmethod
     def build(u_max: float = 40.0, h: float = 1e-4, richardson: bool = True) -> "RhoTable":
         if u_max < 3.0:
             raise ValueError("table must reach at least u = 3")
-        return RhoTable(solve_step_profile(1.0, u_max, h, richardson), richardson)
+        return RhoTable(solve_step_profile(1.0, u_max, h, richardson))
 
     def rho(self, u: float | np.ndarray) -> float | np.ndarray:
         """rho(u); exact on [0, 2], cubic off-grid interpolation beyond."""
@@ -94,8 +93,9 @@ class RhoTable:
         past 1), then adaptive quadrature on the table split at integer
         kink points.
         """
-        if u_cut < 2.0:
-            raise ValueError("cut must be >= 2")
+        top = self.grid.u_max
+        if not 2.0 <= u_cut <= top:
+            raise ValueError(f"u_cut must be finite and lie in [2, {top}], got {u_cut}")
         closed = 1.0 + (2.0 * 2.0 - 2.0 * np.log(2.0) - 2.0) - 0.0
         if u_cut == 2.0:
             return closed

@@ -2,9 +2,10 @@
 
 The cutoff profile chi_delta (1 on [0,1), -delta on [1,U)) produces a mean
 sigma_delta that decreases from 1 and crosses zero at a finite point U_delta
-once delta > 0.  This module locates that first zero, inverts the map
-delta -> U_delta, and integrates the mean up to the zero.  Those three
-operations generate the two tables exported by the command line tool.
+once delta > 0.  This module locates that first zero on the solutions from
+sigma, inverts the map delta -> U_delta, builds chi_delta, and integrates
+the mean up to the zero.  Those operations generate the two tables
+exported by the command line tool.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import SolutionGrid
-from .piecewise import integrate_callable
+from .piecewise import ConstantSegment, PiecewiseFunction, integrate_callable
 from .sigma import sigma_closed, sigma_dde
 
 # Above this delta the first zero sits in (1,2] and solves
@@ -83,8 +84,7 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
     elif sigma_closed(delta, 3.0) <= 0.0:
         lo, hi = 2.0, 3.0
     else:
-        sol = sigma_dde(delta, U_CAP, richardson=True, locate_zero=False)
-        u = locate_first_zero(sol.grid)
+        u = locate_first_zero(sigma_dde(delta, U_CAP, richardson=True))
         if u is None:
             raise RootNotFoundError(
                 f"mean stays positive up to u = {U_CAP}; delta = {delta} is too small"
@@ -100,6 +100,18 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
         if hi - lo <= _BISECT_TOL_U:
             break
     return 0.5 * (lo + hi)
+
+
+def chi_delta(delta: float) -> PiecewiseFunction:
+    """Cutoff step profile: 1 on [0,1), -delta on [1,U), 0 from U on,
+    with U the first zero of the induced solution."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    U = find_U(delta)
+    return PiecewiseFunction(
+        breakpoints=(0.0, 1.0, U),
+        segments=(ConstantSegment(1.0), ConstantSegment(-delta), ConstantSegment(0.0)),
+    )
 
 
 def delta_for_U(u: float) -> float:
@@ -173,18 +185,20 @@ def _closed_mean_integral(delta: float, w: float, tol: float = 1e-11) -> float:
     return head + 0.5 * (1.0 + delta) ** 2 * tail.value
 
 
-def compute_I(delta: float, U: float | None = None, grid: SolutionGrid | None = None) -> float:
+def compute_I(delta: float, U: float | None = None) -> float:
     """Average of the cutoff mean over [0, U]: the table quantity I.
 
-    U and a marched grid may be supplied to reuse work; both are computed on
-    demand otherwise.  The grid is only consulted when U > 3, where the
-    closed forms stop.
+    U, the first zero for delta, may be supplied to reuse work; find_U
+    computes it otherwise.  Closed forms cover [0, 3]; past 3 the mean is
+    integrated on a marched sigma_dde grid.
     """
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if U is None:
         U = find_U(delta)
+    elif not 1.0 < U <= U_CAP:
+        raise ValueError(f"U must be finite and lie in (1, {U_CAP}], got {U}")
     if U <= 2.0:
         return (1.0 + delta) * (U - 1.0) / U
 
@@ -193,9 +207,8 @@ def compute_I(delta: float, U: float | None = None, grid: SolutionGrid | None = 
     w = min(U, 3.0)
     total += _closed_mean_integral(delta, w)
     if U > 3.0:
-        if grid is None:
-            u_max = float(max(4, math.ceil(U + 1e-12)))
-            grid = sigma_dde(delta, u_max, richardson=True, locate_zero=False).grid
+        u_max = float(max(4, math.ceil(U + 1e-12)))
+        grid = sigma_dde(delta, u_max, richardson=True)
         cuts = [float(j) for j in range(4, int(math.floor(U)) + 1)]
         tail = integrate_callable(grid.value_cubic, 3.0, U, tol=1e-11, breakpoints=cuts)
         total += tail.value

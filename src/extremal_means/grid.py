@@ -18,7 +18,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SolutionGrid", "integrate_delay_equation", "solve_step_profile"]
+__all__ = [
+    "MAX_NODES",
+    "SolutionGrid",
+    "integrate_delay_equation",
+    "solve_step_profile",
+    "steps_per_unit",
+]
+
+# Most nodes a grid may span at its step: 16 MB a float64 array.  The
+# largest grid in use, the default rho table (u_max 40, h 1e-4), spans
+# 400,000; its Richardson half-step grid doubles that.
+MAX_NODES = 2_000_000
+
+
+def steps_per_unit(h: float, span: float = 1.0) -> int:
+    """m = 1/h for a step h that divides 1, checked before anything is allocated.
+
+    A grid over [0, span] at step h may hold at most MAX_NODES nodes past
+    its origin (span below 1 counts as 1: every grid holds [0, 1]).
+    """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be a finite positive step, got {h}")
+    nodes = max(span, 1.0) / h
+    if not nodes <= MAX_NODES:
+        raise ValueError(
+            f"h = {h} over [0, {span}] needs {nodes:.3g} nodes, more than {MAX_NODES}"
+        )
+    m = round(1.0 / h)
+    if abs(m * h - 1.0) > 1e-12:
+        raise ValueError(f"h must divide 1 exactly, got {h}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -30,9 +60,7 @@ class SolutionGrid:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        m = round(1.0 / self.h)
-        if abs(m * self.h - 1.0) > 1e-12:
-            raise ValueError("h must divide 1 exactly")
+        m = steps_per_unit(self.h)
         n = round(self.u_max / self.h)
         if len(self.values) != n + 1:
             raise ValueError("values length inconsistent with h and u_max")
@@ -47,15 +75,6 @@ class SolutionGrid:
 
     def grid_u(self) -> np.ndarray:
         return np.arange(len(self.values)) * self.h
-
-    def value(self, u: float | np.ndarray) -> np.ndarray | float:
-        """Linear interpolation; clamped at the ends."""
-        u = np.asarray(u, dtype=float)
-        pos = np.clip(u / self.h, 0.0, len(self.values) - 1.0)
-        idx = np.minimum(pos.astype(np.int64), len(self.values) - 2)
-        frac = pos - idx
-        out = self.values[idx] * (1.0 - frac) + self.values[idx + 1] * frac
-        return float(out) if out.ndim == 0 else out
 
     def value_cubic(self, u: float | np.ndarray) -> np.ndarray | float:
         """Four-point Lagrange interpolation with the stencil kept inside
@@ -134,9 +153,7 @@ def solve_step_profile(rate: float, u_max: float, h: float, richardson: bool) ->
     """
     if not 0.0 <= u_max < math.inf:
         raise ValueError(f"u_max must be finite and >= 0, got {u_max}")
-    if not (0.0 < h <= 1.0 and abs(round(1.0 / h) * h - 1.0) <= 1e-12):
-        raise ValueError(f"h must divide 1 exactly, got {h}")
-    m = round(1.0 / h)
+    m = steps_per_unit(h, u_max)
     n = round(u_max / h)
     values = _march_step_profile(rate, n, m, h)
     if richardson:

@@ -274,6 +274,10 @@ def empirical_chi(
     f: np.ndarray, y: float, u: float, primes: np.ndarray | None = None
 ) -> complex:
     """Log-weighted prime average of f up to y^u."""
+    if not (math.isfinite(y) and y > 1.0):
+        raise ValueError(f"y must be finite and > 1, got {y}")
+    if not (math.isfinite(u) and u > 0.0):
+        raise ValueError(f"u must be finite and positive, got {u}")
     N = len(f) - 1
     x = float(y) ** float(u)
     if x > N + 1e-9:
@@ -407,7 +411,7 @@ def tracking_rows(
         raise ValueError(f"largest cutoff y^u = {x_top:g} exceeds the f range {N}")
     U = find_U(delta)
     u_cap = max(2.0, math.ceil(min(U, max(u_values)) + 1e-12))
-    target_at = sigma_dde(delta, u_cap, richardson=True, locate_zero=False).grid.value_cubic
+    target_at = sigma_dde(delta, u_cap, richardson=True).value_cubic
     csum = np.cumsum(f[1:])
     csum_div = np.cumsum(f[1:] / np.arange(1, N + 1))
     rows = []

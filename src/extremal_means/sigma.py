@@ -11,33 +11,27 @@ Three independent routes to the same object:
   solution, used as a cross-check only.
 
 sigma_dde and sigma_series describe the profile that keeps weight
--delta for ALL t > 1 (no cutoff); its first zero U is where the cutoff
-profile chi_delta switches to 0.
+-delta for ALL t > 1 (no cutoff).  Its first zero U, the cutoff profile
+chi_delta that switches to 0 there, and the mean up to U live in
+extremal, one layer up; this module sits on grid, piecewise and dickman
+only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .grid import SolutionGrid, solve_step_profile
-from .piecewise import (
-    ConstantSegment,
-    PiecewiseFunction,
-    SampledSegment,
-    integrate_callable,
-)
+from .dickman import default_table
+from .grid import SolutionGrid, solve_step_profile, steps_per_unit
+from .piecewise import ConstantSegment, PiecewiseFunction, integrate_callable
 
 __all__ = [
-    "DeltaSolution",
     "solve_volterra",
     "sigma_closed",
     "sigma_dde",
     "sigma_series",
-    "chi_delta",
 ]
 
 
@@ -180,12 +174,11 @@ def solve_volterra(
     exact split-cell treatment, so the discrete residual stays O(h^2)
     even for cutoff profiles.
     """
-    if u_max < 1.0:
-        raise ValueError("u_max must be >= 1")
+    if not 1.0 <= u_max < math.inf:
+        raise ValueError(f"u_max must be finite and >= 1, got {u_max}")
+    m = steps_per_unit(h, u_max)
     if h > 1e-3:
         raise ValueError("step must satisfy h <= 1e-3")
-    if abs(round(1.0 / h) * h - 1.0) > 1e-12:
-        raise ValueError("h must divide 1 exactly")
     if chi.domain_end < u_max:
         raise ValueError("chi not defined up to u_max")
     first = chi.segments[0]
@@ -199,7 +192,6 @@ def solve_volterra(
     if richardson:
         fine = _volterra_values(chi, u_max, h / 2.0)
         values = (4.0 * fine[::2] - values) / 3.0
-        m = round(1.0 / h)
         values[: m + 1] = 1.0
     return SolutionGrid(h=h, u_max=u_max, values=values)
 
@@ -208,59 +200,25 @@ def solve_volterra(
 # the one-parameter step profile
 
 
-def chi_delta(delta: float) -> PiecewiseFunction:
-    """Cutoff step profile: 1 on [0,1), -delta on [1,U), 0 from U on,
-    with U the first zero of the induced solution."""
-    from .extremal import find_U
-
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    U = find_U(delta)
-    return PiecewiseFunction(
-        breakpoints=(0.0, 1.0, U),
-        segments=(ConstantSegment(1.0), ConstantSegment(-delta), ConstantSegment(0.0)),
-    )
-
-
-@dataclass(frozen=True)
-class DeltaSolution:
-    """No-cutoff step-profile solution with its first zero and mean."""
-
-    delta: float
-    grid: SolutionGrid
-    U: Optional[float] = None
-    I: Optional[float] = None
-
-
 def sigma_dde(
     delta: float,
     u_max: float,
     h: float = 1e-4,
     richardson: bool = True,
-    locate_zero: bool = True,
-) -> DeltaSolution:
+) -> SolutionGrid:
     """Step-profile solution by the conservative delay update.
 
     Seeds the closed form on [0, 2], then marches
     d/du[u*s] = s(u) - (1+delta)*s(u-1).  With richardson=True a
     half-step solve sharpens the table; the closed-form region is
-    re-pinned afterwards.  When the first zero lies on the grid, U and
-    the mean I are filled in.
+    re-pinned afterwards.  extremal.locate_first_zero reads the first
+    zero off the returned grid.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     if u_max < 2.0:
         raise ValueError("u_max must be >= 2")
-    grid = solve_step_profile(1.0 + delta, u_max, h, richardson)
-    U = None
-    I = None
-    if locate_zero and delta > 0.0:
-        from .extremal import compute_I, locate_first_zero
-
-        U = locate_first_zero(grid)
-        if U is not None:
-            I = compute_I(delta, U=U, grid=grid)
-    return DeltaSolution(delta=delta, grid=grid, U=U, I=I)
+    return solve_step_profile(1.0 + delta, u_max, h, richardson)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +231,6 @@ def sigma_series(delta: float, u: float, j_max: int) -> float:
 
     The first correction is -delta * T_1(u), T_1(u) = int_1^u rho(u-t) dt/t.
     """
-    from .dickman import default_table
-
     if not 0 <= j_max <= 1:
         raise ValueError("series truncation supports j_max in 0..1")
     if u < 0:

@@ -38,7 +38,7 @@ from extremal_means.constants import (
     unit_disc_bounds,
 )
 from extremal_means.dickman import dde_residual_max, rho, rho_total_integral
-from extremal_means.extremal import find_U, table_by_first_zero, table_by_order
+from extremal_means.extremal import chi_delta, find_U, table_by_first_zero, table_by_order
 from extremal_means.oracle import (
     build_f,
     build_g,
@@ -52,7 +52,7 @@ from extremal_means.oracle import (
     tracking_rows,
 )
 from extremal_means.piecewise import integrate_callable
-from extremal_means.sigma import chi_delta, sigma_closed, sigma_closed_band, sigma_dde, solve_volterra
+from extremal_means.sigma import sigma_closed, sigma_closed_band, sigma_dde, solve_volterra
 from extremal_means.verification import DATA_DIR
 
 FIVE_DELTAS = (0.05, 0.1, 0.3, 0.5, 1.0)
@@ -273,8 +273,8 @@ def test_criterion_5_solver_cross_validation():
     failures: list[str] = []
     worst = 0.0
     for delta in FIVE_DELTAS:
-        sol = sigma_dde(delta, 3.0, richardson=True, locate_zero=False)
-        h, vals = sol.grid.h, sol.grid.values
+        sol = sigma_dde(delta, 3.0, richardson=True)
+        h, vals = sol.h, sol.values
         us_a = np.round(np.arange(1.0, 2.0 + 1e-12, 0.002), 10)
         ia = np.rint(us_a / h).astype(int)
         err = float(np.max(np.abs(vals[ia] - sigma_closed_band(delta, us_a))))
@@ -318,9 +318,9 @@ def test_criterion_6_extension_suite():
         if tail > 1e-6:
             failures.append(f"delta={delta}: max |sigma| {tail:.2e} on [U, 3U]")
         # control: with the window left at -delta the mean crosses below
-        ctrl = sigma_dde(delta, math.ceil(U) + 1.0, richardson=True, locate_zero=False)
-        iu = round(U / ctrl.grid.h)
-        low = float(np.min(ctrl.grid.values[iu : iu + round(1.0 / ctrl.grid.h)]))
+        ctrl = sigma_dde(delta, math.ceil(U) + 1.0, richardson=True)
+        iu = round(U / ctrl.h)
+        low = float(np.min(ctrl.values[iu : iu + round(1.0 / ctrl.h)]))
         if low >= -1e-3:
             failures.append(f"delta={delta}: control only reaches {low:.2e}")
     elapsed = time.perf_counter() - t0
@@ -349,9 +349,9 @@ def test_criterion_7_small_drift_envelope():
     rho_vals = rho(us)
     worst_ratio = 0.0
     for delta in (0.01, 0.05, 0.1):
-        sol = sigma_dde(delta, 6.0, richardson=True, locate_zero=False)
-        iu = np.rint(us / sol.grid.h).astype(int)
-        gap = np.max(np.abs(sol.grid.values[iu] - (rho_vals - delta * correction)))
+        sol = sigma_dde(delta, 6.0, richardson=True)
+        iu = np.rint(us / sol.h).astype(int)
+        gap = np.max(np.abs(sol.values[iu] - (rho_vals - delta * correction)))
         worst_ratio = max(worst_ratio, float(gap) / delta**2)
         if gap > delta**2:
             failures.append(f"delta={delta}: envelope gap {gap:.2e} exceeds delta^2 {delta**2:.1e}")

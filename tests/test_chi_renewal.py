@@ -78,9 +78,9 @@ def test_extension_range_continuity_and_vanishing(delta):
 def test_control_without_extension_goes_negative():
     # the plain window profile drives the mean below zero past U
     delta = 0.2
-    sol = sigma_dde(delta, 3.0, richardson=True, locate_zero=False)
+    sol = sigma_dde(delta, 3.0, richardson=True)
     U = find_U(delta)
-    assert sol.grid.value_cubic(U + 0.5) < -1e-3
+    assert sol.value_cubic(U + 0.5) < -1e-3
 
 
 def test_value_regions_and_domain():

@@ -192,6 +192,21 @@ def test_domain_and_usage_errors_exit_2(args, capsys):
     assert cap.err != ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sigma", "--delta", "0.2", "--step", "1e-9"],
+        ["chi-extend", "--delta", "0.5", "--h", "1e-8"],
+        ["oracle", "--y", "100", "--n", "100000", "--u-step", "1e-9"],
+    ],
+)
+def test_oversized_grids_exit_2_before_allocating(args, capsys):
+    # uncapped, each of these asks numpy for gigabytes
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "table.csv"
     code = main(["table", "--grid", "u", "--output", str(dest)])

@@ -1,0 +1,66 @@
+"""Entry points reject non-finite, off-grid and oversized input with a
+ValueError that names the argument, before anything is allocated."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from extremal_means.chi_renewal import extend_chi
+from extremal_means.constants import order_constant
+from extremal_means.dickman import rho_total_integral
+from extremal_means.extremal import chi_delta, compute_I
+from extremal_means.grid import SolutionGrid
+from extremal_means.oracle import empirical_chi
+from extremal_means.sigma import sigma_dde, solve_volterra
+
+STEP_USERS = {
+    "SolutionGrid": lambda h: SolutionGrid(h=h, u_max=2.0, values=np.ones(3)),
+    "sigma_dde": lambda h: sigma_dde(0.2, 3.0, h=h),
+    "solve_volterra": lambda h: solve_volterra(chi_delta(0.3), 3.0, h=h),
+    "extend_chi": lambda h: extend_chi(0.3, h=h),
+}
+
+
+@pytest.mark.parametrize("user", sorted(STEP_USERS))
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        (math.nan, "h must be a finite positive step, got nan"),
+        (math.inf, "h must be a finite positive step, got inf"),
+        (0.0, "h must be a finite positive step, got 0.0"),
+        (-1e-3, "h must be a finite positive step"),
+        (3e-4, "h must divide 1 exactly, got 0.0003"),
+        (1e-8, "nodes, more than 2000000"),
+    ],
+)
+def test_one_step_validator(user, h, message):
+    with pytest.raises(ValueError, match=message):
+        STEP_USERS[user](h)
+
+
+def test_node_cap_covers_the_span():
+    with pytest.raises(ValueError, match="more than 2000000"):
+        sigma_dde(0.2, 1e6)
+    with pytest.raises(ValueError, match="more than 2000000"):
+        extend_chi(0.5, t_max=1e9)
+    with pytest.raises(ValueError, match="at least 10 steps"):
+        extend_chi(0.5, h=0.2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("u_cut", rho_total_integral),
+        ("t_max", lambda x: extend_chi(0.2, t_max=x)),
+        ("u", lambda x: empirical_chi(np.ones(101), 10.0, x)),
+        ("order k", order_constant),
+        ("U", lambda x: compute_I(0.2, U=x)),
+    ],
+)
+def test_non_finite_argument_named(name, call, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must .*got {bad}$"):
+        call(bad)

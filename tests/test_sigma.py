@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extremal_means.dickman import RhoTable, rho
-from extremal_means.extremal import find_U
+from extremal_means.extremal import chi_delta, compute_I, find_U, locate_first_zero
 from extremal_means.piecewise import integrate_callable
 from extremal_means.sigma import (
-    chi_delta,
     sigma_closed,
     sigma_closed_band,
     sigma_dde,
@@ -56,8 +55,8 @@ def test_closed_third_branch_independent_quadrature():
 def test_marched_matches_closed_on_1_3():
     us = np.arange(1.0, 3.0 + 1e-12, 0.01)
     for delta in FIVE_DELTAS:
-        sol = sigma_dde(delta, 3.0, richardson=True, locate_zero=False)
-        dev = np.max(np.abs(sol.grid.value_cubic(us) - closed_reference(delta, us)))
+        sol = sigma_dde(delta, 3.0, richardson=True)
+        dev = np.max(np.abs(sol.value_cubic(us) - closed_reference(delta, us)))
         assert dev <= 1e-8, f"delta={delta}: {dev:.2e}"
 
 
@@ -67,24 +66,24 @@ def test_march_rejects_bad_step_and_span_before_allocating():
     with pytest.raises(ValueError, match="u_max must be finite"):
         sigma_dde(0.2, float("nan"))
     # a span ending half a node past the grid keeps both Richardson grids aligned
-    sol = sigma_dde(0.2, 3.0 + 1.5 / 1024, h=1 / 1024, locate_zero=False)
-    assert len(sol.grid.values) == 3075
+    sol = sigma_dde(0.2, 3.0 + 1.5 / 1024, h=1 / 1024)
+    assert len(sol.values) == 3075
 
 
 def test_rho_table_is_the_zero_drift_profile():
     for h, richardson in ((2e-3, False), (1e-3, True)):
         table = RhoTable.build(10.0, h, richardson)
         sol = sigma_dde(0.0, 10.0, h=h, richardson=richardson)
-        assert np.array_equal(table.grid.values, sol.grid.values)
+        assert np.array_equal(table.grid.values, sol.values)
 
 
 def test_richardson_sharpens_coarse_march():
     delta, u = 0.3, 2.5
-    plain = sigma_dde(delta, 3.0, h=2e-3, richardson=False, locate_zero=False)
-    sharp = sigma_dde(delta, 3.0, h=2e-3, richardson=True, locate_zero=False)
+    plain = sigma_dde(delta, 3.0, h=2e-3, richardson=False)
+    sharp = sigma_dde(delta, 3.0, h=2e-3, richardson=True)
     truth = sigma_closed(delta, u)
-    err_plain = abs(plain.grid.value(u) - truth)
-    err_sharp = abs(sharp.grid.value_cubic(u) - truth)
+    err_plain = abs(plain.value_cubic(u) - truth)
+    err_sharp = abs(sharp.value_cubic(u) - truth)
     assert err_sharp < err_plain / 10.0
 
 
@@ -98,12 +97,14 @@ def test_dde_domain_validation():
 
 
 def test_locate_zero_fills_solution_fields():
-    sol = sigma_dde(0.3, 4.0)
-    assert sol.U is not None and sol.I is not None
-    assert abs(sol.U - find_U(0.3)) < 1e-9
+    grid = sigma_dde(0.3, 4.0)
+    U = locate_first_zero(grid)
+    I = compute_I(0.3, U=U)
+    assert U is not None and I is not None
+    assert abs(U - find_U(0.3)) < 1e-9
     # mean positive, below 1, and the solution crosses there
-    assert 0.0 < sol.I < 1.0
-    assert abs(sol.grid.value_cubic(sol.U)) < 1e-9
+    assert 0.0 < I < 1.0
+    assert abs(grid.value_cubic(U)) < 1e-9
 
 
 def test_volterra_matches_closed_up_to_first_zero():
@@ -152,9 +153,9 @@ def test_series_truncations():
 
 def test_series_envelope_spot():
     for delta in (0.01, 0.1):
-        sol = sigma_dde(delta, 4.0, richardson=True, locate_zero=False)
+        sol = sigma_dde(delta, 4.0, richardson=True)
         for u in (1.5, 2.5, 3.5):
-            dev = abs(sol.grid.value_cubic(u) - sigma_series(delta, u, 1))
+            dev = abs(sol.value_cubic(u) - sigma_series(delta, u, 1))
             assert dev <= delta**2
 
 
