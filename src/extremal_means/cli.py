@@ -6,7 +6,8 @@ constants, the sieve experiment, and the self-check suite.  All output
 is plain text with significant-digit formatting and no locale
 dependence, so fixed flags give byte-identical bytes across runs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage, domain or output
+error.
 """
 
 from __future__ import annotations
@@ -344,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, RootNotFoundError) as exc:
+    except (ValueError, RootNotFoundError, OSError) as exc:  # OSError: an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .piecewise import integrate_callable
+from .piecewise import bisect, integrate_callable
 
 LOG2 = math.log(2.0)
 SQRT2 = math.sqrt(2.0)
@@ -187,16 +187,9 @@ def unit_disc_bounds() -> UnitDiscBounds:
         falling = 2.0 * math.exp(0.5 * (1.0 - A)) + A - 3.0
         return rising - falling
 
-    lo, hi = 0.0, 1.0
-    if not (gap(lo) < 0.0 < gap(hi)):
+    if not (gap(0.0) < 0.0 < gap(1.0)):
         raise RuntimeError("crossing bracket failed")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    A_star = 0.5 * (lo + hi)
+    A_star = bisect(lambda A: gap(A) < 0.0, 0.0, 1.0, max_iter=80)
     B_star = A_star - 2.0 + 2.0 * math.exp(-0.5 * A_star)
     check = 1.0 - 33.0 * B_star / 70.0 <= ORDER_LIMIT_VALUE
     return UnitDiscBounds(A_star=A_star, B_star=B_star, check_34_35=check)
@@ -234,17 +227,7 @@ def optimize_average_bound() -> AverageBoundResult:
     reported K divides out the universal e^gamma factor.
     """
 
-    def stat(c: float) -> float:
-        return math.exp(-c) - c
-
-    lo, hi = 0.1, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if stat(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    c_star = 0.5 * (lo + hi)
+    c_star = bisect(lambda c: math.exp(-c) - c > 0.0, 0.1, 1.0, max_iter=80)
     K = math.exp(average_bound_objective(c_star)) / math.exp(np.euler_gamma)
     return AverageBoundResult(c_star=c_star, K=K)
 

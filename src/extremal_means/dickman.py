@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import SolutionGrid, solve_step_profile
-from .piecewise import integrate_callable
+from .piecewise import bisect, integrate_callable
 
 __all__ = [
     "RhoTable",
@@ -73,18 +73,9 @@ class RhoTable:
             raise ValueError("inverse needs 0 < x <= 1")
         if x >= 1.0 - LOG2:
             return float(np.exp(1.0 - x))
-        lo, hi = 2.0, self.grid.u_max
-        if self.rho(hi) > x:
+        if self.rho(self.grid.u_max) > x:
             raise ValueError("target below the tabulated range of rho")
-        for _ in range(200):
-            midpt = 0.5 * (lo + hi)
-            if self.rho(midpt) > x:
-                lo = midpt
-            else:
-                hi = midpt
-            if hi - lo < 1e-13:
-                break
-        return 0.5 * (lo + hi)
+        return bisect(lambda u: self.rho(u) > x, 2.0, self.grid.u_max, 1e-13, max_iter=200)
 
     def total_integral(self, u_cut: float) -> float:
         """integral_0^{u_cut} rho; converges to exp(Euler gamma) as u_cut grows.

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import SolutionGrid
-from .piecewise import ConstantSegment, PiecewiseFunction, integrate_callable
+from .piecewise import ConstantSegment, PiecewiseFunction, bisect, integrate_callable
 from .sigma import sigma_closed, sigma_dde
 
 # Above this delta the first zero sits in (1,2] and solves
@@ -48,20 +48,12 @@ def locate_first_zero(grid: SolutionGrid) -> float | None:
     if neg.size == 0:
         return None
     i = int(neg[0]) + m + 1
-    lo = (i - 1) * grid.h
-    hi = i * grid.h
     if vals[i] == 0.0:
-        return hi
+        return i * grid.h
     # cubic interpolant sign bisection; the bracket is one cell wide
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if grid.value_cubic(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL_U:
-            break
-    return 0.5 * (lo + hi)
+    return bisect(
+        lambda u: grid.value_cubic(u) > 0.0, (i - 1) * grid.h, i * grid.h, _BISECT_TOL_U, 60
+    )
 
 
 def find_U(delta: float, use_closed_form: bool = True) -> float:
@@ -90,16 +82,7 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
                 f"mean stays positive up to u = {U_CAP}; delta = {delta} is too small"
             )
         return u
-
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if sigma_closed(delta, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL_U:
-            break
-    return 0.5 * (lo + hi)
+    return bisect(lambda u: sigma_closed(delta, u) > 0.0, lo, hi, _BISECT_TOL_U)
 
 
 def chi_delta(delta: float) -> PiecewiseFunction:
@@ -127,41 +110,24 @@ def delta_for_U(u: float) -> float:
     if u <= 3.0:
         # sigma_closed(., u) is positive below the matching delta and
         # negative above it; 0.04 keeps the zero beyond 3 for the low end
-        lo, hi = 0.04, CLOSED_FORM_DELTA
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            if sigma_closed(mid, u) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _BISECT_TOL_DELTA:
-                break
-        return 0.5 * (lo + hi)
+        return bisect(
+            lambda d: sigma_closed(d, u) > 0.0, 0.04, CLOSED_FORM_DELTA, _BISECT_TOL_DELTA
+        )
 
     # u in (3, U_CAP]: bracket from above, then bisect on find_U itself.
     # RootNotFoundError means the zero is past the cap, hence past u.
-    hi = CLOSED_FORM_DELTA
-    lo = 0.03
-    while True:
+    def zero_at_or_past_u(d: float) -> bool:
         try:
-            if find_U(lo) >= u:
-                break
+            return find_U(d) >= u
         except RootNotFoundError:
-            break
+            return True
+
+    lo = 0.03
+    while not zero_at_or_past_u(lo):
         lo *= 0.25
         if lo < 1e-15:
             raise RootNotFoundError(f"could not bracket delta for u = {u}")
-    while hi - lo > _BISECT_TOL_DELTA:
-        mid = 0.5 * (lo + hi)
-        try:
-            u_mid = find_U(mid)
-        except RootNotFoundError:
-            u_mid = math.inf
-        if u_mid >= u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(zero_at_or_past_u, lo, CLOSED_FORM_DELTA, _BISECT_TOL_DELTA)
 
 
 def _closed_mean_integral(delta: float, w: float, tol: float = 1e-11) -> float:

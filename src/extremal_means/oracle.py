@@ -24,7 +24,9 @@ from .chi_renewal import extend_chi
 from .extremal import find_U
 from .sigma import sigma_dde
 
-SIEVE_CAP = 10**8
+# Largest sieve length: `oracle --n 2e7` peaks at about 1.3 GB resident
+# (f, its two running sums and their temporaries are complex arrays).
+SIEVE_CAP = 2 * 10**7
 
 # default desk scale: y^sqrt(e) for the order-2 construction just fits
 DESK_Y = 10**4
@@ -133,6 +135,7 @@ def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
     if spec.N < N:
         raise ValueError(f"spec covers primes to {spec.N} < requested {N}")
     k = spec.k
+    spf = smallest_prime_factors(N)  # checks N against SIEVE_CAP first
     ell_at = np.zeros(N + 1, dtype=np.int16)
     for p, v in spec.assignment.items():
         if p <= N:
@@ -143,7 +146,7 @@ def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
         s[(a == k) | (b == k)] = k
         return s
 
-    ell = _completely_multiplicative(ell_at, smallest_prime_factors(N), (k, 0), add_angles)
+    ell = _completely_multiplicative(ell_at, spf, (k, 0), add_angles)
     return np.append(np.exp(2j * np.pi * np.arange(k) / k), 0.0)[ell]
 
 
@@ -337,11 +340,16 @@ def construct_tracking_spec(
         raise ValueError(f"order must be >= 2, got {k}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if A <= 0.0:
-        raise ValueError(f"range multiplier must be positive, got {A}")
+    if not (math.isfinite(y) and y > 1.0):
+        raise ValueError(f"y must be finite and > 1, got {y}")
+    if not (math.isfinite(A) and A > 0.0):
+        raise ValueError(f"A must be finite and positive, got {A}")
     U = find_U(delta)
     t_end = A * U
-    x_end = float(y) ** t_end
+    try:
+        x_end = float(y) ** t_end
+    except OverflowError:
+        raise ValueError(f"y^(A U) overflows a float for y = {y}, A = {A}") from None
     if x_end > N * (1.0 + 1e-9):
         raise ValueError(f"y^(A U) = {x_end:g} exceeds the sieve limit {N}")
 
@@ -349,6 +357,8 @@ def construct_tracking_spec(
     lo = np.searchsorted(primes, y, side="right")
     hi = np.searchsorted(primes, x_end, side="right")
     sel = primes[lo:hi]
+    if sel.size == 0:
+        raise ValueError(f"A = {A} leaves no prime in (y, y^(A U)] = ({y:g}, {x_end:g}]")
     logs = np.log(sel)
     t = logs / math.log(y)
 

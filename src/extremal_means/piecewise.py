@@ -1,10 +1,10 @@
-"""Piecewise function containers and quadrature.
+"""Piecewise function containers, quadrature and root bracketing.
 
-Profiles handled here are right-continuous step/smooth hybrids on [0, inf):
-a sorted tuple of breakpoints splits the domain into half-open cells
-[b_i, b_{i+1}), each owned by a segment that can be evaluated on arrays.
-Integration is exact on constant and sampled segments and adaptive
-elsewhere, so discontinuities at breakpoints never degrade the order.
+Profiles handled here are right-continuous on [0, inf): a sorted tuple
+of breakpoints splits the domain into half-open cells [b_i, b_{i+1}),
+each owned by a constant or sampled segment that evaluates on arrays.
+integrate_callable is the package's one quadrature (split at kinks by
+the caller) and bisect its one scalar root search.
 """
 
 from __future__ import annotations
@@ -16,14 +16,12 @@ import numpy as np
 
 __all__ = [
     "ConstantSegment",
-    "ClosedFormSegment",
     "SampledSegment",
     "PiecewiseFunction",
     "QuadratureResult",
     "QuadratureError",
-    "simpson_fixed",
     "integrate_callable",
-    "integrate",
+    "bisect",
 ]
 
 
@@ -49,17 +47,6 @@ class ConstantSegment:
 
 
 @dataclass(frozen=True)
-class ClosedFormSegment:
-    """Segment backed by a vectorized callable; `name` is for diagnostics."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    name: str = "closed-form"
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
-
-
-@dataclass(frozen=True)
 class SampledSegment:
     """Segment stored as equally spaced samples, interpolated linearly.
 
@@ -82,38 +69,8 @@ class SampledSegment:
         samp = self.samples
         return samp[idx] * (1.0 - frac) + samp[idx + 1] * frac
 
-    def exact_integral(self, a: float, b: float) -> float:
-        """Trapezoid integral of the interpolant over [a, b], exact for it.
 
-        Off-table ranges use the same clamped (constant) extension as
-        values(), so the two stay consistent.
-        """
-        if b <= a:
-            return 0.0
-        # grid nodes strictly inside or on [a, b]
-        first = int(np.ceil((a - self.start) / self.h - 1e-12))
-        last = int(np.floor((b - self.start) / self.h + 1e-12))
-        first = max(first, 0)
-        last = min(last, len(self.samples) - 1)
-        if first > last:  # no node inside: one trapezoid cell
-            va, vb = self.values(np.array([a, b]))
-            return float(0.5 * (va + vb) * (b - a))
-        total = 0.0
-        first_x = self.start + first * self.h
-        last_x = self.start + last * self.h
-        if first_x > a:
-            va = self.values(np.array([a]))[0]
-            total += 0.5 * (va + self.samples[first]) * (first_x - a)
-        if last > first:
-            seg = self.samples[first : last + 1]
-            total += self.h * (np.sum(seg) - 0.5 * seg[0] - 0.5 * seg[-1])
-        if b > last_x:
-            vb = self.values(np.array([b]))[0]
-            total += 0.5 * (self.samples[last] + vb) * (b - last_x)
-        return float(total)
-
-
-Segment = ConstantSegment | ClosedFormSegment | SampledSegment
+Segment = ConstantSegment | SampledSegment
 
 
 @dataclass(frozen=True)
@@ -166,16 +123,6 @@ class PiecewiseFunction:
         bp = np.asarray(self.breakpoints)
         i = int(np.clip(np.searchsorted(bp, t, side="left") - 1, 0, len(bp) - 1))
         return float(self.segments[i].values(np.array([t]))[0])
-
-
-def simpson_fixed(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int) -> float:
-    """Composite Simpson with `panels` panels (2*panels+1 nodes)."""
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    x = np.linspace(a, b, 2 * panels + 1)
-    y = np.asarray(fn(x), dtype=float)
-    h = (b - a) / (2 * panels)
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
 
 
 def _adaptive_simpson(
@@ -242,30 +189,25 @@ def integrate_callable(
     return QuadratureResult(value, err, evals)
 
 
-def integrate(f: PiecewiseFunction, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
-    """Integral of a piecewise function over [a, b].
+def bisect(
+    below: Callable[[float], bool], lo: float, hi: float, tol: float = 0.0, max_iter: int = 64
+) -> float:
+    """Halve [lo, hi] on a monotone predicate and return the final midpoint.
 
-    Constant and sampled cells integrate exactly (zero estimated error);
-    closed-form cells go through the adaptive rule.  Splitting at cell
-    boundaries keeps every sub-integrand smooth.
+    below(x) is true when the sought point lies above x, so lo stays on the
+    true side and hi on the false side.  Stops once hi - lo <= tol, after
+    max_iter halvings, or when the midpoint is no longer strictly inside
+    the bracket (lo and hi adjacent floats); below is therefore evaluated
+    only strictly between the original ends.
     """
-    if b < a:
-        raise ValueError("integration bounds must satisfy a <= b")
-    if b == a:
-        return QuadratureResult(0.0, 0.0, 0)
-    cuts = sorted({a, b} | {p for p in f.breakpoints if a < p < b})
-    value = 0.0
-    err = 0.0
-    evals = 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        seg = f.segments[int(f.segment_index(np.array([lo]))[0])]
-        if isinstance(seg, ConstantSegment):
-            value += seg.value * (hi - lo)
-        elif isinstance(seg, SampledSegment):
-            value += seg.exact_integral(lo, hi)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if below(mid):
+            lo = mid
         else:
-            r = _adaptive_simpson(seg.values, lo, hi, tol)
-            value += r.value
-            err += r.est_error
-            evals += r.evaluations
-    return QuadratureResult(value, err, evals)
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return 0.5 * (lo + hi)

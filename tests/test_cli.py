@@ -7,6 +7,8 @@ reads capsys.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -198,6 +200,7 @@ def test_domain_and_usage_errors_exit_2(args, capsys):
         ["sigma", "--delta", "0.2", "--step", "1e-9"],
         ["chi-extend", "--delta", "0.5", "--h", "1e-8"],
         ["oracle", "--y", "100", "--n", "100000", "--u-step", "1e-9"],
+        ["oracle", "--n", "100000000"],
     ],
 )
 def test_oversized_grids_exit_2_before_allocating(args, capsys):
@@ -214,6 +217,55 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and cap.out == ""
     code, out, _ = run_cli(["table", "--grid", "u", "--output", "-"], capsys)
     assert dest.read_text() == out
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    dest = tmp_path / "missing" / "c.txt"
+    code, out, err = run_cli(["constants", "--output", str(dest)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(dest) in err
+
+
+# ------------------------------------------------------------------- fuzz
+
+# One cheap valid command per entry: the fixed arguments, then the numeric
+# flags with their base values.  The fuzz test sets one of those flags to
+# a hostile value and keeps the others at their base.
+FUZZ_BASES = [
+    (["dickman"], {"--u": "3", "--digits": "10"}),
+    (["sigma"], {"--delta": "0.3", "--u-max": "3", "--step": "0.5", "--digits": "10"}),
+    (["udelta"], {"--delta": "0.5", "--digits": "10"}),
+    (["udelta"], {"--u": "2.5", "--digits": "10"}),
+    (["table", "--grid", "k"], {"--kmax": "5", "--digits": "10"}),
+    (
+        ["chi-extend"],
+        {"--delta": "0.5", "--t-max": "4", "--h": "0.01", "--step": "0.5", "--digits": "10"},
+    ),
+    (
+        ["oracle"],
+        {"--k": "2", "--delta": "1", "--y": "10", "--n": "1000", "--a": "1", "--u-step": "0.5"},
+    ),
+]
+FUZZ_CASES = [(fixed, base, flag) for fixed, base in FUZZ_BASES for flag in base]
+HOSTILE = ["nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-9", "1e12", "1e300"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FUZZ_CASES), st.sampled_from(HOSTILE))
+def test_fuzz_one_hostile_flag(case, value):
+    fixed, base, flag = case
+    argv = list(fixed)
+    for name, base_value in base.items():
+        # --name=value, so argparse reads "-inf" as a value and not a flag
+        argv.append(f"{name}={value if name == flag else base_value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
 
 
 # ------------------------------------------------------------ determinism

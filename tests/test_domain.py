@@ -13,7 +13,7 @@ from extremal_means.constants import order_constant
 from extremal_means.dickman import rho_total_integral
 from extremal_means.extremal import chi_delta, compute_I
 from extremal_means.grid import SolutionGrid
-from extremal_means.oracle import empirical_chi
+from extremal_means.oracle import construct_tracking_spec, empirical_chi
 from extremal_means.sigma import sigma_dde, solve_volterra
 
 STEP_USERS = {
@@ -64,3 +64,21 @@ def test_node_cap_covers_the_span():
 def test_non_finite_argument_named(name, call, bad):
     with pytest.raises(ValueError, match=rf"^{name} must .*got {bad}$"):
         call(bad)
+
+
+@pytest.mark.parametrize(
+    "y, A, message",
+    [
+        (-1.0, 1.0, r"^y must be finite and > 1, got -1.0$"),
+        (math.nan, 1.0, r"^y must be finite and > 1, got nan$"),
+        (1e-9, 1.0, r"^y must be finite and > 1, got 1e-09$"),
+        (10.0, math.nan, r"^A must be finite and positive, got nan$"),
+        (10.0, math.inf, r"^A must be finite and positive, got inf$"),
+        (1e300, 1.0, r"^y\^\(A U\) overflows a float for y = 1e\+300, A = 1.0$"),
+        (10.0, 1e12, r"^y\^\(A U\) overflows a float for y = 10.0, A = 1000000000000.0$"),
+        (10.0, 1e-9, r"^A = 1e-09 leaves no prime in \(y, y\^\(A U\)\]"),
+    ],
+)
+def test_tracking_spec_checks_y_and_A(y, A, message):
+    with pytest.raises(ValueError, match=message):
+        construct_tracking_spec(2, 1.0, y, A, 1000)

@@ -1,4 +1,4 @@
-"""Quadrature and piecewise-function substrate."""
+"""Quadrature, root bracketing and piecewise-function substrate."""
 
 from __future__ import annotations
 
@@ -8,28 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extremal_means.piecewise import (
-    ClosedFormSegment,
     ConstantSegment,
     PiecewiseFunction,
     QuadratureError,
     SampledSegment,
-    integrate,
+    bisect,
     integrate_callable,
-    simpson_fixed,
 )
-
-
-def test_simpson_fixed_exact_on_cubics():
-    # Simpson integrates degree <= 3 exactly, any panel count
-    fn = lambda x: 2.0 * x**3 - x**2 + 3.0 * x - 5.0
-    exact = (2 / 4) * (2.0**4 - 1.0) - (1 / 3) * (2.0**3 - 1.0) + (3 / 2) * (2.0**2 - 1.0) - 5.0
-    for panels in (1, 2, 7):
-        assert abs(simpson_fixed(fn, 1.0, 2.0, panels) - exact) < 1e-12
-
-
-def test_simpson_fixed_rejects_zero_panels():
-    with pytest.raises(ValueError):
-        simpson_fixed(np.sin, 0.0, 1.0, 0)
 
 
 def test_integrate_callable_known_integrals():
@@ -74,13 +59,50 @@ def test_integrate_callable_matches_antiderivative(coeffs, width):
     assert abs(r.value - (F(0.5 + width) - F(0.5))) < 1e-10 * scale
 
 
+def _recording(pred):
+    """The predicate, plus the list of points it was evaluated at."""
+    seen = []
+
+    def below(x):
+        seen.append(x)
+        return pred(x)
+
+    return below, seen
+
+
+def test_bisect_stops_at_tol():
+    below, seen = _recording(lambda x: x < 0.3)
+    x = bisect(below, 0.0, 1.0, tol=1e-6)
+    # the bracket halves from width 1 to the first width <= 1e-6: 2^-20
+    assert len(seen) == 20
+    assert abs(x - 0.3) <= 2.0**-21
+
+
+def test_bisect_stops_at_max_iter():
+    below, seen = _recording(lambda x: x < 0.3)
+    x = bisect(below, 0.0, 1.0, tol=1e-6, max_iter=5)
+    assert seen == [0.5, 0.25, 0.375, 0.3125, 0.28125]
+    assert x == 0.296875  # midpoint of the last bracket [0.28125, 0.3125]
+
+
+@pytest.mark.parametrize("answer", [True, False])
+def test_bisect_evaluates_strictly_inside_the_bracket(answer):
+    # a constant predicate walks the bracket onto one end; tol = 0 and a
+    # generous cap would run it down to adjacent floats
+    below, seen = _recording(lambda x: answer)
+    x = bisect(below, 1.0, 2.0, max_iter=200)
+    assert seen and all(1.0 < s < 2.0 for s in seen)
+    assert len(seen) < 60  # stopped at adjacent floats, not at the cap
+    assert x == (2.0 if answer else 1.0)  # the midpoint of adjacent floats rounds onto an end
+
+
 def _mixed_profile() -> PiecewiseFunction:
     return PiecewiseFunction(
         breakpoints=(0.0, 1.0, 2.0),
         segments=(
             ConstantSegment(1.0),
             ConstantSegment(-0.5),
-            ClosedFormSegment(lambda t: t**2, name="square"),
+            SampledSegment(start=2.0, h=0.5, samples=np.array([4, 6.25, 9, 12.25, 16])),
         ),
         domain_end=4.0,
     )
@@ -113,16 +135,6 @@ def test_piecewise_validation():
         PiecewiseFunction(breakpoints=(0.0, 1.0), segments=(ConstantSegment(1),))
 
 
-def test_integrate_mixed_piecewise():
-    f = _mixed_profile()
-    r = integrate(f, 0.5, 2.5)
-    exact = 0.5 * 1.0 + 1.0 * (-0.5) + (2.5**3 - 2.0**3) / 3.0
-    assert abs(r.value - exact) < 1e-10
-    assert integrate(f, 1.3, 1.3).value == 0.0
-    with pytest.raises(ValueError):
-        integrate(f, 2.0, 1.0)
-
-
 def test_sampled_segment_linear_exact():
     # linear data reproduces exactly under linear interpolation
     h = 0.25
@@ -130,34 +142,4 @@ def test_sampled_segment_linear_exact():
     seg = SampledSegment(start=1.0, h=h, samples=3.0 * xs - 1.0)
     probe = np.array([1.0, 1.1, 2.03, 2.999])
     assert np.allclose(seg.values(probe), 3.0 * probe - 1.0, atol=1e-13)
-    # exact integral of the interpolant = analytic integral for linear data
-    a, b = 1.1, 2.9
-    exact = 1.5 * (b**2 - a**2) - (b - a)
-    assert abs(seg.exact_integral(a, b) - exact) < 1e-12
 
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=9),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
-)
-def test_sampled_exact_integral_matches_dense_trapezoid(samples, fa, fb):
-    h = 0.5
-    seg = SampledSegment(start=0.0, h=h, samples=np.asarray(samples))
-    top = (len(samples) - 1) * h
-    a = fa * top
-    b = a + fb * (top - a)
-    xs = np.linspace(a, b, 4001)
-    dense = np.trapezoid(seg.values(xs), xs) if b > a else 0.0
-    # dense grid carries O(h^2) kink error ~1e-6; the bug class this
-    # guards against (mis-assembled partial cells) is O(1)
-    assert abs(seg.exact_integral(a, b) - dense) < 1e-5
-
-
-def test_integrate_sampled_segment_no_estimated_error():
-    seg = SampledSegment(start=0.0, h=0.5, samples=np.array([0.0, 1.0, 0.0, 1.0]))
-    f = PiecewiseFunction(breakpoints=(0.0,), segments=(seg,), domain_end=1.5)
-    r = integrate(f, 0.0, 1.5)
-    assert abs(r.value - 0.75) < 1e-14
-    assert r.est_error == 0.0
