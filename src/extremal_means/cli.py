@@ -199,8 +199,11 @@ def _emit(text: str, destination: str | None) -> None:
     if destination is None or destination == "-":
         sys.stdout.write(text)
     else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(destination, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {destination}: {exc.strerror}") from None
 
 
 def _cmd_dickman(args: argparse.Namespace) -> int:
@@ -345,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, RootNotFoundError, OSError) as exc:  # OSError: an unwritable --output
+    except (ValueError, RootNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -189,7 +189,7 @@ def unit_disc_bounds() -> UnitDiscBounds:
 
     if not (gap(0.0) < 0.0 < gap(1.0)):
         raise RuntimeError("crossing bracket failed")
-    A_star = bisect(lambda A: gap(A) < 0.0, 0.0, 1.0, max_iter=80)
+    A_star = bisect(lambda A: gap(A) < 0.0, 0.0, 1.0)
     B_star = A_star - 2.0 + 2.0 * math.exp(-0.5 * A_star)
     check = 1.0 - 33.0 * B_star / 70.0 <= ORDER_LIMIT_VALUE
     return UnitDiscBounds(A_star=A_star, B_star=B_star, check_34_35=check)
@@ -227,7 +227,7 @@ def optimize_average_bound() -> AverageBoundResult:
     reported K divides out the universal e^gamma factor.
     """
 
-    c_star = bisect(lambda c: math.exp(-c) - c > 0.0, 0.1, 1.0, max_iter=80)
+    c_star = bisect(lambda c: math.exp(-c) - c > 0.0, 0.1, 1.0)
     K = math.exp(average_bound_objective(c_star)) / math.exp(np.euler_gamma)
     return AverageBoundResult(c_star=c_star, K=K)
 

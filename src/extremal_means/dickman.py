@@ -75,7 +75,7 @@ class RhoTable:
             return float(np.exp(1.0 - x))
         if self.rho(self.grid.u_max) > x:
             raise ValueError("target below the tabulated range of rho")
-        return bisect(lambda u: self.rho(u) > x, 2.0, self.grid.u_max, 1e-13, max_iter=200)
+        return bisect(lambda u: self.rho(u) > x, 2.0, self.grid.u_max, 1e-13)
 
     def total_integral(self, u_cut: float) -> float:
         """integral_0^{u_cut} rho; converges to exp(Euler gamma) as u_cut grows.

@@ -51,9 +51,7 @@ def locate_first_zero(grid: SolutionGrid) -> float | None:
     if vals[i] == 0.0:
         return i * grid.h
     # cubic interpolant sign bisection; the bracket is one cell wide
-    return bisect(
-        lambda u: grid.value_cubic(u) > 0.0, (i - 1) * grid.h, i * grid.h, _BISECT_TOL_U, 60
-    )
+    return bisect(lambda u: grid.value_cubic(u) > 0.0, (i - 1) * grid.h, i * grid.h, _BISECT_TOL_U)
 
 
 def find_U(delta: float, use_closed_form: bool = True) -> float:

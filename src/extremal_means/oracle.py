@@ -135,7 +135,6 @@ def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
     if spec.N < N:
         raise ValueError(f"spec covers primes to {spec.N} < requested {N}")
     k = spec.k
-    spf = smallest_prime_factors(N)  # checks N against SIEVE_CAP first
     ell_at = np.zeros(N + 1, dtype=np.int16)
     for p, v in spec.assignment.items():
         if p <= N:
@@ -146,7 +145,7 @@ def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
         s[(a == k) | (b == k)] = k
         return s
 
-    ell = _completely_multiplicative(ell_at, spf, (k, 0), add_angles)
+    ell = _completely_multiplicative(ell_at, smallest_prime_factors(N), (k, 0), add_angles)
     return np.append(np.exp(2j * np.pi * np.arange(k) / k), 0.0)[ell]
 
 

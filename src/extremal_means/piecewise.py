@@ -189,18 +189,17 @@ def integrate_callable(
     return QuadratureResult(value, err, evals)
 
 
-def bisect(
-    below: Callable[[float], bool], lo: float, hi: float, tol: float = 0.0, max_iter: int = 64
-) -> float:
+def bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float = 0.0) -> float:
     """Halve [lo, hi] on a monotone predicate and return the final midpoint.
 
     below(x) is true when the sought point lies above x, so lo stays on the
-    true side and hi on the false side.  Stops once hi - lo <= tol, after
-    max_iter halvings, or when the midpoint is no longer strictly inside
-    the bracket (lo and hi adjacent floats); below is therefore evaluated
-    only strictly between the original ends.
+    true side and hi on the false side.  Stops once hi - lo <= tol or when
+    the midpoint is no longer strictly inside the bracket (lo and hi
+    adjacent floats); every halving strictly shrinks the bracket, so the
+    loop ends, and below is evaluated only strictly between the original
+    ends.
     """
-    for _ in range(max_iter):
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
@@ -209,5 +208,4 @@ def bisect(
         else:
             hi = mid
         if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+            return 0.5 * (lo + hi)

@@ -251,10 +251,11 @@ FUZZ_CASES = [(fixed, base, flag) for fixed, base in FUZZ_BASES for flag in base
 HOSTILE = ["nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-9", "1e12", "1e300"]
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.sampled_from(FUZZ_CASES), st.sampled_from(HOSTILE))
-def test_fuzz_one_hostile_flag(case, value):
-    fixed, base, flag = case
+@pytest.mark.parametrize("value", HOSTILE)
+@pytest.mark.parametrize(
+    ("fixed", "base", "flag"), FUZZ_CASES, ids=[" ".join(c[0]) + " " + c[2] for c in FUZZ_CASES]
+)
+def test_fuzz_one_hostile_flag(fixed, base, flag, value):
     argv = list(fixed)
     for name, base_value in base.items():
         # --name=value, so argparse reads "-inf" as a value and not a flag

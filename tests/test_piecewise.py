@@ -72,27 +72,20 @@ def _recording(pred):
 
 def test_bisect_stops_at_tol():
     below, seen = _recording(lambda x: x < 0.3)
-    x = bisect(below, 0.0, 1.0, tol=1e-6)
-    # the bracket halves from width 1 to the first width <= 1e-6: 2^-20
+    x = bisect(below, 0.0, 1.0, tol=2.0**-20)
+    # the bracket halves from width 1 to width 2^-20, which equals tol and stops it
     assert len(seen) == 20
     assert abs(x - 0.3) <= 2.0**-21
 
 
-def test_bisect_stops_at_max_iter():
-    below, seen = _recording(lambda x: x < 0.3)
-    x = bisect(below, 0.0, 1.0, tol=1e-6, max_iter=5)
-    assert seen == [0.5, 0.25, 0.375, 0.3125, 0.28125]
-    assert x == 0.296875  # midpoint of the last bracket [0.28125, 0.3125]
-
-
 @pytest.mark.parametrize("answer", [True, False])
 def test_bisect_evaluates_strictly_inside_the_bracket(answer):
-    # a constant predicate walks the bracket onto one end; tol = 0 and a
-    # generous cap would run it down to adjacent floats
+    # a constant predicate walks the bracket onto one end; tol = 0 runs it
+    # down to adjacent floats, 52 halvings on [1, 2]
     below, seen = _recording(lambda x: answer)
-    x = bisect(below, 1.0, 2.0, max_iter=200)
+    x = bisect(below, 1.0, 2.0)
     assert seen and all(1.0 < s < 2.0 for s in seen)
-    assert len(seen) < 60  # stopped at adjacent floats, not at the cap
+    assert len(seen) == 52
     assert x == (2.0 if answer else 1.0)  # the midpoint of adjacent floats rounds onto an end
 
 
