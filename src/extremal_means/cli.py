@@ -207,7 +207,8 @@ def _emit(text: str, destination: str | None) -> None:
 
 
 def _cmd_dickman(args: argparse.Namespace) -> int:
-    print(fmt_sig(dickman.rho(args.u), args.digits))
+    digits = _check_digits(args.digits)
+    print(fmt_sig(dickman.rho(args.u), digits))
     return 0
 
 
@@ -220,10 +221,11 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
 
 
 def _cmd_udelta(args: argparse.Namespace) -> int:
+    digits = _check_digits(args.digits)
     if args.delta is not None:
-        print(fmt_sig(find_U(args.delta), args.digits))
+        print(fmt_sig(find_U(args.delta), digits))
     else:
-        print(fmt_sig(delta_for_U(args.u), args.digits))
+        print(fmt_sig(delta_for_U(args.u), digits))
     return 0
 
 

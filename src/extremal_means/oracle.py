@@ -84,11 +84,25 @@ class MultiplicativeSpec:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError(f"order must be >= 2, got {self.k}")
-        for p, v in self.assignment.items():
-            if p <= self.y:
-                raise ValueError(f"prime {p} below the threshold y={self.y}")
-            if v is not None and not 0 <= v < self.k:
-                raise ValueError(f"angle index {v} out of range for order {self.k}")
+        primes, ells = _class_arrays(self.assignment, self.k)
+        low = np.flatnonzero(primes <= self.y)
+        if low.size:
+            raise ValueError(f"prime {primes[low[0]]} below the threshold y={self.y}")
+        # index k stands for None, so an explicit k shows up as one k too many
+        n_zero = list(self.assignment.values()).count(None)
+        if np.any((ells < 0) | (ells > self.k)) or np.count_nonzero(ells == self.k) != n_zero:
+            v = next(v for v in self.assignment.values() if v is not None and not 0 <= v < self.k)
+            raise ValueError(f"angle index {v} out of range for order {self.k}")
+
+
+def _class_arrays(assignment: dict[int, int | None], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes of an assignment and their angle indices, None as index k."""
+    n = len(assignment)
+    primes = np.fromiter(assignment, dtype=np.int64, count=n)
+    ells = np.fromiter(
+        (k if v is None else v for v in assignment.values()), dtype=np.int32, count=n
+    )
+    return primes, ells
 
 
 def random_spec(
@@ -136,9 +150,10 @@ def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
         raise ValueError(f"spec covers primes to {spec.N} < requested {N}")
     k = spec.k
     ell_at = np.zeros(N + 1, dtype=np.int16)
-    for p, v in spec.assignment.items():
-        if p <= N:
-            ell_at[p] = k if v is None else v
+    primes, ells = _class_arrays(spec.assignment, k)
+    keep = primes <= N
+    ell_at[primes[keep]] = ells[keep]
+    del primes, ells, keep  # freed before the sieve and the recursion allocate
 
     def add_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         s = (a + b) % k
@@ -375,20 +390,33 @@ def construct_tracking_spec(
         )
     alpha = np.clip(alpha, 0.0, cap)
 
-    target_cum = np.zeros(k)
-    assigned = np.zeros(k)
-    assignment: dict[int, int | None] = {}
-    inc = np.empty(k)
-    for i in range(len(sel)):
-        w = logs[i]
-        a = alpha[i]
-        inc[0] = (1.0 - (k - 1) * a) * w
-        inc[1:] = a * w
-        target_cum += inc
-        ell = int(np.argmax(target_cum - assigned))
-        assigned[ell] += w
-        assignment[int(sel[i])] = ell
+    assignment = dict(zip(sel.tolist(), _greedy_classes(logs, alpha, k)))
     return MultiplicativeSpec(k=k, y=float(y), assignment=assignment, N=int(N))
+
+
+def _greedy_classes(logs: np.ndarray, alpha: np.ndarray, k: int) -> list[int]:
+    """Largest-deficit-first class of each prime, ties to the lowest index.
+
+    Prime i adds (1 - (k-1) alpha_i) w_i to class 0's running target and
+    alpha_i w_i to every other class's, so classes 1..k-1 share one
+    running target.  The loop runs on Python floats (read one at a time
+    through memoryviews, not materialized as lists); the sums and gaps
+    are the same IEEE operations as a length-k numpy argmax loop.
+    """
+    target0 = target1 = 0.0
+    assigned = [0.0] * k
+    classes = []
+    for w, a in zip(memoryview(logs), memoryview(alpha)):
+        target0 += (1.0 - (k - 1) * a) * w
+        target1 += a * w
+        ell, best = 0, target0 - assigned[0]
+        for j in range(1, k):
+            gap = target1 - assigned[j]
+            if gap > best:
+                ell, best = j, gap
+        assigned[ell] += w
+        classes.append(ell)
+    return classes
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ Three independent routes to the same object:
   -delta) admits closed forms through u = 3 and a conservative delay
   equation d/du[u*s] = s(u) - (1+delta)*s(u-1) beyond.
 * sigma_series: first-order expansion in delta around the delta = 0
-  solution, used as a cross-check only.
+  solution, used as a cross-check only; series_first_term is its
+  delta-free correction T_1(u).
 
 sigma_dde and sigma_series describe the profile that keeps weight
 -delta for ALL t > 1 (no cutoff).  Its first zero U, the cutoff profile
@@ -32,6 +33,7 @@ __all__ = [
     "sigma_closed",
     "sigma_dde",
     "sigma_series",
+    "series_first_term",
 ]
 
 
@@ -237,10 +239,20 @@ def sigma_series(delta: float, u: float, j_max: int) -> float:
         raise ValueError("u must be >= 0")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    table = default_table()
-    total = float(table.rho(u))
+    total = float(default_table().rho(u))
     if j_max == 1 and u > 1.0:
-        kinks = [u - i for i in range(int(math.floor(u)) + 1)]
-        fn = lambda ts: np.asarray(table.rho(np.maximum(u - ts, 0.0))) / ts
-        total -= delta * integrate_callable(fn, 1.0, u, tol=1e-11, breakpoints=kinks).value
+        total -= delta * series_first_term(u)
     return total
+
+
+def series_first_term(u: float) -> float:
+    """T_1(u) = int_1^u rho(u-t) dt/t for u > 1, the delta-free factor of
+    sigma_series' first correction (0 for u <= 1)."""
+    if not (math.isfinite(u) and u >= 0.0):
+        raise ValueError(f"u must be finite and >= 0, got {u}")
+    if u <= 1.0:
+        return 0.0
+    table = default_table()
+    kinks = [u - i for i in range(int(math.floor(u)) + 1)]
+    fn = lambda ts: np.asarray(table.rho(np.maximum(u - ts, 0.0))) / ts
+    return integrate_callable(fn, 1.0, u, tol=1e-11, breakpoints=kinks).value

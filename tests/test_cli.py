@@ -197,6 +197,20 @@ def test_domain_and_usage_errors_exit_2(args, capsys):
 @pytest.mark.parametrize(
     "args",
     [
+        ["dickman", "--u", "3", "--digits", "0"],
+        ["udelta", "--delta", "0.5", "--digits", "-1"],
+        ["udelta", "--u", "2.5", "--digits", "16"],
+    ],
+)
+def test_point_commands_range_check_digits(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: digits ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["sigma", "--delta", "0.2", "--step", "1e-9"],
         ["chi-extend", "--delta", "0.5", "--h", "1e-8"],
         ["oracle", "--y", "100", "--n", "100000", "--u-step", "1e-9"],

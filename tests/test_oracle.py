@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from extremal_means.chi_renewal import extend_chi
 from extremal_means.extremal import find_U
 from extremal_means.oracle import (
     InfeasibleError,
@@ -36,11 +37,18 @@ from extremal_means.oracle import (
     totient,
     tracking_rows,
     transforms,
+    _greedy_classes,
 )
 
 from conftest import DESK_DELTA, DESK_N, DESK_Y
 
 SEEDED_SPECS = ((2, 11, 0.0), (3, 12, 0.3), (4, 13, 0.2))
+# (k, delta, y, A, N): each runs past U into the extended profile
+GREEDY_SPECS = (
+    (2, 1.0, 100.0, 1.5, 10**5),
+    (3, 0.45, 30.0, 1.5, 10**5),
+    (4, 0.3, 30.0, 1.5, 10**5),
+)
 
 
 def sundaram_primes(N: int) -> np.ndarray:
@@ -278,6 +286,48 @@ def test_order3_construction_tracks_target():
     f = build_f(spec, 10**6)
     val = empirical_chi(f, 1e3, 1.5)
     assert abs(val - (-0.5)) <= 0.05
+
+
+def numpy_greedy(logs: np.ndarray, alpha: np.ndarray, k: int) -> list[int]:
+    """Reference: the length-k numpy argmax loop, one running target per class."""
+    target_cum = np.zeros(k)
+    assigned = np.zeros(k)
+    inc = np.empty(k)
+    classes = []
+    for w, a in zip(logs, alpha):
+        inc[0] = (1.0 - (k - 1) * a) * w
+        inc[1:] = a * w
+        target_cum += inc
+        ell = int(np.argmax(target_cum - assigned))
+        assigned[ell] += w
+        classes.append(ell)
+    return classes
+
+
+@pytest.mark.parametrize(("k", "delta", "y", "A", "N"), GREEDY_SPECS)
+def test_tracking_assignment_matches_numpy_greedy(k, delta, y, A, N):
+    spec = construct_tracking_spec(k, delta, y, A, N)
+    U = find_U(delta)
+    primes = sieve_primes(N)
+    sel = primes[(primes > y) & (primes <= y ** (A * U))]
+    assert list(spec.assignment) == sel.tolist()
+    logs = np.log(sel)
+    t = logs / math.log(y)
+    chi = np.full(len(sel), -delta)
+    beyond = t > U
+    assert beyond.any()
+    chi[beyond] = extend_chi(delta, t_max=A * U).value(t[beyond])
+    alpha = np.clip((1.0 - chi) / k, 0.0, 1.0 / (k - 1))
+    assert list(spec.assignment.values()) == numpy_greedy(logs, alpha, k)
+
+
+def test_greedy_ties_go_to_the_lowest_class():
+    # alpha = 1/4 makes every increment exact: all four gaps tie at the
+    # first prime, the other three at the second, and the cycle repeats
+    logs, alpha = np.ones(8), np.full(8, 0.25)
+    assert _greedy_classes(logs, alpha, 4) == numpy_greedy(logs, alpha, 4) == [0, 1, 2, 3] * 2
+    logs, alpha = np.log([11.0, 13.0]), np.full(2, 0.5)
+    assert _greedy_classes(logs, alpha, 2) == numpy_greedy(logs, alpha, 2) == [0, 1]
 
 
 def test_construction_validation():

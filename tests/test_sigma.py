@@ -18,6 +18,7 @@ from extremal_means.sigma import (
     sigma_closed_band,
     sigma_dde,
     sigma_series,
+    series_first_term,
     solve_volterra,
 )
 
@@ -149,6 +150,13 @@ def test_series_truncations():
     for j_max in (2, 4):
         with pytest.raises(ValueError):
             sigma_series(0.1, 2.0, j_max)
+    # the delta-free factor: T1(2) = log 2, nothing below 1, and the
+    # series is rho - delta T1 bit for bit (verify's envelope relies on it)
+    assert abs(series_first_term(2.0) - math.log(2.0)) < 1e-12
+    assert series_first_term(0.5) == 0.0
+    assert sigma_series(0.1, 3.5, 1) == rho(3.5) - 0.1 * series_first_term(3.5)
+    with pytest.raises(ValueError):
+        series_first_term(math.nan)
 
 
 def test_series_envelope_spot():
