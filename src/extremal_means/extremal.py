@@ -36,19 +36,27 @@ class RootNotFoundError(RuntimeError):
     """No sign change found below the cap; the drift is too weak."""
 
 
+def _first_nonpositive(grid: SolutionGrid) -> int | None:
+    """Index of the first node past the initial plateau with value <= 0.
+
+    The scan starts after the plateau, so the mandatory 1.0 values never
+    trip it; None when every node stays positive.
+    """
+    m = grid.m
+    neg = np.nonzero(grid.values[m + 1 :] <= 0.0)[0]
+    return int(neg[0]) + m + 1 if neg.size else None
+
+
 def locate_first_zero(grid: SolutionGrid) -> float | None:
     """First u with grid value <= 0, refined on the cubic interpolant.
 
-    Returns None when every node stays positive.  The scan starts after the
-    initial plateau, so the mandatory 1.0 values never trip the search.
+    Returns None when every node stays positive.  The zero lies in the
+    cell [(i-1)h, ih] that ends at the first non-positive node i.
     """
-    m = grid.m
-    vals = grid.values
-    neg = np.nonzero(vals[m + 1 :] <= 0.0)[0]
-    if neg.size == 0:
+    i = _first_nonpositive(grid)
+    if i is None:
         return None
-    i = int(neg[0]) + m + 1
-    if vals[i] == 0.0:
+    if grid.values[i] == 0.0:
         return i * grid.h
     # cubic interpolant sign bisection; the bracket is one cell wide
     return bisect(lambda u: grid.value_cubic(u) > 0.0, (i - 1) * grid.h, i * grid.h, _BISECT_TOL_U)
@@ -98,7 +106,24 @@ def chi_delta(delta: float) -> PiecewiseFunction:
 def delta_for_U(u: float) -> float:
     """Drift strength whose mean first vanishes at u.  Inverse of find_U.
 
-    Closed form for u <= 2; otherwise a monotone bisection in delta.
+    Closed form for u <= 2; otherwise a monotone bisection in delta.  On
+    (3, U_CAP] each bisection step decides whether find_U(d) >= u (a zero
+    past U_CAP counts as past u) without marching to U_CAP:
+
+    * find_U's closed branches (d >= CLOSED_FORM_DELTA, or a non-positive
+      closed mean at 2 or 3) put the zero at or below 3, hence below u;
+    * otherwise the mean is marched only to ceil(u).  The march fills unit
+      blocks by sequential running sums and the Richardson combine works
+      node by node, so every node equals the same node of the U_CAP march
+      bit for bit.  The first non-positive node is therefore the one
+      find_U sees, and none means the zero lies past ceil(u) >= u;
+    * the zero lies in the cell [(i-1)h, ih] ending at that node i, so the
+      cell alone decides unless it straddles u.  Only then is the zero
+      refined on the cubic, as find_U refines it: value_cubic picks a
+      different stencil only at the top node, and the bisection evaluates
+      strictly inside the cell, so the refined zero is find_U's too.
+
+    The result is the bisection on find_U itself, bit for bit.
     """
     u = float(u)
     if not 1.0 < u <= U_CAP:
@@ -112,13 +137,20 @@ def delta_for_U(u: float) -> float:
             lambda d: sigma_closed(d, u) > 0.0, 0.04, CLOSED_FORM_DELTA, _BISECT_TOL_DELTA
         )
 
-    # u in (3, U_CAP]: bracket from above, then bisect on find_U itself.
-    # RootNotFoundError means the zero is past the cap, hence past u.
+    # u in (3, U_CAP]: bracket from above, then bisect on find_U(d) >= u
+    top = float(math.ceil(u))
+
     def zero_at_or_past_u(d: float) -> bool:
-        try:
-            return find_U(d) >= u
-        except RootNotFoundError:
+        # find_U's closed branches: the zero is at most 3, below u
+        if d >= CLOSED_FORM_DELTA or sigma_closed(d, 2.0) <= 0.0 or sigma_closed(d, 3.0) <= 0.0:
+            return False
+        grid = sigma_dde(d, top, richardson=True)
+        i = _first_nonpositive(grid)
+        if i is None or (i - 1) * grid.h >= u:
             return True
+        if i * grid.h < u:
+            return False
+        return locate_first_zero(grid) >= u
 
     lo = 0.03
     while not zero_at_or_past_u(lo):

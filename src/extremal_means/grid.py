@@ -66,7 +66,7 @@ class SolutionGrid:
             raise ValueError("values length inconsistent with h and u_max")
         if not np.all(self.values[: m + 1] == 1.0):
             raise ValueError("solution must be identically 1 on [0, 1]")
-        if np.max(np.abs(self.values)) > 1.0 + 1e-6:
+        if max(self.values.max(), -self.values.min()) > 1.0 + 1e-6:
             raise ValueError("solution escaped the unit band")
 
     @property
@@ -82,6 +82,9 @@ class SolutionGrid:
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
+        if u.size and not (u.min() >= -1e-12 and u.max() <= self.u_max + 1e-12):
+            bad = u[~((u >= -1e-12) & (u <= self.u_max + 1e-12))][0]
+            raise ValueError(f"u must be finite and lie in [0, {self.u_max}], got {bad}")
         m = self.m
         n_last = len(self.values) - 1
         pos = np.clip(u / self.h, 0.0, float(n_last))
@@ -118,12 +121,20 @@ def integrate_delay_equation(
     if start <= m:
         raise ValueError("need the full history u <= 1 before stepping")
     n_total = len(values)
+    scale = rate * 0.5 * h
     i = start
     while i < n_total:
         stop = min(i + m, n_total)
-        idx = np.arange(i, stop)
-        c = rate * 0.5 * h * (values[idx - m] + values[idx - m - 1]) / (idx * h - 0.5 * h)
-        values[i:stop] = values[i - 1] - np.cumsum(c)
+        # c = scale * (w_{n-m} + w_{n-m-1}) / (u_n - h/2), in place: the same
+        # operations in the same order as the plain expression, in two buffers
+        c = np.add(values[i - m : stop - m], values[i - m - 1 : stop - m - 1])
+        c *= scale
+        den = np.arange(i, stop, dtype=float)
+        den *= h
+        den -= 0.5 * h
+        c /= den
+        np.cumsum(c, out=c)
+        np.subtract(values[i - 1], c, out=values[i:stop])
         i = stop
 
 
@@ -157,7 +168,11 @@ def solve_step_profile(rate: float, u_max: float, h: float, richardson: bool) ->
     n = round(u_max / h)
     values = _march_step_profile(rate, n, m, h)
     if richardson:
-        fine = _march_step_profile(rate, 2 * n, 2 * m, h / 2.0)
-        values = (4.0 * fine[::2] - values) / 3.0
-        _seed_step_profile(values, m, h, rate)
+        coarse = values
+        # (4 fine - coarse) / 3 on the coarse nodes, in place
+        values = _march_step_profile(rate, 2 * n, 2 * m, h / 2.0)[::2] * 4.0
+        values -= coarse
+        values /= 3.0
+        # re-pin [0, 2] to the closed form the coarse march was seeded with
+        values[: 2 * m + 1] = coarse[: 2 * m + 1]
     return SolutionGrid(h=h, u_max=u_max, values=values)

@@ -66,6 +66,19 @@ def test_non_finite_argument_named(name, call, bad):
         call(bad)
 
 
+def test_value_cubic_stays_on_its_grid():
+    grid = sigma_dde(0.2, 5.0)
+    for bad in (math.nan, math.inf, -math.inf, 7.0, 5.0 + 1e-9, -0.5):
+        with pytest.raises(ValueError, match=rf"^u must .*\[0, 5.0\], got {bad}$"):
+            grid.value_cubic(bad)
+    with pytest.raises(ValueError, match="got 7.0$"):
+        grid.value_cubic(np.array([1.0, 7.0, math.nan]))
+    # the ends, within rounding, and an empty array stay accepted
+    assert grid.value_cubic(5.0 + 1e-13) == grid.value_cubic(5.0)
+    assert grid.value_cubic(-1e-13) == 1.0
+    assert grid.value_cubic(np.array([])).shape == (0,)
+
+
 @pytest.mark.parametrize(
     "y, A, message",
     [

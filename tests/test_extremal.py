@@ -22,7 +22,7 @@ from extremal_means.extremal import (
     table_by_first_zero,
     table_by_order,
 )
-from extremal_means.piecewise import integrate_callable
+from extremal_means.piecewise import bisect, integrate_callable
 from extremal_means.sigma import sigma_closed
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "extremal_means" / "data"
@@ -83,6 +83,28 @@ def test_delta_for_U_inverts_find_U(u):
     d = delta_for_U(u)
     assert 0.0 < d <= 1.0
     assert abs(find_U(d) - u) < 1e-7
+
+
+def _bisection_on_find_U(u: float) -> float:
+    """delta_for_U on (3, 12] as a bisection on find_U(d) >= u itself, each
+    step marching to U_CAP; a zero past the cap counts as past u."""
+
+    def zero_at_or_past_u(d: float) -> bool:
+        try:
+            return find_U(d) >= u
+        except RootNotFoundError:
+            return True
+
+    lo = 0.03
+    while not zero_at_or_past_u(lo):
+        lo *= 0.25
+    return bisect(zero_at_or_past_u, lo, CLOSED_FORM_DELTA, 1e-12)
+
+
+# at u = 4.0 the march stops at u itself: the zero cell ends at the top node
+@pytest.mark.parametrize("u", [4.0, 6.5])
+def test_delta_for_U_equals_bisection_on_find_U(u):
+    assert delta_for_U(u) == _bisection_on_find_U(u)
 
 
 def test_compute_I_closed_case():

@@ -78,6 +78,32 @@ def test_rho_table_is_the_zero_drift_profile():
         assert np.array_equal(table.grid.values, sol.values)
 
 
+def _gathering_stepper(values, start, m, h, rate):
+    """The stepper with the delayed values gathered through index arrays."""
+    i = start
+    while i < len(values):
+        stop = min(i + m, len(values))
+        idx = np.arange(i, stop)
+        c = rate * 0.5 * h * (values[idx - m] + values[idx - m - 1]) / (idx * h - 0.5 * h)
+        values[i:stop] = values[i - 1] - np.cumsum(c)
+        i = stop
+
+
+@pytest.mark.parametrize("h, u_max", [(1e-3, 7.5), (1e-4, 5.0)])
+def test_march_equals_the_gathering_reference(h, u_max):
+    # slicing and in-place arithmetic must not change a bit of the march
+    delta, m = 0.3, round(1.0 / h)
+    coarse = sigma_dde(delta, u_max, h=h, richardson=False).values
+    expected = coarse.copy()
+    _gathering_stepper(expected, 2 * m + 1, m, h, 1.0 + delta)
+    assert np.array_equal(coarse, expected)
+    # Richardson: (4 fine - coarse) / 3, with the closed form kept on [0, 2]
+    fine = sigma_dde(delta, u_max, h=h / 2.0, richardson=False).values
+    expected = (4.0 * fine[::2] - coarse) / 3.0
+    expected[: 2 * m + 1] = coarse[: 2 * m + 1]
+    assert np.array_equal(sigma_dde(delta, u_max, h=h).values, expected)
+
+
 def test_richardson_sharpens_coarse_march():
     delta, u = 0.3, 2.5
     plain = sigma_dde(delta, 3.0, h=2e-3, richardson=False)
@@ -86,6 +112,20 @@ def test_richardson_sharpens_coarse_march():
     err_plain = abs(plain.value_cubic(u) - truth)
     err_sharp = abs(sharp.value_cubic(u) - truth)
     assert err_sharp < err_plain / 10.0
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("delta", [0.01, 0.3])
+def test_shorter_march_is_a_prefix_of_the_longer(delta, richardson):
+    # delta_for_U decides each step on a march to ceil(u) instead of
+    # 12; that is exact only while this prefix property holds
+    full = sigma_dde(delta, 12.0, richardson=richardson)
+    for u1 in (4.0, 7.0):
+        short = sigma_dde(delta, u1, richardson=richardson)
+        assert np.array_equal(short.values, full.values[: len(short.values)])
+        # the cubic stencils differ only at the top node, not inside its cell
+        us = np.concatenate([np.linspace(0.0, u1 - 1e-4, 2001), u1 - 1e-4 * np.array([0.5, 1e-6])])
+        assert np.array_equal(short.value_cubic(us), full.value_cubic(us))
 
 
 def test_dde_domain_validation():
