@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import SolutionGrid
 from .piecewise import ConstantSegment, PiecewiseFunction, bisect, integrate_callable
-from .sigma import sigma_closed, sigma_dde
+from .sigma import sigma_closed, sigma_dde, sigma_dde_prefixes
 
 # Above this delta the first zero sits in (1,2] and solves
 # (1+delta) log U = 1 exactly.  Equals 1/log(2) - 1.
@@ -70,6 +70,11 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
     beyond that.  Raises RootNotFoundError when the zero would exceed U_CAP.
     `use_closed_form=False` forces the bisection branch (used to test that
     the branches agree at the seam).
+
+    The march stops at the first whole unit that holds a non-positive
+    node, not at U_CAP.  That prefix equals the U_CAP grid node for node,
+    and value_cubic picks the same stencil on both inside the zero's cell,
+    so the zero is the one the U_CAP grid gives, bit for bit.
     """
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
@@ -82,12 +87,12 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
     elif sigma_closed(delta, 3.0) <= 0.0:
         lo, hi = 2.0, 3.0
     else:
-        u = locate_first_zero(sigma_dde(delta, U_CAP, richardson=True))
-        if u is None:
-            raise RootNotFoundError(
-                f"mean stays positive up to u = {U_CAP}; delta = {delta} is too small"
-            )
-        return u
+        for grid in sigma_dde_prefixes(delta, U_CAP, richardson=True):
+            if _first_nonpositive(grid) is not None:
+                return locate_first_zero(grid)
+        raise RootNotFoundError(
+            f"mean stays positive up to u = {U_CAP}; delta = {delta} is too small"
+        )
     return bisect(lambda u: sigma_closed(delta, u) > 0.0, lo, hi, _BISECT_TOL_U)
 
 
@@ -107,23 +112,9 @@ def delta_for_U(u: float) -> float:
     """Drift strength whose mean first vanishes at u.  Inverse of find_U.
 
     Closed form for u <= 2; otherwise a monotone bisection in delta.  On
-    (3, U_CAP] each bisection step decides whether find_U(d) >= u (a zero
-    past U_CAP counts as past u) without marching to U_CAP:
-
-    * find_U's closed branches (d >= CLOSED_FORM_DELTA, or a non-positive
-      closed mean at 2 or 3) put the zero at or below 3, hence below u;
-    * otherwise the mean is marched only to ceil(u).  The march fills unit
-      blocks by sequential running sums and the Richardson combine works
-      node by node, so every node equals the same node of the U_CAP march
-      bit for bit.  The first non-positive node is therefore the one
-      find_U sees, and none means the zero lies past ceil(u) >= u;
-    * the zero lies in the cell [(i-1)h, ih] ending at that node i, so the
-      cell alone decides unless it straddles u.  Only then is the zero
-      refined on the cubic, as find_U refines it: value_cubic picks a
-      different stencil only at the top node, and the bisection evaluates
-      strictly inside the cell, so the refined zero is find_U's too.
-
-    The result is the bisection on find_U itself, bit for bit.
+    (3, U_CAP] each step asks whether find_U(d) >= u, and find_U marches
+    only to the first whole unit that holds the zero, so a step near the
+    answer marches about ceil(u) units, not U_CAP.
     """
     u = float(u)
     if not 1.0 < u <= U_CAP:
@@ -137,20 +128,13 @@ def delta_for_U(u: float) -> float:
             lambda d: sigma_closed(d, u) > 0.0, 0.04, CLOSED_FORM_DELTA, _BISECT_TOL_DELTA
         )
 
-    # u in (3, U_CAP]: bracket from above, then bisect on find_U(d) >= u
-    top = float(math.ceil(u))
-
+    # u in (3, U_CAP]: bracket from above, then bisect on find_U itself.
+    # RootNotFoundError means the zero is past the cap, hence past u.
     def zero_at_or_past_u(d: float) -> bool:
-        # find_U's closed branches: the zero is at most 3, below u
-        if d >= CLOSED_FORM_DELTA or sigma_closed(d, 2.0) <= 0.0 or sigma_closed(d, 3.0) <= 0.0:
-            return False
-        grid = sigma_dde(d, top, richardson=True)
-        i = _first_nonpositive(grid)
-        if i is None or (i - 1) * grid.h >= u:
+        try:
+            return find_U(d) >= u
+        except RootNotFoundError:
             return True
-        if i * grid.h < u:
-            return False
-        return locate_first_zero(grid) >= u
 
     lo = 0.03
     while not zero_at_or_past_u(lo):

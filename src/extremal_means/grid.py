@@ -14,6 +14,7 @@ to a single running sum per unit block, which vectorizes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "SolutionGrid",
     "integrate_delay_equation",
     "solve_step_profile",
+    "step_profile_prefixes",
     "steps_per_unit",
 ]
 
@@ -66,7 +68,7 @@ class SolutionGrid:
             raise ValueError("values length inconsistent with h and u_max")
         if not np.all(self.values[: m + 1] == 1.0):
             raise ValueError("solution must be identically 1 on [0, 1]")
-        if max(self.values.max(), -self.values.min()) > 1.0 + 1e-6:
+        if np.max(np.abs(self.values)) > 1.0 + 1e-6:
             raise ValueError("solution escaped the unit band")
 
     @property
@@ -121,20 +123,13 @@ def integrate_delay_equation(
     if start <= m:
         raise ValueError("need the full history u <= 1 before stepping")
     n_total = len(values)
-    scale = rate * 0.5 * h
     i = start
     while i < n_total:
         stop = min(i + m, n_total)
-        # c = scale * (w_{n-m} + w_{n-m-1}) / (u_n - h/2), in place: the same
-        # operations in the same order as the plain expression, in two buffers
-        c = np.add(values[i - m : stop - m], values[i - m - 1 : stop - m - 1])
-        c *= scale
-        den = np.arange(i, stop, dtype=float)
-        den *= h
-        den -= 0.5 * h
-        c /= den
-        np.cumsum(c, out=c)
-        np.subtract(values[i - 1], c, out=values[i:stop])
+        c = rate * 0.5 * h * (values[i - m : stop - m] + values[i - m - 1 : stop - m - 1]) / (
+            np.arange(i, stop) * h - 0.5 * h
+        )
+        values[i:stop] = values[i - 1] - np.cumsum(c)
         i = stop
 
 
@@ -145,12 +140,45 @@ def _seed_step_profile(values: np.ndarray, m: int, h: float, rate: float) -> Non
     values[m + 1 : top + 1] = 1.0 - rate * np.log(np.arange(m + 1, top + 1) * h)
 
 
-def _march_step_profile(rate: float, n: int, m: int, h: float) -> np.ndarray:
-    values = np.empty(n + 1)
-    _seed_step_profile(values, m, h, rate)
-    if n > 2 * m:
-        integrate_delay_equation(values, 2 * m + 1, m, h, rate)
-    return values
+def _march_step_profile(
+    rate: float, m: int, n: int, h: float, richardson: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """March the step profile to node n one unit block at a time.
+
+    Yields (top, values) once the closed form is seeded on [0, 2] and again
+    after each block: values[: top + 1] is then final.  The blocks are the
+    ones a single call of integrate_delay_equation over [0, n*h] would
+    fill, and the Richardson combine (4 fine - coarse) / 3 works node by
+    node, so stopping early leaves the start of the full solve, bit for bit.
+    """
+    coarse = np.empty(n + 1)
+    _seed_step_profile(coarse, m, h, rate)
+    top = min(2 * m, n)
+    values = coarse
+    if richardson:
+        fine = np.empty(2 * n + 1)
+        _seed_step_profile(fine, 2 * m, h / 2.0, rate)
+        # [0, 2] keeps the closed form; extrapolation only helps past u = 2
+        values = np.empty(n + 1)
+        values[: top + 1] = coarse[: top + 1]
+    yield top, values
+    while top < n:
+        stop = min(top + m, n)
+        integrate_delay_equation(coarse[: stop + 1], top + 1, m, h, rate)
+        if richardson:
+            integrate_delay_equation(fine[: 2 * stop + 1], 2 * top + 1, 2 * m, h / 2.0, rate)
+            values[top + 1 : stop + 1] = (
+                4.0 * fine[2 * top + 2 : 2 * stop + 1 : 2] - coarse[top + 1 : stop + 1]
+            ) / 3.0
+        top = stop
+        yield top, values
+
+
+def _check_horizon(u_max: float, h: float) -> tuple[int, int]:
+    """(m, n): steps per unit and nodes past the origin of a grid on [0, u_max]."""
+    if not 0.0 <= u_max < math.inf:
+        raise ValueError(f"u_max must be finite and >= 0, got {u_max}")
+    return steps_per_unit(h, u_max), round(u_max / h)
 
 
 def solve_step_profile(rate: float, u_max: float, h: float, richardson: bool) -> SolutionGrid:
@@ -158,21 +186,28 @@ def solve_step_profile(rate: float, u_max: float, h: float, richardson: bool) ->
 
     The closed form seeds [0, 2]; the conservative stepper marches the
     rest.  With richardson=True a half-step solve sharpens the table and
-    the closed-form region is re-pinned afterwards (extrapolation only
+    the closed-form region keeps its seeded values (extrapolation only
     helps past u = 2).  rate = 1 gives the Dickman function, rate =
     1 + delta the no-cutoff step profile -delta past 1.
     """
-    if not 0.0 <= u_max < math.inf:
-        raise ValueError(f"u_max must be finite and >= 0, got {u_max}")
-    m = steps_per_unit(h, u_max)
-    n = round(u_max / h)
-    values = _march_step_profile(rate, n, m, h)
-    if richardson:
-        coarse = values
-        # (4 fine - coarse) / 3 on the coarse nodes, in place
-        values = _march_step_profile(rate, 2 * n, 2 * m, h / 2.0)[::2] * 4.0
-        values -= coarse
-        values /= 3.0
-        # re-pin [0, 2] to the closed form the coarse march was seeded with
-        values[: 2 * m + 1] = coarse[: 2 * m + 1]
+    m, n = _check_horizon(u_max, h)
+    for _, values in _march_step_profile(rate, m, n, h, richardson):
+        pass
     return SolutionGrid(h=h, u_max=u_max, values=values)
+
+
+def step_profile_prefixes(
+    rate: float, u_max: float, h: float, richardson: bool
+) -> Iterator[SolutionGrid]:
+    """solve_step_profile(rate, u_max, h, richardson) while it is marched.
+
+    Yields the grid on [0, 2], then on [0, 3], [0, 4], ... and last the
+    full grid on [0, u_max].  Each is the start of the full grid, node for
+    node, so a caller may stop as soon as a prefix answers its question
+    and skip the rest of the march.
+    """
+    m, n = _check_horizon(u_max, h)
+    return (
+        SolutionGrid(h=h, u_max=u_max if top == n else float(top // m), values=values[: top + 1])
+        for top, values in _march_step_profile(rate, m, n, h, richardson)
+    )

@@ -21,17 +21,19 @@ only.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 from .dickman import default_table
-from .grid import SolutionGrid, solve_step_profile, steps_per_unit
+from .grid import SolutionGrid, solve_step_profile, step_profile_prefixes, steps_per_unit
 from .piecewise import ConstantSegment, PiecewiseFunction, integrate_callable
 
 __all__ = [
     "solve_volterra",
     "sigma_closed",
     "sigma_dde",
+    "sigma_dde_prefixes",
     "sigma_series",
     "series_first_term",
 ]
@@ -202,6 +204,13 @@ def solve_volterra(
 # the one-parameter step profile
 
 
+def _check_step_profile(delta: float, u_max: float) -> None:
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError("delta must lie in [0, 1]")
+    if u_max < 2.0:
+        raise ValueError("u_max must be >= 2")
+
+
 def sigma_dde(
     delta: float,
     u_max: float,
@@ -212,15 +221,28 @@ def sigma_dde(
 
     Seeds the closed form on [0, 2], then marches
     d/du[u*s] = s(u) - (1+delta)*s(u-1).  With richardson=True a
-    half-step solve sharpens the table; the closed-form region is
-    re-pinned afterwards.  extremal.locate_first_zero reads the first
-    zero off the returned grid.
+    half-step solve sharpens the table; the closed-form region keeps its
+    seeded values.  extremal.locate_first_zero reads the first zero off
+    the returned grid.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
-    if u_max < 2.0:
-        raise ValueError("u_max must be >= 2")
+    _check_step_profile(delta, u_max)
     return solve_step_profile(1.0 + delta, u_max, h, richardson)
+
+
+def sigma_dde_prefixes(
+    delta: float,
+    u_max: float,
+    h: float = 1e-4,
+    richardson: bool = True,
+) -> Iterator[SolutionGrid]:
+    """sigma_dde while it is marched: the grids on [0, 2], [0, 3], ... up
+    to [0, u_max], each node for node the start of sigma_dde(delta, u_max).
+
+    A search that needs only the start of the profile stops the march at
+    the first grid that answers it (see grid.step_profile_prefixes).
+    """
+    _check_step_profile(delta, u_max)
+    return step_profile_prefixes(1.0 + delta, u_max, h, richardson)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import extremal_means.extremal as extremal
 from extremal_means.extremal import (
     CLOSED_FORM_DELTA,
+    U_CAP,
     RootNotFoundError,
     compute_I,
     delta_for_U,
     find_U,
     gamma_odd_order,
+    locate_first_zero,
     table_by_first_zero,
     table_by_order,
 )
-from extremal_means.piecewise import bisect, integrate_callable
-from extremal_means.sigma import sigma_closed
+from extremal_means.piecewise import integrate_callable
+from extremal_means.sigma import sigma_closed, sigma_dde
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "extremal_means" / "data"
 
@@ -85,26 +88,33 @@ def test_delta_for_U_inverts_find_U(u):
     assert abs(find_U(d) - u) < 1e-7
 
 
-def _bisection_on_find_U(u: float) -> float:
-    """delta_for_U on (3, 12] as a bisection on find_U(d) >= u itself, each
-    step marching to U_CAP; a zero past the cap counts as past u."""
-
-    def zero_at_or_past_u(d: float) -> bool:
-        try:
-            return find_U(d) >= u
-        except RootNotFoundError:
-            return True
-
-    lo = 0.03
-    while not zero_at_or_past_u(lo):
-        lo *= 0.25
-    return bisect(zero_at_or_past_u, lo, CLOSED_FORM_DELTA, 1e-12)
+def _march_to_the_cap(delta, u_max, richardson):
+    """sigma_dde_prefixes reduced to its last grid: every march runs to u_max."""
+    return iter([sigma_dde(delta, u_max, richardson=richardson)])
 
 
-# at u = 4.0 the march stops at u itself: the zero cell ends at the top node
+@pytest.mark.parametrize("delta", [0.03, 1e-3, 1e-6, 1e-12, 1e-14])
+def test_find_U_equals_the_march_to_the_cap(delta, monkeypatch):
+    # find_U stops marching at the first unit that holds a zero
+    try:
+        early = find_U(delta)
+    except RootNotFoundError:
+        early = None
+    monkeypatch.setattr(extremal, "sigma_dde_prefixes", _march_to_the_cap)
+    if early is None:
+        with pytest.raises(RootNotFoundError):
+            find_U(delta)
+    else:
+        assert early == find_U(delta) == locate_first_zero(sigma_dde(delta, U_CAP))
+
+
+# the last bisection steps at u = 4.0 put the zero's cell at the top node
+# of the march to 4, or just past it
 @pytest.mark.parametrize("u", [4.0, 6.5])
-def test_delta_for_U_equals_bisection_on_find_U(u):
-    assert delta_for_U(u) == _bisection_on_find_U(u)
+def test_delta_for_U_equals_the_search_on_marches_to_the_cap(u, monkeypatch):
+    early = delta_for_U(u)
+    monkeypatch.setattr(extremal, "sigma_dde_prefixes", _march_to_the_cap)
+    assert early == delta_for_U(u)
 
 
 def test_compute_I_closed_case():

@@ -17,6 +17,7 @@ from extremal_means.sigma import (
     sigma_closed,
     sigma_closed_band,
     sigma_dde,
+    sigma_dde_prefixes,
     sigma_series,
     series_first_term,
     solve_volterra,
@@ -91,7 +92,7 @@ def _gathering_stepper(values, start, m, h, rate):
 
 @pytest.mark.parametrize("h, u_max", [(1e-3, 7.5), (1e-4, 5.0)])
 def test_march_equals_the_gathering_reference(h, u_max):
-    # slicing and in-place arithmetic must not change a bit of the march
+    # reading the delayed values through slices must not change a bit
     delta, m = 0.3, round(1.0 / h)
     coarse = sigma_dde(delta, u_max, h=h, richardson=False).values
     expected = coarse.copy()
@@ -117,15 +118,23 @@ def test_richardson_sharpens_coarse_march():
 @pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("delta", [0.01, 0.3])
 def test_shorter_march_is_a_prefix_of_the_longer(delta, richardson):
-    # delta_for_U decides each step on a march to ceil(u) instead of
-    # 12; that is exact only while this prefix property holds
+    # find_U stops the march at the first unit that holds a zero; that is
+    # exact only while this prefix property holds
     full = sigma_dde(delta, 12.0, richardson=richardson)
+    prefixes = list(sigma_dde_prefixes(delta, 12.0, richardson=richardson))
+    assert [g.u_max for g in prefixes] == [float(k) for k in range(2, 13)]
     for u1 in (4.0, 7.0):
         short = sigma_dde(delta, u1, richardson=richardson)
         assert np.array_equal(short.values, full.values[: len(short.values)])
+        assert np.array_equal(prefixes[int(u1) - 2].values, short.values)
         # the cubic stencils differ only at the top node, not inside its cell
         us = np.concatenate([np.linspace(0.0, u1 - 1e-4, 2001), u1 - 1e-4 * np.array([0.5, 1e-6])])
         assert np.array_equal(short.value_cubic(us), full.value_cubic(us))
+    assert np.array_equal(prefixes[-1].values, full.values)
+    # a horizon off the integers ends on its partial unit
+    tail = list(sigma_dde_prefixes(delta, 6.5, richardson=richardson))
+    assert [g.u_max for g in tail] == [2.0, 3.0, 4.0, 5.0, 6.0, 6.5]
+    assert np.array_equal(tail[-1].values, sigma_dde(delta, 6.5, richardson=richardson).values)
 
 
 def test_dde_domain_validation():
