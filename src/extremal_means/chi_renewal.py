@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .extremal import find_U
 from .grid import steps_per_unit
@@ -115,14 +116,11 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
 
     L = int(math.ceil((t_max - U) / h - 1e-9))
     ext = np.empty(L + 1)
-    extrev = np.empty(L + 1)
-
-    def put(l: int, val: float) -> None:
-        ext[l] = val
-        extrev[L - l] = val
+    extrev = np.empty(L + 1)  # extrev[L - l] = ext[l], so each window is contiguous
 
     # chi at U from the right: both constant windows, no sampled region
-    put(0, (1.0 - s_at_U) - (1.0 + delta) * (1.0 - float(mean_at(U - 1.0))))
+    ext[0] = (1.0 - s_at_U) - (1.0 + delta) * (1.0 - float(mean_at(U - 1.0)))
+    extrev[L] = ext[0]
 
     # while l*h <= 1 every window argument is below U: fully explicit
     n_early = min(m, L)
@@ -141,25 +139,43 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
         if hi >= lo:
             s_nodes = mean_at(np.arange(lo, hi + 1) * h)
             dip_term[lo : hi + 1] = -delta * (s_nodes - s_at_U)
+        if L > M:
+            # past M every row's window is K_nodes[m:] against the M - m + 1
+            # values ending m nodes back: one reversed view, no copy
+            windows = sliding_window_view(extrev, M - m + 1)
 
+        # Row l reads ext only at l - m and below, so a block of m rows reads
+        # values fixed before the block and is filled at once.  Each row's
+        # dot is the same ddot over the same operands as one np.dot per row,
+        # and the corrections are the per-row expressions elementwise, so the
+        # samples do not depend on the blocking.
         U_over_h = U / h
-        for l in range(m + 1, L + 1):
-            jmax = min(l, M)
-            lo_i = L - l + m
-            dot = float(np.dot(K_nodes[m : jmax + 1], extrev[lo_i : lo_i + (jmax - m + 1)]))
-            dot -= 0.5 * (K_nodes[m] * ext[l - m] + K_nodes[jmax] * ext[l - jmax])
+        for l0 in range(m + 1, L + 1, m):
+            l1 = min(l0 + m, L + 1)
+            ls = np.arange(l0, l1)
+            split = max(l0, min(M + 1, l1))  # rows below split have l <= M
+            dot = np.empty(l1 - l0)
+            for l in range(l0, split):
+                lo_i = L - l + m
+                dot[l - l0] = np.dot(K_nodes[m : l + 1], extrev[lo_i : lo_i + (l - m + 1)])
+            if split < l1:
+                rows = windows[L - l1 + 1 + m : L - split + 1 + m][::-1]
+                dot[split - l0 :] = np.vecdot(rows, K_nodes[m:])
+            jmax = np.minimum(ls, M)
+            dot -= 0.5 * (K_nodes[m] * ext[ls - m] + K_nodes[jmax] * ext[ls - jmax])
             val = h * dot
-            if l <= M:
-                val += dip_term[l]
-            else:
+            val[: split - l0] += dip_term[l0:split]
+            if split < l1:
                 # stub cell [M*h, U]; its inner endpoint argument lands at
                 # l*h past U, generally off the extension grid
-                pos = l - U_over_h
-                i0 = min(int(pos), l - 1)
+                lt = ls[split - l0 :]
+                pos = lt - U_over_h
+                i0 = np.minimum(pos.astype(np.int64), lt - 1)
                 frac = pos - i0
                 chi_at = ext[i0] * (1.0 - frac) + ext[i0 + 1] * frac
-                val += 0.5 * stub * (K_nodes[M] * ext[l - M] + K_end * chi_at)
-            put(l, val)
+                val[split - l0 :] += 0.5 * stub * (K_nodes[M] * ext[lt - M] + K_end * chi_at)
+            ext[l0:l1] = val
+            extrev[L - l1 + 1 : L - l0 + 1] = val[::-1]
 
     top = ext.max()
     bot = ext.min()

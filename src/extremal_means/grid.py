@@ -92,11 +92,13 @@ class SolutionGrid:
         pos = np.clip(u / self.h, 0.0, float(n_last))
         base = pos.astype(np.int64)
         # clamp the 4-point stencil [base-1, base+2] inside the unit block;
-        # the top node belongs to the last full block, not an empty one above
-        block = np.minimum(base // m, n_last // m - 1)
-        lo = np.maximum(block * m, 0)
-        hi = np.minimum((block + 1) * m, n_last)
-        start = np.clip(base - 1, lo, np.maximum(hi - 3, lo))
+        # a node on an integer belongs to the block below it, except on a
+        # horizon off the integers, whose top block runs to its last node.
+        # A top block of fewer than four nodes borrows the rest from below.
+        block = np.minimum(base // m, (n_last - 1) // m)
+        lo = block * m
+        hi = np.minimum(lo + m, n_last)
+        start = np.minimum(np.maximum(base - 1, lo), hi - 3)
         t = pos - start
         w0 = -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0
         w1 = t * (t - 2.0) * (t - 3.0) / 2.0

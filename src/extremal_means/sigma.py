@@ -129,40 +129,62 @@ def _cell_values(chi: PiecewiseFunction, n_cells: int, h: float):
 
 
 def _volterra_values(chi: PiecewiseFunction, u_max: float, h: float) -> np.ndarray:
+    """Trapezoid nodes of u*s(u) = int_0^u chi(t) s(u-t) dt, one unit block at a time.
+
+    Node n solves (u_n - h/2) s_n = sum_{j=1}^{n-1} w_j s_{n-j} + (h/2) R[n-1]
+    + split-cell terms, with w_j = (h/2)(L[j] + R[j-1]).  chi = 1 on [0, 1)
+    makes w_j = h for 1 <= j < m, so the difference of two consecutive rows
+    telescopes to s_n = s_{n-1} + g_n / (u_n - h/2), where g_n collects the
+    weight differences dw_j = w_j - w_{j-1} (j >= m), the half-tail and the
+    split-cell records.  Those read s only at indices <= n - m, so a block
+    of m nodes needs only earlier blocks: g comes from FFT convolutions of
+    the history, m nodes at a time, and the block from one cumulative sum.
+    """
     m = round(1.0 / h)
     n_total = round(u_max / h)
     L, R, records = _cell_values(chi, n_total, h)
     if max(np.max(np.abs(L)), np.max(np.abs(R))) > 1.0 + 1e-9:
         raise ValueError("chi must stay in [-1, 1]")
-    w = np.empty(n_total)  # w[j] multiplies sigma_{n-j}, j >= 1
-    w[0] = 0.0
-    w[1:] = 0.5 * h * (L[1:] + R[:-1])
+    dw = np.zeros(n_total)  # dw[j] multiplies sigma_{n-j}; zero for j < m
+    dw[m:] = np.diff(0.5 * h * (L[m - 1 :] + R[m - 2 : -1]))
+    d_tail = np.diff(0.5 * h * R)  # d_tail[n - 2]: half-tail of row n minus row n-1
+    denom_shift = 0.5 * h * L[0]
+    nfft = 1 << (2 * m).bit_length()  # >= the longest weight segment, 2m - 1
     sigma = np.empty(n_total + 1)
     sigma[: m + 1] = 1.0
-    srev = np.empty(n_total + 1)  # srev[n_total - i] = sigma_i, contiguous dots
-    srev[n_total - m :] = 1.0
-    half_tail = 0.5 * h * R  # weight of sigma_0 = 1 via the last cell
-    denom_shift = 0.5 * h * L[0]
-    for n in range(m + 1, n_total + 1):
-        rhs = float(np.dot(w[1:n], srev[n_total - n + 1 : n_total])) + half_tail[n - 1]
+    for b in range(m + 1, n_total + 1, m):
+        e = min(b + m, n_total + 1)
+        # sum_j dw_j sigma_{n-j} over history chunks [c, c + m): every chunk's
+        # product lands on the same output slots [m - 1, m - 1 + e - b)
+        spec = np.zeros(nfft // 2 + 1, dtype=complex)
+        for c in range(1, b, m):
+            seg = dw[b - c - m + 1 : e - c]
+            spec += np.fft.rfft(sigma[c : c + m], nfft) * np.fft.rfft(seg, nfft)
+        g = np.fft.irfft(spec, nfft)[m - 1 : m - 1 + e - b]
+        g += d_tail[b - 2 : e - 2]
+        ns = np.arange(b - 1, e)
         for rec in records:
-            k0 = rec["k0"]
-            if k0 > n - 1:
-                continue
-            bp = rec["bp"]
-            x = n * h - bp  # sigma argument at the interior breakpoint
-            pos = x / h
-            i0 = min(int(pos), n - 1)
-            frac = pos - i0
-            s_bp = sigma[i0] * (1.0 - frac) + sigma[i0 + 1] * frac
-            ha = bp - k0 * h
-            hb = (k0 + 1) * h - bp
-            rhs += 0.5 * ha * (rec["left_at_node"] * sigma[n - k0] + rec["left_at_bp"] * s_bp)
-            rhs += 0.5 * hb * (rec["right_at_bp"] * s_bp + rec["right_at_node"] * sigma[n - k0 - 1])
-        val = rhs / (n * h - denom_shift)
-        sigma[n] = val
-        srev[n_total - n] = val
+            g += np.diff(_split_cell_terms(rec, sigma, ns, h))
+        sigma[b:e] = sigma[b - 1] + np.cumsum(g / (ns[1:] * h - denom_shift))
     return sigma
+
+
+def _split_cell_terms(rec: dict, sigma: np.ndarray, ns: np.ndarray, h: float) -> np.ndarray:
+    """Exact two-sub-cell integral over one off-grid breakpoint for rows ns
+    (zero for rows that do not reach its cell yet)."""
+    k0, bp = rec["k0"], rec["bp"]
+    out = np.zeros(len(ns))
+    live = ns > k0
+    n = ns[live]
+    pos = (n * h - bp) / h  # sigma argument at the interior breakpoint, in steps
+    i0 = np.minimum(pos.astype(np.int64), n - 1)
+    frac = pos - i0
+    s_bp = sigma[i0] * (1.0 - frac) + sigma[i0 + 1] * frac
+    ha = bp - k0 * h
+    hb = (k0 + 1) * h - bp
+    out[live] = 0.5 * ha * (rec["left_at_node"] * sigma[n - k0] + rec["left_at_bp"] * s_bp)
+    out[live] += 0.5 * hb * (rec["right_at_bp"] * s_bp + rec["right_at_node"] * sigma[n - k0 - 1])
+    return out
 
 
 def solve_volterra(

@@ -13,7 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from extremal_means.chi_renewal import extend_chi, kernel_mass, verify_sigma_vanishes
+from extremal_means.chi_renewal import (
+    _mean_evaluator,
+    extend_chi,
+    kernel_mass,
+    verify_sigma_vanishes,
+)
 from extremal_means.extremal import find_U
 from extremal_means.sigma import sigma_closed_band, sigma_dde
 
@@ -116,3 +121,75 @@ def test_extension_independent_of_horizon():
     longer = extend_chi(delta, t_max=3.5 * find_U(delta))
     n = min(len(short.samples), len(longer.samples))
     assert np.allclose(short.samples[:n], longer.samples[:n], atol=1e-12)
+
+
+def looped_extension(delta: float, t_max: float, h: float) -> np.ndarray:
+    """The renewal march with one np.dot per extension node, as extend_chi
+    ran before it filled unit blocks at once; the bit-for-bit reference."""
+    U = find_U(delta)
+    m = round(1.0 / h)
+    mean_at = _mean_evaluator(delta, U)
+    s_at_U = float(mean_at(U))
+
+    def kernel(v):
+        return (1.0 + delta) * mean_at(v - 1.0) / v
+
+    M = int(math.floor(U / h - 1e-12))
+    K_nodes = np.zeros(M + 1)
+    K_nodes[m:] = kernel(np.arange(m, M + 1) * h)
+    K_end = float(kernel(np.array([U]))[0])
+    stub = U - M * h
+    L = int(math.ceil((t_max - U) / h - 1e-9))
+    ext = np.empty(L + 1)
+    extrev = np.empty(L + 1)
+
+    def put(l, val):
+        ext[l] = val
+        extrev[L - l] = val
+
+    put(0, (1.0 - s_at_U) - (1.0 + delta) * (1.0 - float(mean_at(U - 1.0))))
+    n_early = min(m, L)
+    if n_early >= 1:
+        x = U - 1.0 + np.arange(1, n_early + 1) * h
+        early = -delta - s_at_U + (1.0 + delta) * mean_at(x)
+        ext[1 : n_early + 1] = early
+        extrev[L - n_early : L] = early[::-1]
+    if L > m:
+        lo, hi = m + 1, min(L, M)
+        dip_term = np.zeros(L + 1)
+        if hi >= lo:
+            dip_term[lo : hi + 1] = -delta * (mean_at(np.arange(lo, hi + 1) * h) - s_at_U)
+        U_over_h = U / h
+        for l in range(m + 1, L + 1):
+            jmax = min(l, M)
+            lo_i = L - l + m
+            dot = float(np.dot(K_nodes[m : jmax + 1], extrev[lo_i : lo_i + (jmax - m + 1)]))
+            dot -= 0.5 * (K_nodes[m] * ext[l - m] + K_nodes[jmax] * ext[l - jmax])
+            val = h * dot
+            if l <= M:
+                val += dip_term[l]
+            else:
+                pos = l - U_over_h
+                i0 = min(int(pos), l - 1)
+                frac = pos - i0
+                chi_at = ext[i0] * (1.0 - frac) + ext[i0 + 1] * frac
+                val += 0.5 * stub * (K_nodes[M] * ext[l - M] + K_end * chi_at)
+            put(l, val)
+    return ext
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 5e-5])
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.6, 1.0])
+def test_blocked_march_equals_the_looped_one_bit_for_bit(delta, h):
+    # L extension steps against m = 1/h and the last whole kernel node M:
+    # early values only (L <= m), growing windows (m < L <= M), and full
+    # windows over whole and partial blocks (L > M); 1.5 U is oracle's horizon
+    U = find_U(delta)
+    m, M = round(1.0 / h), int(math.floor(U / h - 1e-12))
+    regimes = set()
+    for t_max in (U + 0.5, 1.5 * U, U + 0.5 * (1.0 + U), 2.0 * U + 1.5):
+        got = extend_chi(delta, t_max=t_max, h=h).samples
+        L = len(got) - 1
+        regimes.add((L > m) + (L > M))
+        assert np.array_equal(got, looped_extension(delta, t_max, h))
+    assert regimes == {0, 1, 2}

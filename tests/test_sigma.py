@@ -10,10 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extremal_means.chi_renewal import extend_chi, verify_sigma_vanishes
 from extremal_means.dickman import RhoTable, rho
 from extremal_means.extremal import chi_delta, compute_I, find_U, locate_first_zero
-from extremal_means.piecewise import integrate_callable
+from extremal_means.piecewise import (
+    ConstantSegment,
+    PiecewiseFunction,
+    SampledSegment,
+    integrate_callable,
+)
 from extremal_means.sigma import (
+    _cell_values,
     sigma_closed,
     sigma_closed_band,
     sigma_dde,
@@ -137,6 +144,20 @@ def test_shorter_march_is_a_prefix_of_the_longer(delta, richardson):
     assert np.array_equal(tail[-1].values, sigma_dde(delta, 6.5, richardson=richardson).values)
 
 
+def test_cubic_on_a_horizon_off_the_integers():
+    # the partial top unit takes its stencil from its own nodes, so a grid
+    # ending at 6.5 reads as the one ending at 7; a top unit of one or two
+    # cells borrows nodes from below it
+    h = 1e-4
+    full = sigma_dde(0.3, 7.0)
+    for u_max in (6.5, 6.0 + 2 * h, 6.0 + h):
+        grid = sigma_dde(0.3, u_max)
+        us = np.linspace(5.9, u_max, 1001)
+        inner = us <= u_max - 2 * h
+        assert np.array_equal(grid.value_cubic(us[inner]), full.value_cubic(us[inner]))
+        assert np.max(np.abs(grid.value_cubic(us) - full.value_cubic(us))) <= 1e-12
+
+
 def test_dde_domain_validation():
     with pytest.raises(ValueError):
         sigma_dde(-0.1, 3.0)
@@ -167,9 +188,85 @@ def test_volterra_matches_closed_up_to_first_zero():
     assert dev <= 1e-6
 
 
-def test_volterra_rejects_oversized_profile():
-    from extremal_means.piecewise import ConstantSegment, PiecewiseFunction
+def looped_volterra(chi, u_max, h):
+    """The Volterra march with one np.dot over the whole history per node,
+    as solve_volterra ran before it filled unit blocks; the reference."""
+    m = round(1.0 / h)
+    n_total = round(u_max / h)
+    L, R, records = _cell_values(chi, n_total, h)
+    w = np.empty(n_total)
+    w[0] = 0.0
+    w[1:] = 0.5 * h * (L[1:] + R[:-1])
+    sigma = np.empty(n_total + 1)
+    sigma[: m + 1] = 1.0
+    srev = np.empty(n_total + 1)
+    srev[n_total - m :] = 1.0
+    half_tail = 0.5 * h * R
+    denom_shift = 0.5 * h * L[0]
+    for n in range(m + 1, n_total + 1):
+        rhs = float(np.dot(w[1:n], srev[n_total - n + 1 : n_total])) + half_tail[n - 1]
+        for rec in records:
+            k0 = rec["k0"]
+            if k0 > n - 1:
+                continue
+            bp = rec["bp"]
+            pos = (n * h - bp) / h
+            i0 = min(int(pos), n - 1)
+            frac = pos - i0
+            s_bp = sigma[i0] * (1.0 - frac) + sigma[i0 + 1] * frac
+            ha = bp - k0 * h
+            hb = (k0 + 1) * h - bp
+            rhs += 0.5 * ha * (rec["left_at_node"] * sigma[n - k0] + rec["left_at_bp"] * s_bp)
+            rhs += 0.5 * hb * (rec["right_at_bp"] * s_bp + rec["right_at_node"] * sigma[n - k0 - 1])
+        sigma[n] = rhs / (n * h - denom_shift)
+        srev[n_total - n] = sigma[n]
+    return sigma
 
+
+def _two_jump_profile():
+    # off-grid jumps at 1.23456 and 2.34567 (cells 1234 and 2345 at h = 1e-3),
+    # then a sampled ramp
+    ramp = SampledSegment(start=2.34567, h=0.01, samples=np.linspace(0.25, -0.75, 301))
+    return PiecewiseFunction(
+        breakpoints=(0.0, 1.0, 1.23456, 2.34567),
+        segments=(ConstantSegment(1.0), ConstantSegment(-0.5), ConstantSegment(0.75), ramp),
+    )
+
+
+@pytest.mark.parametrize(
+    "case, u_max, h",
+    [
+        ("chi_delta", 5.5, 1e-3),  # ends on half a block
+        ("chi_delta", 3.05, 1e-4),
+        ("extended", 3.3, 1e-4),
+        ("extended", 4.0, 1e-3),
+        ("two_jumps", 4.2505, 1e-3),
+    ],
+)
+def test_blocked_volterra_matches_the_looped_one(case, u_max, h):
+    if case == "chi_delta":
+        chi = chi_delta(0.3)
+    elif case == "extended":
+        chi = extend_chi(1.0, h=min(h, 1e-4)).profile
+    else:
+        chi = _two_jump_profile()
+    assert len(_cell_values(chi, round(u_max / h), h)[2]) == (2 if case == "two_jumps" else 1)
+    coarse = looped_volterra(chi, u_max, h)
+    got = solve_volterra(chi, u_max, h=h, richardson=False).values
+    assert np.max(np.abs(got - coarse)) <= 1e-13
+    if h == 1e-3:
+        expected = (4.0 * looped_volterra(chi, u_max, h / 2.0)[::2] - coarse) / 3.0
+        expected[: round(1.0 / h) + 1] = 1.0
+        got = solve_volterra(chi, u_max, h=h, richardson=True).values
+        assert np.max(np.abs(got - expected)) <= 1e-13
+
+
+def test_vanishing_defect_digits():
+    ext = extend_chi(0.2)
+    assert f"{verify_sigma_vanishes(ext, 3.0 * ext.U):.4g}" == "8.964e-10"
+
+
+def test_volterra_rejects_oversized_profile():
     bad = PiecewiseFunction((0.0,), (ConstantSegment(1.5),))
     with pytest.raises(ValueError):
         solve_volterra(bad, 2.0, h=1e-3)
