@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .extremal import find_U
+from .extremal import find_U, mean_grid
 from .grid import steps_per_unit
 from .piecewise import (
     ConstantSegment,
@@ -28,18 +28,7 @@ from .piecewise import (
     SampledSegment,
     integrate_callable,
 )
-from .sigma import sigma_dde, solve_volterra
-
-
-def _mean_evaluator(delta: float, U: float):
-    """Vectorized pre-cutoff mean on [0, max(2, U)], via a marched table.
-
-    The table seeds its closed-form region exactly, so node values on [0, 2]
-    carry no marching error; beyond that the Richardson-combined march is
-    accurate to ~1e-10, far below the O(h^2) renewal quadrature below.
-    """
-    u_max = float(max(2, math.ceil(U + 1e-12)))
-    return sigma_dde(delta, u_max, richardson=True).value_cubic
+from .sigma import solve_volterra
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,9 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     if m < 10:
         raise ValueError(f"h must divide 1 with at least 10 steps per unit, got {h}")
 
-    mean_at = _mean_evaluator(delta, U)
+    # the mean is exact on [0, 2] and marched to ~1e-10 beyond, far below
+    # the O(h^2) renewal quadrature
+    mean_at = mean_grid(delta, U).value_cubic
     s_at_U = float(mean_at(U))          # ~0 by construction of U
 
     def kernel(v: np.ndarray) -> np.ndarray:
@@ -209,7 +200,7 @@ def kernel_mass(delta: float) -> float:
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     U = find_U(delta)
-    mean_at = _mean_evaluator(delta, U)
+    mean_at = mean_grid(delta, U).value_cubic
 
     def kernel(v: np.ndarray) -> np.ndarray:
         return (1.0 + delta) * mean_at(np.asarray(v, dtype=float) - 1.0) / v

@@ -161,7 +161,7 @@ def render_chi_grid(
         raise ValueError(f"step must lie in (0, t_max], got {step}")
     _check_rows(ext.t_max, step)
     ts = np.arange(0.0, ext.t_max - ext.h / 2.0, step)
-    rows = [[_fmt_key(t), fmt_table(ext.value(float(t)), digits)] for t in ts]
+    rows = [[_fmt_key(t), fmt_table(v, digits)] for t, v in zip(ts, ext.value(ts))]
     return _render_rows(["t", "chi"], rows, fmt)
 
 
@@ -212,14 +212,6 @@ def _cmd_dickman(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sigma(args: argparse.Namespace) -> int:
-    _emit(
-        render_sigma_grid(args.delta, args.u_max, args.step, args.format, args.digits),
-        args.output,
-    )
-    return 0
-
-
 def _cmd_udelta(args: argparse.Namespace) -> int:
     digits = _check_digits(args.digits)
     if args.delta is not None:
@@ -229,29 +221,9 @@ def _cmd_udelta(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    _emit(render_table(args.grid, args.format, args.digits, args.kmax), args.output)
-    return 0
-
-
-def _cmd_constants(args: argparse.Namespace) -> int:
-    _emit(render_constants(args.which), args.output)
-    return 0
-
-
-def _cmd_chi_extend(args: argparse.Namespace) -> int:
-    _emit(
-        render_chi_grid(args.delta, args.t_max, args.h, args.step, args.format, args.digits),
-        args.output,
-    )
-    return 0
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    _emit(
-        render_oracle_csv(args.k, args.delta, args.y, args.n, args.a, args.u_step, args.format),
-        args.output,
-    )
+def _cmd_render(args: argparse.Namespace) -> int:
+    """The grid, table and constants commands: one render_* call, then emit."""
+    _emit(args.render(args), args.output)
     return 0
 
 
@@ -293,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-max", dest="u_max", type=float, default=3.0)
     p.add_argument("--step", type=float, default=0.01)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_sigma)
+    p.set_defaults(
+        handler=_cmd_render,
+        render=lambda a: render_sigma_grid(a.delta, a.u_max, a.step, a.format, a.digits),
+    )
 
     p = sub.add_parser("udelta", help="first zero from drift, or drift from first zero")
     group = p.add_mutually_exclusive_group(required=True)
@@ -306,14 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=("u", "k"), required=True)
     p.add_argument("--kmax", type=int, default=17)
     _add_output_flags(p, default_digits=None)
-    p.set_defaults(handler=_cmd_table)
+    p.set_defaults(
+        handler=_cmd_render, render=lambda a: render_table(a.grid, a.format, a.digits, a.kmax)
+    )
 
     p = sub.add_parser("constants", help="named constants")
     p.add_argument(
         "--which", choices=("all", "c2", "c3", "c4", "sec4", "thm3"), default="all"
     )
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_constants)
+    p.set_defaults(handler=_cmd_render, render=lambda a: render_constants(a.which))
 
     p = sub.add_parser("chi-extend", help="dump the mean-preserving profile extension")
     p.add_argument("--delta", type=float, required=True)
@@ -321,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-4)
     p.add_argument("--step", type=float, default=0.01)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_chi_extend)
+    p.set_defaults(
+        handler=_cmd_render,
+        render=lambda a: render_chi_grid(a.delta, a.t_max, a.h, a.step, a.format, a.digits),
+    )
 
     p = sub.add_parser("oracle", help="sieve construction tracking report")
     p.add_argument("--k", type=int, default=2)
@@ -332,7 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-step", dest="u_step", type=float, default=0.05)
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_oracle)
+    p.set_defaults(
+        handler=_cmd_render,
+        render=lambda a: render_oracle_csv(a.k, a.delta, a.y, a.n, a.a, a.u_step, a.format),
+    )
 
     p = sub.add_parser("verify", help="run the self-check suite")
     p.add_argument("--suite", choices=("fast", "full"), default="fast")

@@ -79,15 +79,13 @@ def order4_bound(A: float, B: float) -> float:
     return 2.0 - LOG2 - B - (1.0 - 1.0 / SQRT2) * A
 
 
-def golden_section_max(
-    fn: Callable[[float], float], a: float, b: float, tol: float = 1e-12
-) -> tuple[float, float]:
+def golden_section_max(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """Maximizer of a unimodal function on [a, b] by golden-section search.
 
-    Returns (x, fn(x)).  Near a smooth interior maximum the comparison
-    signal drowns in roundoff once the bracket shrinks below ~sqrt(eps),
-    so a final three-point parabolic vertex step polishes x well past
-    that plateau.
+    Returns (x, fn(x)) once the bracket is 1e-12 wide.  Near a smooth
+    interior maximum the comparison signal drowns in roundoff once the
+    bracket shrinks below ~sqrt(eps), so a final three-point parabolic
+    vertex step polishes x well past that plateau.
     """
     if not b > a:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -96,7 +94,7 @@ def golden_section_max(
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = fn(c), fn(d)
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
@@ -125,9 +123,7 @@ def extremize_order4() -> OrderConstant:
     its location has the closed form 2 log((3 - sqrt(2))/2) + 1, which the
     tests use as an independent check on the search.
     """
-    x, val = golden_section_max(
-        lambda A: order4_bound(A, 0.5 * (1.0 - A)), 0.0, 1.0, tol=1e-12
-    )
+    x, val = golden_section_max(lambda A: order4_bound(A, 0.5 * (1.0 - A)), 0.0, 1.0)
     return OrderConstant(k=4, value=val, argmin_or_max=x)
 
 

@@ -8,8 +8,7 @@ one Richardson extrapolation against a half-step solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .grid import SolutionGrid, solve_step_profile
 from .piecewise import bisect, integrate_callable
 
 __all__ = [
-    "RhoTable",
     "default_table",
     "rho",
     "rho_inverse",
@@ -28,108 +26,86 @@ __all__ = [
 LOG2 = float(np.log(2.0))
 
 
-@dataclass(frozen=True)
-class RhoTable:
-    """Dense table of rho on [0, u_max] with optional Richardson sharpening."""
-
-    grid: SolutionGrid
-
-    @staticmethod
-    def build(u_max: float = 40.0, h: float = 1e-4, richardson: bool = True) -> "RhoTable":
-        if u_max < 3.0:
-            raise ValueError("table must reach at least u = 3")
-        return RhoTable(solve_step_profile(1.0, u_max, h, richardson))
-
-    def rho(self, u: float | np.ndarray) -> float | np.ndarray:
-        """rho(u); exact on [0, 2], cubic off-grid interpolation beyond."""
-        u_arr = np.asarray(u, dtype=float)
-        scalar = u_arr.ndim == 0
-        u_arr = np.atleast_1d(u_arr)
-        if not np.all(np.isfinite(u_arr)):
-            raise ValueError("argument must be finite")
-        out = np.zeros_like(u_arr)
-        if np.any(u_arr < 0.0):
-            raise ValueError("argument must be nonnegative")
-        if np.any(u_arr > self.grid.u_max + 1e-12):
-            raise ValueError("argument beyond tabulated range")
-        low = u_arr <= 1.0
-        out[low] = 1.0
-        mid = (u_arr > 1.0) & (u_arr <= 2.0)
-        out[mid] = 1.0 - np.log(u_arr[mid])
-        high = u_arr > 2.0
-        if np.any(high):
-            out[high] = self.grid.value_cubic(u_arr[high])
-        if scalar:
-            return float(out[0])
-        return out
-
-    def rho_inverse(self, x: float) -> float:
-        """Smallest u >= 1 with rho(u) = x, for 0 < x <= 1.
-
-        The branch on [1, 2] inverts in closed form; below rho(2) the
-        table is bisected (rho is strictly decreasing for u >= 1).
-        """
-        if not 0.0 < x <= 1.0:
-            raise ValueError("inverse needs 0 < x <= 1")
-        if x >= 1.0 - LOG2:
-            return float(np.exp(1.0 - x))
-        if self.rho(self.grid.u_max) > x:
-            raise ValueError("target below the tabulated range of rho")
-        return bisect(lambda u: self.rho(u) > x, 2.0, self.grid.u_max, 1e-13)
-
-    def total_integral(self, u_cut: float) -> float:
-        """integral_0^{u_cut} rho; converges to exp(Euler gamma) as u_cut grows.
-
-        [0, 2] in closed form (integral of 1 - log u is 2u - u log u - 2
-        past 1), then adaptive quadrature on the table split at integer
-        kink points.
-        """
-        top = self.grid.u_max
-        if not 2.0 <= u_cut <= top:
-            raise ValueError(f"u_cut must be finite and lie in [2, {top}], got {u_cut}")
-        closed = 1.0 + (2.0 * 2.0 - 2.0 * np.log(2.0) - 2.0) - 0.0
-        if u_cut == 2.0:
-            return closed
-        cuts = [float(k) for k in range(3, int(np.floor(u_cut)) + 1)]
-        tail = integrate_callable(lambda t: np.asarray(self.rho(t)), 2.0, u_cut, tol=1e-10, breakpoints=cuts)
-        return closed + tail.value
-
-    def dde_residual_max(self, lo: float = 1.5, hi: float = 10.0) -> float:
-        """Max |u*rho'(u) + rho(u-1)| over grid nodes in [lo, hi].
-
-        rho' is taken by centered differences on the table.  Nodes where
-        the second derivative jumps (u = 2 exactly) are excluded: a
-        centered difference straddling a curvature jump is only first
-        order accurate, which says nothing about the table itself.
-        """
-        g = self.grid
-        h, v = g.h, g.values
-        m = g.m
-        n_lo = max(int(np.ceil(lo / h)), m + 1)
-        n_hi = min(int(np.floor(hi / h)), len(v) - 2)
-        idx = np.arange(n_lo, n_hi + 1)
-        idx = idx[idx != 2 * m]
-        deriv = (v[idx + 1] - v[idx - 1]) / (2.0 * h)
-        resid = idx * h * deriv + v[idx - m]
-        return float(np.max(np.abs(resid)))
-
-
-@lru_cache(maxsize=4)
-def default_table(u_max: float = 40.0, h: float = 1e-4) -> RhoTable:
-    return RhoTable.build(u_max=u_max, h=h, richardson=True)
+@cache
+def default_table() -> SolutionGrid:
+    """rho on [0, 40] at step 1e-4, sharpened by one Richardson pass."""
+    return solve_step_profile(1.0, 40.0, 1e-4, True)
 
 
 def rho(u: float | np.ndarray) -> float | np.ndarray:
-    return default_table().rho(u)
+    """rho(u); exact on [0, 2], cubic off-grid interpolation beyond."""
+    grid = default_table()
+    u_arr = np.asarray(u, dtype=float)
+    scalar = u_arr.ndim == 0
+    u_arr = np.atleast_1d(u_arr)
+    if not np.all(np.isfinite(u_arr)):
+        raise ValueError("argument must be finite")
+    out = np.zeros_like(u_arr)
+    if np.any(u_arr < 0.0):
+        raise ValueError("argument must be nonnegative")
+    if np.any(u_arr > grid.u_max + 1e-12):
+        raise ValueError("argument beyond tabulated range")
+    low = u_arr <= 1.0
+    out[low] = 1.0
+    mid = (u_arr > 1.0) & (u_arr <= 2.0)
+    out[mid] = 1.0 - np.log(u_arr[mid])
+    high = u_arr > 2.0
+    if np.any(high):
+        out[high] = grid.value_cubic(u_arr[high])
+    if scalar:
+        return float(out[0])
+    return out
 
 
 def rho_inverse(x: float) -> float:
-    return default_table().rho_inverse(x)
+    """Smallest u >= 1 with rho(u) = x, for 0 < x <= 1.
+
+    The branch on [1, 2] inverts in closed form; below rho(2) the
+    table is bisected (rho is strictly decreasing for u >= 1).
+    """
+    if not 0.0 < x <= 1.0:
+        raise ValueError("inverse needs 0 < x <= 1")
+    if x >= 1.0 - LOG2:
+        return float(np.exp(1.0 - x))
+    top = default_table().u_max
+    if rho(top) > x:
+        raise ValueError("target below the tabulated range of rho")
+    return bisect(lambda u: rho(u) > x, 2.0, top, 1e-13)
 
 
 def rho_total_integral(u_cut: float = 20.0) -> float:
-    return default_table().total_integral(u_cut)
+    """integral_0^{u_cut} rho; converges to exp(Euler gamma) as u_cut grows.
+
+    [0, 2] in closed form (integral of 1 - log u is 2u - u log u - 2
+    past 1), then adaptive quadrature on the table split at integer
+    kink points.
+    """
+    top = default_table().u_max
+    if not 2.0 <= u_cut <= top:
+        raise ValueError(f"u_cut must be finite and lie in [2, {top}], got {u_cut}")
+    closed = 1.0 + (2.0 * 2.0 - 2.0 * np.log(2.0) - 2.0) - 0.0
+    if u_cut == 2.0:
+        return closed
+    cuts = [float(k) for k in range(3, int(np.floor(u_cut)) + 1)]
+    tail = integrate_callable(lambda t: np.asarray(rho(t)), 2.0, u_cut, tol=1e-10, breakpoints=cuts)
+    return closed + tail.value
 
 
 def dde_residual_max(lo: float = 1.5, hi: float = 10.0) -> float:
-    return default_table().dde_residual_max(lo, hi)
+    """Max |u*rho'(u) + rho(u-1)| over grid nodes in [lo, hi].
+
+    rho' is taken by centered differences on the table.  Nodes where
+    the second derivative jumps (u = 2 exactly) are excluded: a
+    centered difference straddling a curvature jump is only first
+    order accurate, which says nothing about the table itself.
+    """
+    g = default_table()
+    h, v = g.h, g.values
+    m = g.m
+    n_lo = max(int(np.ceil(lo / h)), m + 1)
+    n_hi = min(int(np.floor(hi / h)), len(v) - 2)
+    idx = np.arange(n_lo, n_hi + 1)
+    idx = idx[idx != 2 * m]
+    deriv = (v[idx + 1] - v[idx - 1]) / (2.0 * h)
+    resid = idx * h * deriv + v[idx - m]
+    return float(np.max(np.abs(resid)))

@@ -18,11 +18,14 @@ import numpy as np
 
 from .grid import SolutionGrid
 from .piecewise import ConstantSegment, PiecewiseFunction, bisect, integrate_callable
-from .sigma import sigma_closed, sigma_dde, sigma_dde_prefixes
+from .sigma import closed_tail_integral, sigma_closed, sigma_dde, sigma_dde_prefixes
 
 # Above this delta the first zero sits in (1,2] and solves
 # (1+delta) log U = 1 exactly.  Equals 1/log(2) - 1.
 CLOSED_FORM_DELTA = 1.0 / math.log(2.0) - 1.0
+
+# Smallest first zero: U(1) = sqrt(e), and U decreases in delta.
+U_MIN = math.exp(0.5)
 
 # Zeros beyond this are treated as out of range; the search raises instead
 # of chasing a crossing that the grid cannot certify.
@@ -111,22 +114,20 @@ def chi_delta(delta: float) -> PiecewiseFunction:
 def delta_for_U(u: float) -> float:
     """Drift strength whose mean first vanishes at u.  Inverse of find_U.
 
-    Closed form for u <= 2; otherwise a monotone bisection in delta.  On
-    (3, U_CAP] each step asks whether find_U(d) >= u, and find_U marches
-    only to the first whole unit that holds the zero, so a step near the
-    answer marches about ceil(u) units, not U_CAP.
+    Closed form for u <= 3: with x = 1 + delta the closed mean
+    1 - x log u + T(u) x^2 / 2 is a quadratic in x (T = 0 for u <= 2),
+    and delta comes from its smaller root, written without cancellation.
+    On (3, U_CAP] a monotone bisection in delta asks whether
+    find_U(d) >= u, and find_U marches only to the first whole unit that
+    holds the zero, so a step near the answer marches about ceil(u)
+    units, not U_CAP.
     """
     u = float(u)
-    if not 1.0 < u <= U_CAP:
-        raise ValueError(f"u must lie in (1, {U_CAP}], got {u}")
-    if u <= 2.0:
-        return 1.0 / math.log(u) - 1.0
+    if not U_MIN <= u <= U_CAP:
+        raise ValueError(f"u must lie in [sqrt(e), {U_CAP}], got {u}")
     if u <= 3.0:
-        # sigma_closed(., u) is positive below the matching delta and
-        # negative above it; 0.04 keeps the zero beyond 3 for the low end
-        return bisect(
-            lambda d: sigma_closed(d, u) > 0.0, 0.04, CLOSED_FORM_DELTA, _BISECT_TOL_DELTA
-        )
+        log_u = math.log(u)
+        return 2.0 / (log_u + math.sqrt(log_u * log_u - 2.0 * closed_tail_integral(u))) - 1.0
 
     # u in (3, U_CAP]: bracket from above, then bisect on find_U itself.
     # RootNotFoundError means the zero is past the cap, hence past u.
@@ -144,7 +145,7 @@ def delta_for_U(u: float) -> float:
     return bisect(zero_at_or_past_u, lo, CLOSED_FORM_DELTA, _BISECT_TOL_DELTA)
 
 
-def _closed_mean_integral(delta: float, w: float, tol: float = 1e-11) -> float:
+def _closed_mean_integral(delta: float, w: float) -> float:
     """Integral of the cutoff mean over [2, w] for 2 <= w <= 3.
 
     Integrating the closed form and swapping the order of integration in its
@@ -161,8 +162,19 @@ def _closed_mean_integral(delta: float, w: float, tol: float = 1e-11) -> float:
         wt = w - t
         return (wt * np.log(wt) - wt + 1.0) / t
 
-    tail = integrate_callable(inner, 1.0, w - 1.0, tol=tol)
+    tail = integrate_callable(inner, 1.0, w - 1.0, tol=1e-11)
     return head + 0.5 * (1.0 + delta) ** 2 * tail.value
+
+
+def mean_grid(delta: float, U: float) -> SolutionGrid:
+    """The pre-cutoff mean for delta, marched on [0, max(2, ceil U)].
+
+    Every reader of the mean on [0, U] takes it from this grid.  A
+    shorter march is the start of a longer one, node for node, and
+    value_cubic picks the same stencil on both, so the values on [0, U]
+    are those of any longer march.
+    """
+    return sigma_dde(delta, float(max(2, math.ceil(U + 1e-12))), richardson=True)
 
 
 def compute_I(delta: float, U: float | None = None) -> float:
@@ -187,10 +199,10 @@ def compute_I(delta: float, U: float | None = None) -> float:
     w = min(U, 3.0)
     total += _closed_mean_integral(delta, w)
     if U > 3.0:
-        u_max = float(max(4, math.ceil(U + 1e-12)))
-        grid = sigma_dde(delta, u_max, richardson=True)
         cuts = [float(j) for j in range(4, int(math.floor(U)) + 1)]
-        tail = integrate_callable(grid.value_cubic, 3.0, U, tol=1e-11, breakpoints=cuts)
+        tail = integrate_callable(
+            mean_grid(delta, U).value_cubic, 3.0, U, tol=1e-11, breakpoints=cuts
+        )
         total += tail.value
     return total / U
 
@@ -217,7 +229,7 @@ def gamma_odd_order(k: int) -> float:
 @lru_cache(maxsize=None)
 def table_by_first_zero() -> tuple[TableRow, ...]:
     """Rows keyed by the first zero u, from sqrt(e) up to 3 in steps of 0.1."""
-    keys = [math.sqrt(math.e)] + [round(1.7 + 0.1 * j, 1) for j in range(14)]
+    keys = [U_MIN] + [round(1.7 + 0.1 * j, 1) for j in range(14)]
     rows = []
     for u in keys:
         d = delta_for_U(u)

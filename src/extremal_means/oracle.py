@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chi_renewal import extend_chi
-from .extremal import find_U
-from .sigma import sigma_dde
+from .extremal import find_U, mean_grid
 
-# Largest sieve length: `oracle --n 2e7` peaks at about 1.3 GB resident
-# (f, its two running sums and their temporaries are complex arrays).
+# Largest sieve length: `oracle --n 2e7` peaks at about 450 MB resident
+# (f alone is a 320 MB complex array).
 SIEVE_CAP = 2 * 10**7
 
 # default desk scale: y^sqrt(e) for the order-2 construction just fits
@@ -51,19 +50,18 @@ def sieve_primes(N: int) -> np.ndarray:
 
 
 def smallest_prime_factors(N: int) -> np.ndarray:
-    """spf[n] for n <= N (spf[1] = 1); primes satisfy spf[p] = p."""
+    """spf[n] for n <= N (spf[1] = 1); primes satisfy spf[p] = p.
+
+    Each prime p <= sqrt(N) writes itself over its multiples from p^2 on,
+    the largest first, so the smallest prime factor writes last.
+    """
     N = int(N)
     if not 2 <= N <= SIEVE_CAP:
         raise ValueError(f"sieve limit must lie in [2, {SIEVE_CAP}], got {N}")
-    spf = np.zeros(N + 1, dtype=np.int32)
-    spf[1] = 1
-    for p in range(2, math.isqrt(N) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
+    spf = np.arange(N + 1, dtype=np.int32)
+    if N >= 4:  # below 4 every n is 1 or a prime
+        for p in sieve_primes(math.isqrt(N))[::-1]:
+            spf[p * p :: p] = p
     return spf
 
 
@@ -287,9 +285,7 @@ def sandwich_check(g: np.ndarray, n_max: int) -> float:
     return float(max(0.0, np.max(worst)))
 
 
-def empirical_chi(
-    f: np.ndarray, y: float, u: float, primes: np.ndarray | None = None
-) -> complex:
+def empirical_chi(f: np.ndarray, y: float, u: float) -> complex:
     """Log-weighted prime average of f up to y^u."""
     if not (math.isfinite(y) and y > 1.0):
         raise ValueError(f"y must be finite and > 1, got {y}")
@@ -299,8 +295,7 @@ def empirical_chi(
     x = float(y) ** float(u)
     if x > N + 1e-9:
         raise ValueError(f"y^u = {x:g} exceeds the f range {N}")
-    if primes is None:
-        primes = sieve_primes(int(min(x, N)))
+    primes = sieve_primes(int(min(x, N)))
     sel = primes[: np.searchsorted(primes, x, side="right")]
     logs = np.log(sel)
     return complex(np.sum(f[sel] * logs) / np.sum(logs))
@@ -315,11 +310,11 @@ class MeanValueReport:
     partial_sum_over_x: complex
     log_mean: complex
 
-    def check(self, slack: float = 1e-9) -> bool:
-        """Trivial-size bounds: |partial| <= 1, |log mean| <= 1 + 1/log x."""
+    def check(self) -> bool:
+        """Trivial-size bounds: |partial| <= 1, |log mean| <= 1 + 1/log x (to 1e-9)."""
         return (
-            abs(self.partial_sum_over_x) <= 1.0 + slack
-            and abs(self.log_mean) <= 1.0 + 1.0 / math.log(self.x) + slack
+            abs(self.partial_sum_over_x) <= 1.0 + 1e-9
+            and abs(self.log_mean) <= 1.0 + 1.0 / math.log(self.x) + 1e-9
         )
 
 
@@ -447,16 +442,30 @@ def tracking_rows(
     if x_top > N + 1e-9:
         raise ValueError(f"largest cutoff y^u = {x_top:g} exceeds the f range {N}")
     U = find_U(delta)
-    u_cap = max(2.0, math.ceil(min(U, max(u_values)) + 1e-12))
-    target_at = sigma_dde(delta, u_cap, richardson=True).value_cubic
-    csum = np.cumsum(f[1:])
-    csum_div = np.cumsum(f[1:] / np.arange(1, N + 1))
+    target_at = mean_grid(delta, U).value_cubic
+    # running sums from one cutoff to the next, in ascending order: the
+    # carry added to the first element keeps each sum sequential, so it
+    # equals the entry of np.cumsum over all of f bit for bit
+    sums = {}
+    n_done, s, s_div = 0, 0j, 0j
+    for n in sorted({int(float(y) ** u) for u in u_values}):
+        if n > n_done:
+            run = f[n_done + 1 : n + 1].copy()
+            if n_done:
+                run[0] += s
+            s = np.cumsum(run, out=run)[-1]
+            np.divide(f[n_done + 1 : n + 1], np.arange(n_done + 1, n + 1), out=run)
+            if n_done:
+                run[0] += s_div
+            s_div = np.cumsum(run, out=run)[-1]
+            n_done = n
+        sums[n] = s, s_div
     rows = []
     for u in u_values:
         x = float(y) ** u
-        n = int(x)
-        partial = complex(csum[n - 1] / x)
-        log_mean = complex(csum_div[n - 1] / math.log(x))
+        s, s_div = sums[int(x)]
+        partial = complex(s / x)
+        log_mean = complex(s_div / math.log(x))
         target = float(target_at(u)) if u <= U else 0.0
         rows.append(
             TrackRow(

@@ -25,12 +25,13 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .dickman import default_table
+from .dickman import rho
 from .grid import SolutionGrid, solve_step_profile, step_profile_prefixes, steps_per_unit
 from .piecewise import ConstantSegment, PiecewiseFunction, integrate_callable
 
 __all__ = [
     "solve_volterra",
+    "closed_tail_integral",
     "sigma_closed",
     "sigma_dde",
     "sigma_dde_prefixes",
@@ -39,17 +40,21 @@ __all__ = [
 ]
 
 
-def _closed_tail_integral(u: float, tol: float = 1e-12) -> float:
-    """integral_1^{u-1} log(u-t)/t dt for u in (2, 3]."""
-    return integrate_callable(lambda t: np.log(u - t) / t, 1.0, u - 1.0, tol=tol).value
+def closed_tail_integral(u: float) -> float:
+    """T(u) = integral_1^{u-1} log(u-t)/t dt, the second-band term of
+    sigma_closed; 0 for u <= 2, where the interval is empty."""
+    if u <= 2.0:
+        return 0.0
+    return integrate_callable(lambda t: np.log(u - t) / t, 1.0, u - 1.0, tol=1e-12).value
 
 
 def sigma_closed(delta: float, u: float) -> float:
     """Step-profile solution by closed form, valid for u in [0, 3].
 
-    1 on [0,1]; 1-(1+delta)*log u on [1,2]; one extra quadrature term on
-    [2,3].  This is the no-cutoff branch: it equals the true solution of
-    the cutoff profile only up to the first zero U.
+    1 on [0,1]; 1-(1+delta)*log u on [1,2]; one extra quadrature term,
+    (1+delta)^2 T(u) / 2, on [2,3].  This is the no-cutoff branch: it
+    equals the true solution of the cutoff profile only up to the first
+    zero U.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
@@ -57,10 +62,8 @@ def sigma_closed(delta: float, u: float) -> float:
         raise ValueError("closed forms cover u in [0, 3] only")
     if u <= 1.0:
         return 1.0
-    base = 1.0 - (1.0 + delta) * math.log(u)
-    if u <= 2.0:
-        return float(base)
-    return float(base + 0.5 * (1.0 + delta) ** 2 * _closed_tail_integral(u))
+    x = 1.0 + delta
+    return float(1.0 - x * math.log(u) + 0.5 * x**2 * closed_tail_integral(u))
 
 
 def sigma_closed_band(delta: float, x: np.ndarray) -> np.ndarray:
@@ -283,7 +286,7 @@ def sigma_series(delta: float, u: float, j_max: int) -> float:
         raise ValueError("u must be >= 0")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    total = float(default_table().rho(u))
+    total = float(rho(u))
     if j_max == 1 and u > 1.0:
         total -= delta * series_first_term(u)
     return total
@@ -296,7 +299,6 @@ def series_first_term(u: float) -> float:
         raise ValueError(f"u must be finite and >= 0, got {u}")
     if u <= 1.0:
         return 0.0
-    table = default_table()
     kinks = [u - i for i in range(int(math.floor(u)) + 1)]
-    fn = lambda ts: np.asarray(table.rho(np.maximum(u - ts, 0.0))) / ts
+    fn = lambda ts: np.asarray(rho(np.maximum(u - ts, 0.0))) / ts
     return integrate_callable(fn, 1.0, u, tol=1e-11, breakpoints=kinks).value

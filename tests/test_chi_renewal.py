@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from extremal_means.chi_renewal import (
-    _mean_evaluator,
     extend_chi,
     kernel_mass,
     verify_sigma_vanishes,
 )
-from extremal_means.extremal import find_U
+from extremal_means.extremal import find_U, mean_grid
 from extremal_means.sigma import sigma_closed_band, sigma_dde
 
 THREE_DELTAS = (0.1, 0.2, 0.44)
@@ -128,7 +127,7 @@ def looped_extension(delta: float, t_max: float, h: float) -> np.ndarray:
     ran before it filled unit blocks at once; the bit-for-bit reference."""
     U = find_U(delta)
     m = round(1.0 / h)
-    mean_at = _mean_evaluator(delta, U)
+    mean_at = mean_grid(delta, U).value_cubic
     s_at_U = float(mean_at(U))
 
     def kernel(v):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import shutil
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extremal_means import extremal, verification
 from extremal_means.cli import fmt_sig, fmt_table, main, render_table
 from extremal_means.verification import DATA_DIR
 
@@ -185,6 +187,8 @@ def test_chi_extend_output(capsys):
         ["sigma", "--delta", "0.2", "--step", "-1"],
         ["constants", "--which", "nope"],
         ["udelta", "--delta", "0.2", "--u", "2.0"],
+        ["udelta", "--u", "1.2"],
+        ["udelta", "--u", "1.0001"],
     ],
 )
 def test_domain_and_usage_errors_exit_2(args, capsys):
@@ -301,6 +305,21 @@ def test_byte_identical_across_processes(args):
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0
+
+
+def test_in_process_determinism_check_recomputes_the_tables(monkeypatch):
+    # a compute_I that drifts from call to call must fail the check; a
+    # second render read from the table caches would hide the drift
+    calls = itertools.count()
+    compute_I = extremal.compute_I
+    monkeypatch.setattr(
+        extremal, "compute_I", lambda *a, **kw: compute_I(*a, **kw) + 1e-6 * next(calls)
+    )
+    try:
+        assert not verification._check_cli_deterministic().ok
+    finally:
+        extremal.table_by_first_zero.cache_clear()
+        extremal.table_by_order.cache_clear()
 
 
 # ----------------------------------------------------------- verify wiring

@@ -99,4 +99,4 @@ def test_default_table_cached_and_consistent():
     t2 = default_table()
     assert t1 is t2
     # table node value equals rho at an interior node
-    assert abs(t1.grid.value_cubic(2.0) - rho(2.0)) < 1e-12
+    assert abs(t1.value_cubic(2.0) - rho(2.0)) < 1e-12

@@ -11,7 +11,7 @@ import pytest
 from extremal_means.chi_renewal import extend_chi
 from extremal_means.constants import order_constant
 from extremal_means.dickman import rho_total_integral
-from extremal_means.extremal import chi_delta, compute_I
+from extremal_means.extremal import chi_delta, compute_I, delta_for_U
 from extremal_means.grid import SolutionGrid
 from extremal_means.oracle import construct_tracking_spec, empirical_chi
 from extremal_means.sigma import sigma_dde, solve_volterra
@@ -64,6 +64,14 @@ def test_node_cap_covers_the_span():
 def test_non_finite_argument_named(name, call, bad):
     with pytest.raises(ValueError, match=rf"^{name} must .*got {bad}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("u", [1.0001, 1.2, math.exp(0.5) - 1e-12])
+def test_delta_for_U_rejects_zeros_below_sqrt_e(u):
+    # every drift in (0, 1] has its first zero at or above U(1) = sqrt(e)
+    with pytest.raises(ValueError, match=rf"^u must lie in \[sqrt\(e\), 12.0\], got {u}$"):
+        delta_for_U(u)
+    assert delta_for_U(math.exp(0.5)) == 1.0
 
 
 def test_value_cubic_stays_on_its_grid():

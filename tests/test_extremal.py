@@ -22,6 +22,7 @@ from extremal_means.extremal import (
     find_U,
     gamma_odd_order,
     locate_first_zero,
+    mean_grid,
     table_by_first_zero,
     table_by_order,
 )
@@ -115,6 +116,29 @@ def test_delta_for_U_equals_the_search_on_marches_to_the_cap(u, monkeypatch):
     early = delta_for_U(u)
     monkeypatch.setattr(extremal, "sigma_dde_prefixes", _march_to_the_cap)
     assert early == delta_for_U(u)
+
+
+def test_delta_for_U_up_to_2_is_the_log_closed_form():
+    for u in np.linspace(math.exp(0.5), 2.0, 1001)[1:]:
+        u = float(u)
+        assert delta_for_U(u) == 1.0 / math.log(u) - 1.0
+
+
+def test_delta_for_U_up_to_3_is_the_root_of_the_closed_mean():
+    for u in np.linspace(2.0, 3.0, 101)[1:]:
+        d = delta_for_U(float(u))
+        assert abs(sigma_closed(d, float(u))) <= 1e-15
+        assert abs(find_U(d) - u) <= 1e-13
+
+
+# first zeros in (1, 2], (2, 3] and (3, 12]
+@pytest.mark.parametrize("delta", [0.5, 0.2, 0.03, 1e-6])
+def test_mean_grid_reads_the_march_to_the_cap(delta):
+    U = find_U(delta)
+    us = np.linspace(0.0, U, 4001)
+    assert np.array_equal(
+        mean_grid(delta, U).value_cubic(us), sigma_dde(delta, U_CAP).value_cubic(us)
+    )
 
 
 def test_compute_I_closed_case():

@@ -86,6 +86,28 @@ def test_smallest_prime_factors():
     assert np.array_equal(spf[primes], primes)
 
 
+def masked_spf(N: int) -> np.ndarray:
+    """The masked Eratosthenes loop: each prime fills only the entries
+    no smaller prime has claimed; the bit-for-bit reference."""
+    spf = np.zeros(N + 1, dtype=np.int32)
+    spf[1] = 1
+    for p in range(2, math.isqrt(N) + 1):
+        if spf[p] == 0:
+            spf[p] = p
+            block = spf[p * p :: p]
+            block[block == 0] = p
+    rest = np.flatnonzero(spf[2:] == 0) + 2
+    spf[rest] = rest
+    return spf
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 97, 10**5, 2 * 10**6])
+def test_smallest_prime_factors_equal_the_masked_loop(N):
+    spf = smallest_prime_factors(N)
+    assert spf.dtype == np.int32
+    assert np.array_equal(spf, masked_spf(N))
+
+
 def test_liouville_partial_sum():
     # all primes sent to the angle index of -1 makes f(n) = (-1)^Omega(n);
     # its partial sum to 10^6 is a classical table value
@@ -277,6 +299,31 @@ def test_desk_tracking_and_log_mean(desk_f):
     assert tracking_rows(desk_f, DESK_Y, DESK_DELTA, []) == []
     with pytest.raises(ValueError):
         tracking_rows(desk_f, DESK_Y, DESK_DELTA, [1.75])
+
+
+def full_cumsum_means(f, y, u_values):
+    """Partial sums and log means read off running sums over all of f."""
+    N = len(f) - 1
+    csum = np.cumsum(f[1:])
+    csum_div = np.cumsum(f[1:] / np.arange(1, N + 1))
+    out = []
+    for u in u_values:
+        x = float(y) ** u
+        n = int(x)
+        out.append((complex(csum[n - 1] / x), complex(csum_div[n - 1] / math.log(x))))
+    return out
+
+
+def test_tracking_sums_equal_the_full_running_sums(desk_f):
+    U = find_U(DESK_DELTA)
+    us = [float(u) for u in np.arange(1.0, U, 0.05)] + [U]
+    shuffled = [us[i] for i in np.random.default_rng(5).permutation(len(us))]
+    repeated = us[::-1] + us[::4] + [us[0]]
+    for u_values in (us, shuffled, repeated):
+        rows = tracking_rows(desk_f, DESK_Y, DESK_DELTA, u_values)
+        assert [(r.partial_sum, r.log_mean) for r in rows] == full_cumsum_means(
+            desk_f, DESK_Y, u_values
+        )
 
 
 def test_order3_construction_tracks_target():

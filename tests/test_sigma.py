@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extremal_means.chi_renewal import extend_chi, verify_sigma_vanishes
-from extremal_means.dickman import RhoTable, rho
+from extremal_means.dickman import rho
 from extremal_means.extremal import chi_delta, compute_I, find_U, locate_first_zero
+from extremal_means.grid import solve_step_profile
 from extremal_means.piecewise import (
     ConstantSegment,
     PiecewiseFunction,
@@ -81,9 +82,9 @@ def test_march_rejects_bad_step_and_span_before_allocating():
 
 def test_rho_table_is_the_zero_drift_profile():
     for h, richardson in ((2e-3, False), (1e-3, True)):
-        table = RhoTable.build(10.0, h, richardson)
+        table = solve_step_profile(1.0, 10.0, h, richardson)
         sol = sigma_dde(0.0, 10.0, h=h, richardson=richardson)
-        assert np.array_equal(table.grid.values, sol.values)
+        assert np.array_equal(table.values, sol.values)
 
 
 def _gathering_stepper(values, start, m, h, rate):
