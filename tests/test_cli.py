@@ -315,11 +315,7 @@ def test_in_process_determinism_check_recomputes_the_tables(monkeypatch):
     monkeypatch.setattr(
         extremal, "compute_I", lambda *a, **kw: compute_I(*a, **kw) + 1e-6 * next(calls)
     )
-    try:
-        assert not verification._check_cli_deterministic().ok
-    finally:
-        extremal.table_by_first_zero.cache_clear()
-        extremal.table_by_order.cache_clear()
+    assert not verification._check_cli_deterministic().ok
 
 
 # ----------------------------------------------------------- verify wiring

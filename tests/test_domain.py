@@ -13,7 +13,7 @@ from extremal_means.constants import order_constant
 from extremal_means.dickman import rho_total_integral
 from extremal_means.extremal import chi_delta, compute_I, delta_for_U
 from extremal_means.grid import SolutionGrid
-from extremal_means.oracle import construct_tracking_spec, empirical_chi
+from extremal_means.oracle import construct_tracking_spec, empirical_chi, tracking_rows
 from extremal_means.sigma import sigma_dde, solve_volterra
 
 STEP_USERS = {
@@ -50,6 +50,14 @@ def test_node_cap_covers_the_span():
         extend_chi(0.5, h=0.2)
 
 
+def tracking_cutoff(u):
+    return tracking_rows(np.ones(1001), 10.0, 0.2, [1.0, u])
+
+
+def tracking_base(y):
+    return tracking_rows(np.ones(1001), y, 0.2, [1.0])
+
+
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 @pytest.mark.parametrize(
     "name, call",
@@ -59,10 +67,27 @@ def test_node_cap_covers_the_span():
         ("u", lambda x: empirical_chi(np.ones(101), 10.0, x)),
         ("order k", order_constant),
         ("U", lambda x: compute_I(0.2, U=x)),
+        ("u", tracking_cutoff),
+        ("y", tracking_base),
     ],
 )
 def test_non_finite_argument_named(name, call, bad):
     with pytest.raises(ValueError, match=rf"^{name} must .*got {bad}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "call, bad, message",
+    [
+        (tracking_cutoff, 0.0, "u must be finite and positive"),
+        (tracking_base, 0.5, "y must be finite and > 1"),
+        (tracking_base, 1.0, "y must be finite and > 1"),
+    ],
+)
+def test_tracking_rows_checks_y_and_cutoffs(call, bad, message):
+    # at the cutoff u = 0 (x = 1) the log mean divides by log 1, and below
+    # y = 1 every cutoff is the empty sum
+    with pytest.raises(ValueError, match=rf"^{message}, got {bad}$"):
         call(bad)
 
 

@@ -279,6 +279,8 @@ def test_mean_values_and_report():
         mean_values(ones, 500.0)
     with pytest.raises(ValueError):
         mean_values(ones, 100.0, j=0)
+    with pytest.raises(ValueError, match="^exponent must be an integer >= 1, got 1.5$"):
+        mean_values(ones, 100.0, j=1.5)
 
 
 def test_desk_tracking_and_log_mean(desk_f):
