@@ -44,7 +44,9 @@ def locate_first_zero(grid: SolutionGrid) -> float | None:
     Returns None when every node stays positive.  The scan starts after
     the initial plateau, so the mandatory 1.0 values never trip it.  The
     zero lies in the cell [(i-1)h, ih] that ends at the first non-positive
-    node i.
+    node i.  The bisection there reads the interpolant through
+    SolutionGrid.value_at, the scalar path that shares value_cubic's
+    stencil helper and gives the same double in plain floats.
     """
     neg = np.nonzero(grid.values[grid.m + 1 :] <= 0.0)[0]
     if not neg.size:
@@ -53,7 +55,7 @@ def locate_first_zero(grid: SolutionGrid) -> float | None:
     if grid.values[i] == 0.0:
         return i * grid.h
     # cubic interpolant sign bisection; the bracket is one cell wide
-    return bisect(lambda u: grid.value_cubic(u) > 0.0, (i - 1) * grid.h, i * grid.h, _BISECT_TOL_U)
+    return bisect(lambda u: grid.value_at(u) > 0.0, (i - 1) * grid.h, i * grid.h, _BISECT_TOL_U)
 
 
 def find_U(delta: float, use_closed_form: bool = True) -> float:
@@ -67,8 +69,9 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
 
     The march stops at the first whole unit that holds a non-positive
     node, not at U_CAP.  That prefix equals the U_CAP grid node for node,
-    and value_cubic picks the same stencil on both inside the zero's cell,
-    so the zero is the one the U_CAP grid gives, bit for bit.
+    and the one stencil helper of grid.py (grid._stencil_start) picks the
+    same stencil on both inside the zero's cell, so the zero is the one
+    the U_CAP grid gives, bit for bit.
     """
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
@@ -162,9 +165,10 @@ def mean_grid(delta: float, U: float) -> SolutionGrid:
     """The pre-cutoff mean for delta, marched on [0, max(2, ceil U)].
 
     Every reader of the mean on [0, U] takes it from this grid.  A
-    shorter march is the start of a longer one, node for node, and
-    value_cubic picks the same stencil on both, so the values on [0, U]
-    are those of any longer march.
+    shorter march is the start of a longer one, node for node, and the
+    stencil helper behind value_cubic (grid._stencil_start) picks the
+    same stencil on both, so the values on [0, U] are those of any
+    longer march.
     """
     return sigma_dde(delta, float(max(2, math.ceil(U + 1e-12))), richardson=True)
 
@@ -208,9 +212,13 @@ class TableRow:
 
 
 def gamma_odd_order(k: int) -> float:
-    """Sharper mean-value floor available for odd-order value sets."""
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k must be odd and at least 3, got {k}")
+    """Sharper mean-value floor available for odd-order value sets.
+
+    k may be an int or an integer-valued float such as 5.0.
+    """
+    if not (math.isfinite(k) and int(k) == k and k >= 3 and k % 2 == 1):
+        raise ValueError(f"k must be an odd integer and at least 3, got {k}")
+    k = int(k)
     a = 1.0 + math.cos(math.pi / k)
     return a * (1.0 - math.exp(-1.0 / a))
 

@@ -68,7 +68,8 @@ class SolutionGrid:
             raise ValueError("values length inconsistent with h and u_max")
         if not np.all(self.values[: m + 1] == 1.0):
             raise ValueError("solution must be identically 1 on [0, 1]")
-        if np.max(np.abs(self.values)) > 1.0 + 1e-6:
+        # written so that NaN fails it too
+        if not (-(1.0 + 1e-6) <= self.values.min() and self.values.max() <= 1.0 + 1e-6):
             raise ValueError("solution escaped the unit band")
 
     @property
@@ -87,26 +88,53 @@ class SolutionGrid:
         if u.size and not (u.min() >= -1e-12 and u.max() <= self.u_max + 1e-12):
             bad = u[~((u >= -1e-12) & (u <= self.u_max + 1e-12))][0]
             raise ValueError(f"u must be finite and lie in [0, {self.u_max}], got {bad}")
-        m = self.m
         n_last = len(self.values) - 1
         pos = np.clip(u / self.h, 0.0, float(n_last))
-        base = pos.astype(np.int64)
-        # clamp the 4-point stencil [base-1, base+2] inside the unit block;
-        # a node on an integer belongs to the block below it, except on a
-        # horizon off the integers, whose top block runs to its last node.
-        # A top block of fewer than four nodes borrows the rest from below.
-        block = np.minimum(base // m, (n_last - 1) // m)
-        lo = block * m
-        hi = np.minimum(lo + m, n_last)
-        start = np.minimum(np.maximum(base - 1, lo), hi - 3)
-        t = pos - start
-        w0 = -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0
-        w1 = t * (t - 2.0) * (t - 3.0) / 2.0
-        w2 = -t * (t - 1.0) * (t - 3.0) / 2.0
-        w3 = t * (t - 1.0) * (t - 2.0) / 6.0
+        start = _stencil_start(pos.astype(np.int64), self.m, n_last, np.minimum, np.maximum)
+        w0, w1, w2, w3 = _lagrange_weights(pos - start)
         v = self.values
         out = w0 * v[start] + w1 * v[start + 1] + w2 * v[start + 2] + w3 * v[start + 3]
         return float(out[0]) if scalar else out
+
+    def value_at(self, u: float) -> float:
+        """value_cubic(u) for one float u, evaluated in plain floats.
+
+        The same stencil helper, weights and order of operations as
+        value_cubic, so the result is the same double, without a numpy
+        round trip per call.
+        """
+        if not -1e-12 <= u <= self.u_max + 1e-12:
+            raise ValueError(f"u must be finite and lie in [0, {self.u_max}], got {u}")
+        n_last = len(self.values) - 1
+        pos = min(max(u / self.h, 0.0), float(n_last))
+        start = _stencil_start(int(pos), self.m, n_last, min, max)
+        w0, w1, w2, w3 = _lagrange_weights(pos - start)
+        v0, v1, v2, v3 = self.values[start : start + 4].tolist()
+        return w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3
+
+
+def _stencil_start(base, m, n_last, minimum, maximum):
+    """First node of the 4-point stencil [start, start + 3] around cell `base`.
+
+    Works on an int with min/max and on an int array with np.minimum and
+    np.maximum.  The stencil is clamped inside one unit block: a node on
+    an integer belongs to the block below it, except on a horizon off the
+    integers, whose top block runs to its last node.  A top block of fewer
+    than four nodes borrows the rest from below.
+    """
+    lo = minimum(base // m, (n_last - 1) // m) * m
+    hi = minimum(lo + m, n_last)
+    return minimum(maximum(base - 1, lo), hi - 3)
+
+
+def _lagrange_weights(t):
+    """Lagrange weights of nodes 0..3 at offset t, for a float or an array."""
+    return (
+        -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0,
+        t * (t - 2.0) * (t - 3.0) / 2.0,
+        -t * (t - 1.0) * (t - 3.0) / 2.0,
+        t * (t - 1.0) * (t - 2.0) / 6.0,
+    )
 
 
 def integrate_delay_equation(

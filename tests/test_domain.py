@@ -11,7 +11,7 @@ import pytest
 from extremal_means.chi_renewal import extend_chi
 from extremal_means.constants import order_constant
 from extremal_means.dickman import rho_total_integral
-from extremal_means.extremal import chi_delta, compute_I, delta_for_U
+from extremal_means.extremal import chi_delta, compute_I, delta_for_U, gamma_odd_order
 from extremal_means.grid import SolutionGrid
 from extremal_means.oracle import construct_tracking_spec, empirical_chi, tracking_rows
 from extremal_means.sigma import sigma_dde, solve_volterra
@@ -110,6 +110,31 @@ def test_value_cubic_stays_on_its_grid():
     assert grid.value_cubic(5.0 + 1e-13) == grid.value_cubic(5.0)
     assert grid.value_cubic(-1e-13) == 1.0
     assert grid.value_cubic(np.array([])).shape == (0,)
+    # the scalar path checks the same range with the same message
+    for bad in (math.nan, math.inf, -math.inf, 7.0, 5.0 + 1e-9, -0.5):
+        with pytest.raises(ValueError, match=rf"^u must .*\[0, 5.0\], got {bad}$"):
+            grid.value_at(bad)
+    assert grid.value_at(5.0 + 1e-13) == grid.value_at(5.0) == grid.value_cubic(5.0)
+    assert grid.value_at(-1e-13) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0 + 1e-5, -1.0 - 1e-5])
+def test_solution_grid_rejects_values_off_the_unit_band(bad):
+    values = np.ones(31)
+    values[25] = bad
+    with pytest.raises(ValueError, match="^solution escaped the unit band$"):
+        SolutionGrid(h=0.1, u_max=3.0, values=values)
+    # the band edge itself stays accepted
+    values[25] = -1.0 - 1e-6
+    assert SolutionGrid(h=0.1, u_max=3.0, values=values).values[25] == -1.0 - 1e-6
+
+
+@pytest.mark.parametrize("bad", [3.5, math.inf, math.nan])
+def test_gamma_odd_order_takes_odd_integers_only(bad):
+    with pytest.raises(ValueError, match=rf"^k must be an odd integer and at least 3, got {bad}$"):
+        gamma_odd_order(bad)
+    # integer-valued floats stay accepted, as order_constant takes them
+    assert gamma_odd_order(5.0) == gamma_odd_order(5)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from extremal_means.piecewise import (
     ConstantSegment,
     PiecewiseFunction,
     SampledSegment,
+    bisect,
     integrate_callable,
 )
 from extremal_means.sigma import (
@@ -157,6 +158,54 @@ def test_cubic_on_a_horizon_off_the_integers():
         inner = us <= u_max - 2 * h
         assert np.array_equal(grid.value_cubic(us[inner]), full.value_cubic(us[inner]))
         assert np.max(np.abs(grid.value_cubic(us) - full.value_cubic(us))) <= 1e-12
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_value_at_is_value_cubic_bit_for_bit(richardson):
+    # the scalar path shares value_cubic's stencil helper and weights, so
+    # it gives the same double: at cell ends, one ulp either side of each
+    # integer seam, the last node, on a horizon off the integers and on
+    # top blocks of one and two cells
+    h = 1e-4
+    rng = np.random.default_rng(11)
+    for u_max in (7.0, 6.5, 6.0 + 2 * h, 6.0 + h):
+        grid = sigma_dde(0.3, u_max, richardson=richardson)
+        n_last = len(grid.values) - 1
+        nodes = [0, 1, 2, 3, 9_999, 10_000, 10_001, 10_002, 34_567, n_last - 3, n_last - 2]
+        us = [k * h for k in nodes + [n_last - 1, n_last]] + [grid.u_max, -1e-13]
+        for j in range(1, int(u_max) + 1):
+            us += [math.nextafter(float(j), -math.inf), float(j), math.nextafter(float(j), math.inf)]
+        us += [k * h + f * h for k in nodes for f in (0.25, 0.5, 1.0 / 3.0)]
+        us += rng.uniform(0.0, u_max, 500).tolist()
+        us = [u for u in us if u <= grid.u_max]
+        arr = grid.value_cubic(np.array(us))
+        for u, a in zip(us, arr.tolist()):
+            assert grid.value_at(u) == grid.value_cubic(u) == a, u
+
+
+def bisect_on_value_cubic(grid):
+    """The first zero by bisection on value_cubic itself, in the cell that
+    ends at the first non-positive node; the reference for locate_first_zero."""
+    neg = np.nonzero(grid.values[grid.m + 1 :] <= 0.0)[0]
+    if not neg.size:
+        return None
+    i = int(neg[0]) + grid.m + 1
+    if grid.values[i] == 0.0:
+        return i * grid.h
+    return bisect(lambda u: grid.value_cubic(u) > 0.0, (i - 1) * grid.h, i * grid.h, 1e-13)
+
+
+def test_locate_first_zero_equals_the_bisection_on_value_cubic():
+    # zeros in (3, 4], read off the first marched prefix, and in (4, 9.5],
+    # read off longer ones
+    drifts = [1.0 / (k - 1) for k in range(20, 65, 4)] + np.geomspace(1e-9, 0.01, 12).tolist()
+    for delta in drifts:
+        for grid in sigma_dde_prefixes(delta, 12.0):
+            zero = locate_first_zero(grid)
+            assert zero == bisect_on_value_cubic(grid)
+            if zero is not None:
+                break
+        assert zero == find_U(delta) and 3.0 < zero < 9.5
 
 
 def test_dde_domain_validation():
