@@ -44,9 +44,9 @@ def locate_first_zero(grid: SolutionGrid) -> float | None:
     Returns None when every node stays positive.  The scan starts after
     the initial plateau, so the mandatory 1.0 values never trip it.  The
     zero lies in the cell [(i-1)h, ih] that ends at the first non-positive
-    node i.  The bisection there reads the interpolant through
-    SolutionGrid.value_at, the scalar path that shares value_cubic's
-    stencil helper and gives the same double in plain floats.
+    node i.  The bisection there reads the interpolant through scalar
+    SolutionGrid.value_cubic calls, which run in plain floats on the
+    stencil helper and weights of the array path and give the same double.
     """
     neg = np.nonzero(grid.values[grid.m + 1 :] <= 0.0)[0]
     if not neg.size:
@@ -55,7 +55,7 @@ def locate_first_zero(grid: SolutionGrid) -> float | None:
     if grid.values[i] == 0.0:
         return i * grid.h
     # cubic interpolant sign bisection; the bracket is one cell wide
-    return bisect(lambda u: grid.value_at(u) > 0.0, (i - 1) * grid.h, i * grid.h, _BISECT_TOL_U)
+    return bisect(lambda u: grid.value_cubic(u) > 0.0, (i - 1) * grid.h, i * grid.h, _BISECT_TOL_U)
 
 
 def find_U(delta: float, use_closed_form: bool = True) -> float:

@@ -81,36 +81,32 @@ class SolutionGrid:
 
     def value_cubic(self, u: float | np.ndarray) -> np.ndarray | float:
         """Four-point Lagrange interpolation with the stencil kept inside
-        one unit interval (the solutions have derivative kinks at integers)."""
+        one unit interval (the solutions have derivative kinks at integers).
+
+        A scalar u is evaluated in plain floats, an array in numpy; both
+        take the stencil from _stencil_start, the weights from
+        _lagrange_weights and sum in the same order, so a scalar gives the
+        same double as the same u inside an array.
+        """
+        n_last = len(self.values) - 1
+        if np.ndim(u) == 0:
+            u = float(u)
+            if not -1e-12 <= u <= self.u_max + 1e-12:
+                raise ValueError(f"u must be finite and lie in [0, {self.u_max}], got {u}")
+            pos = min(max(u / self.h, 0.0), float(n_last))
+            start = _stencil_start(int(pos), self.m, n_last, min, max)
+            w0, w1, w2, w3 = _lagrange_weights(pos - start)
+            v0, v1, v2, v3 = self.values[start : start + 4].tolist()
+            return w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3
         u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
         if u.size and not (u.min() >= -1e-12 and u.max() <= self.u_max + 1e-12):
             bad = u[~((u >= -1e-12) & (u <= self.u_max + 1e-12))][0]
             raise ValueError(f"u must be finite and lie in [0, {self.u_max}], got {bad}")
-        n_last = len(self.values) - 1
         pos = np.clip(u / self.h, 0.0, float(n_last))
         start = _stencil_start(pos.astype(np.int64), self.m, n_last, np.minimum, np.maximum)
         w0, w1, w2, w3 = _lagrange_weights(pos - start)
         v = self.values
-        out = w0 * v[start] + w1 * v[start + 1] + w2 * v[start + 2] + w3 * v[start + 3]
-        return float(out[0]) if scalar else out
-
-    def value_at(self, u: float) -> float:
-        """value_cubic(u) for one float u, evaluated in plain floats.
-
-        The same stencil helper, weights and order of operations as
-        value_cubic, so the result is the same double, without a numpy
-        round trip per call.
-        """
-        if not -1e-12 <= u <= self.u_max + 1e-12:
-            raise ValueError(f"u must be finite and lie in [0, {self.u_max}], got {u}")
-        n_last = len(self.values) - 1
-        pos = min(max(u / self.h, 0.0), float(n_last))
-        start = _stencil_start(int(pos), self.m, n_last, min, max)
-        w0, w1, w2, w3 = _lagrange_weights(pos - start)
-        v0, v1, v2, v3 = self.values[start : start + 4].tolist()
-        return w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3
+        return w0 * v[start] + w1 * v[start + 1] + w2 * v[start + 2] + w3 * v[start + 3]
 
 
 def _stencil_start(base, m, n_last, minimum, maximum):

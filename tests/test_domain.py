@@ -110,12 +110,14 @@ def test_value_cubic_stays_on_its_grid():
     assert grid.value_cubic(5.0 + 1e-13) == grid.value_cubic(5.0)
     assert grid.value_cubic(-1e-13) == 1.0
     assert grid.value_cubic(np.array([])).shape == (0,)
-    # the scalar path checks the same range with the same message
+    # the array path checks the same range with the same message
     for bad in (math.nan, math.inf, -math.inf, 7.0, 5.0 + 1e-9, -0.5):
         with pytest.raises(ValueError, match=rf"^u must .*\[0, 5.0\], got {bad}$"):
-            grid.value_at(bad)
-    assert grid.value_at(5.0 + 1e-13) == grid.value_at(5.0) == grid.value_cubic(5.0)
-    assert grid.value_at(-1e-13) == 1.0
+            grid.value_cubic(np.array([bad]))
+    assert grid.value_cubic(np.array([5.0 + 1e-13, -1e-13])).tolist() == [
+        grid.value_cubic(5.0),
+        1.0,
+    ]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0 + 1e-5, -1.0 - 1e-5])

@@ -161,9 +161,9 @@ def test_cubic_on_a_horizon_off_the_integers():
 
 
 @pytest.mark.parametrize("richardson", [True, False])
-def test_value_at_is_value_cubic_bit_for_bit(richardson):
-    # the scalar path shares value_cubic's stencil helper and weights, so
-    # it gives the same double: at cell ends, one ulp either side of each
+def test_scalar_value_cubic_is_the_array_path_bit_for_bit(richardson):
+    # the plain-float scalar path shares the array path's stencil helper
+    # and weights, so it gives the same double: at cell ends, one ulp either side of each
     # integer seam, the last node, on a horizon off the integers and on
     # top blocks of one and two cells
     h = 1e-4
@@ -180,7 +180,8 @@ def test_value_at_is_value_cubic_bit_for_bit(richardson):
         us = [u for u in us if u <= grid.u_max]
         arr = grid.value_cubic(np.array(us))
         for u, a in zip(us, arr.tolist()):
-            assert grid.value_at(u) == grid.value_cubic(u) == a, u
+            assert grid.value_cubic(u) == grid.value_cubic(np.float64(u)) == a, u
+        assert type(grid.value_cubic(np.array(us[0]))) is float
 
 
 def bisect_on_value_cubic(grid):
