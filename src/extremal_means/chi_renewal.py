@@ -51,8 +51,11 @@ class ExtendedChi:
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         t_arr = np.atleast_1d(t_arr)
-        if np.any(t_arr < 0.0) or np.any(t_arr > self.t_max + 1e-12):
-            raise ValueError(f"argument outside [0, {self.t_max}]")
+        # written so that NaN fails it too
+        inside = (t_arr >= 0.0) & (t_arr <= self.t_max + 1e-12)
+        if not inside.all():
+            bad = t_arr[~inside][0]
+            raise ValueError(f"t must be finite and lie in [0, {self.t_max}], got {bad}")
         out = np.empty_like(t_arr)
         head = t_arr < 1.0
         out[head] = 1.0

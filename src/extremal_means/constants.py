@@ -64,8 +64,9 @@ def order4_bound(A: float, B: float) -> float:
     """
     A = float(A)
     B = float(B)
-    if A < 0.0 or B < 0.0:
-        raise ValueError(f"arguments must be nonnegative, got A={A}, B={B}")
+    for name, x in (("A", A), ("B", B)):
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {x}")
     if A + B <= LOG2:
         return 3.0 - 2.0 * B - (2.0 - SQRT2) * (A + math.exp(-A - B)) - SQRT2 * math.exp(-B)
     if B <= LOG2:
@@ -152,8 +153,8 @@ def order3_profile_average(u: float) -> float:
     is a self-test of that closed form.
     """
     u = float(u)
-    if u <= 1.0:
-        raise ValueError(f"need u > 1, got {u}")
+    if not 1.0 < u < math.inf:
+        raise ValueError(f"u must be finite and > 1, got {u}")
     log_u = math.log(u)
     a = math.exp(-2.0 / 3.0)
     mid = u**a
@@ -198,8 +199,8 @@ def average_bound_objective(c: float) -> float:
     small-argument series keeps full precision there.
     """
     c = float(c)
-    if c <= 0.0:
-        raise ValueError(f"need c > 0, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be finite and > 0, got {c}")
 
     def integrand(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)

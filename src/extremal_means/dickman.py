@@ -8,6 +8,7 @@ one Richardson extrapolation against a half-step solve.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -99,6 +100,10 @@ def dde_residual_max(lo: float = 1.5, hi: float = 10.0) -> float:
     centered difference straddling a curvature jump is only first
     order accurate, which says nothing about the table itself.
     """
+    if not 0.0 <= lo < math.inf:
+        raise ValueError(f"lo must be finite and >= 0, got {lo}")
+    if not lo < hi < math.inf:
+        raise ValueError(f"hi must be finite and > lo = {lo}, got {hi}")
     g = default_table()
     h, v = g.h, g.values
     m = g.m
@@ -106,6 +111,8 @@ def dde_residual_max(lo: float = 1.5, hi: float = 10.0) -> float:
     n_hi = min(int(np.floor(hi / h)), len(v) - 2)
     idx = np.arange(n_lo, n_hi + 1)
     idx = idx[idx != 2 * m]
+    if not idx.size:
+        raise ValueError(f"[{lo}, {hi}] holds no table node past u = 1 other than u = 2")
     deriv = (v[idx + 1] - v[idx - 1]) / (2.0 * h)
     resid = idx * h * deriv + v[idx - m]
     return float(np.max(np.abs(resid)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import SolutionGrid
 from .piecewise import ConstantSegment, PiecewiseFunction, bisect, integrate_callable
-from .sigma import closed_tail_integral, sigma_closed, sigma_dde, sigma_dde_prefixes
+from .sigma import closed_tail_integral, sigma_closed, sigma_dde, sigma_dde_to_first_zero
 
 # Above this delta the first zero sits in (1,2] and solves
 # (1+delta) log U = 1 exactly.  Equals 1/log(2) - 1.
@@ -41,11 +41,11 @@ class RootNotFoundError(RuntimeError):
 def locate_first_zero(grid: SolutionGrid) -> float | None:
     """First u with grid value <= 0, refined on the cubic interpolant.
 
-    Returns None when every node stays positive.  The scan starts after
-    the initial plateau, so the mandatory 1.0 values never trip it.  The
-    zero lies in the cell [(i-1)h, ih] that ends at the first non-positive
-    node i.  The bisection there reads the interpolant through scalar
-    SolutionGrid.value_cubic calls, which run in plain floats on the
+    Returns None when every node stays positive; find_U reads the one grid
+    of sigma_dde_to_first_zero.  The scan starts after the initial plateau.
+    The zero lies in the cell [(i-1)h, ih] that ends at the first
+    non-positive node i.  The bisection there reads the interpolant through
+    scalar SolutionGrid.value_cubic calls, which run in plain floats on the
     stencil helper and weights of the array path and give the same double.
     """
     neg = np.nonzero(grid.values[grid.m + 1 :] <= 0.0)[0]
@@ -67,11 +67,12 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
     `use_closed_form=False` forces the bisection branch (used to test that
     the branches agree at the seam).
 
-    The march stops at the first whole unit that holds a non-positive
-    node, not at U_CAP.  That prefix equals the U_CAP grid node for node,
-    and the one stencil helper of grid.py (grid._stencil_start) picks the
-    same stencil on both inside the zero's cell, so the zero is the one
-    the U_CAP grid gives, bit for bit.
+    The march (sigma_dde_to_first_zero) stops at the first whole unit that
+    holds a non-positive node, not at U_CAP, and returns one grid that is
+    validated and scanned once.  That grid equals the start of the U_CAP
+    grid node for node, and the one stencil helper of grid.py
+    (grid._stencil_start) picks the same stencil on both inside the
+    zero's cell, so the zero is the one the U_CAP grid gives, bit for bit.
     """
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
@@ -84,13 +85,12 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
     elif sigma_closed(delta, 3.0) <= 0.0:
         lo, hi = 2.0, 3.0
     else:
-        for grid in sigma_dde_prefixes(delta, U_CAP, richardson=True):
-            zero = locate_first_zero(grid)
-            if zero is not None:
-                return zero
-        raise RootNotFoundError(
-            f"mean stays positive up to u = {U_CAP}; delta = {delta} is too small"
-        )
+        zero = locate_first_zero(sigma_dde_to_first_zero(delta, U_CAP))
+        if zero is None:
+            raise RootNotFoundError(
+                f"mean stays positive up to u = {U_CAP}; delta = {delta} is too small"
+            )
+        return zero
     return bisect(lambda u: sigma_closed(delta, u) > 0.0, lo, hi, _BISECT_TOL_U)
 
 
@@ -161,6 +161,11 @@ def _closed_mean_integral(delta: float, w: float) -> float:
     return head + 0.5 * (1.0 + delta) ** 2 * tail.value
 
 
+def _check_zero(U: float) -> None:
+    if not 1.0 < U <= U_CAP:
+        raise ValueError(f"U must be finite and lie in (1, {U_CAP}], got {U}")
+
+
 def mean_grid(delta: float, U: float) -> SolutionGrid:
     """The pre-cutoff mean for delta, marched on [0, max(2, ceil U)].
 
@@ -170,6 +175,7 @@ def mean_grid(delta: float, U: float) -> SolutionGrid:
     same stencil on both, so the values on [0, U] are those of any
     longer march.
     """
+    _check_zero(U)
     return sigma_dde(delta, float(max(2, math.ceil(U + 1e-12))), richardson=True)
 
 
@@ -182,8 +188,7 @@ def compute_I(delta: float, U: float) -> float:
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if not 1.0 < U <= U_CAP:
-        raise ValueError(f"U must be finite and lie in (1, {U_CAP}], got {U}")
+    _check_zero(U)
     if U <= 2.0:
         return (1.0 + delta) * (U - 1.0) / U
 

@@ -23,8 +23,8 @@ __all__ = [
     "MAX_NODES",
     "SolutionGrid",
     "integrate_delay_equation",
+    "march_to_first_nonpositive",
     "solve_step_profile",
-    "step_profile_prefixes",
     "steps_per_unit",
 ]
 
@@ -222,18 +222,18 @@ def solve_step_profile(rate: float, u_max: float, h: float, richardson: bool) ->
     return SolutionGrid(h=h, u_max=u_max, values=values)
 
 
-def step_profile_prefixes(
+def march_to_first_nonpositive(
     rate: float, u_max: float, h: float, richardson: bool
-) -> Iterator[SolutionGrid]:
-    """solve_step_profile(rate, u_max, h, richardson) while it is marched.
+) -> SolutionGrid:
+    """solve_step_profile(rate, u_max, h, richardson), stopped at the first
+    whole unit that holds a node <= 0 past u = 1.
 
-    Yields the grid on [0, 2], then on [0, 3], [0, 4], ... and last the
-    full grid on [0, u_max].  Each is the start of the full grid, node for
-    node, so a caller may stop as soon as a prefix answers its question
-    and skip the rest of the march.
+    Only each unit's new nodes are scanned.  The grid ends on that unit,
+    or on u_max when every node stays positive, and is the start of the
+    full grid, node for node.
     """
     m, n = _check_horizon(u_max, h)
-    return (
-        SolutionGrid(h=h, u_max=u_max if top == n else float(top // m), values=values[: top + 1])
-        for top, values in _march_step_profile(rate, m, n, h, richardson)
-    )
+    for top, values in _march_step_profile(rate, m, n, h, richardson):
+        if top == n or np.any(values[top - m + 1 : top + 1] <= 0.0):
+            break
+    return SolutionGrid(h=h, u_max=u_max if top == n else top / m, values=values[: top + 1])

@@ -176,9 +176,16 @@ def _primes_from_spf(spf: np.ndarray) -> np.ndarray:
     return np.flatnonzero(spf[2:] == np.arange(2, len(spf), dtype=spf.dtype)) + 2
 
 
+def _clamp_n_max(n_max: int, f: np.ndarray) -> int:
+    """n_max, checked, and cut to the last index of f."""
+    if not 1 <= n_max < math.inf:
+        raise ValueError(f"n_max must be finite and >= 1, got {n_max}")
+    return int(min(n_max, len(f) - 1))
+
+
 def divisor_correlation(f: np.ndarray, n_max: int) -> np.ndarray:
     """h(n) = sum over ab = n of f(a) conj(f(b)), for n <= n_max."""
-    n_max = int(min(n_max, len(f) - 1))
+    n_max = _clamp_n_max(n_max, f)
     h = np.zeros(n_max + 1, dtype=complex)
     for a in range(1, n_max + 1):
         h[a::a] += f[a] * np.conj(f[1 : n_max // a + 1])
@@ -237,7 +244,7 @@ def divisor_domination_check(f: np.ndarray, n_max: int) -> int:
     Only n free of squares of "bad" primes (those with f(p) != 1) are in
     scope; the inequality is claimed there and the count should be 0.
     """
-    n_max = int(min(n_max, len(f) - 1))
+    n_max = _clamp_n_max(n_max, f)
     spf = smallest_prime_factors(n_max)
     primes = _primes_from_spf(spf)
     g = build_g(f[: n_max + 1], spf)
@@ -264,7 +271,7 @@ def sandwich_check(g: np.ndarray, n_max: int) -> float:
     dividing n; n with a repeated bad prime (g(p) != 1) are excluded.
     Returns the worst violation of either side, floored at 0.
     """
-    n_max = int(min(n_max, len(g) - 1))
+    n_max = _clamp_n_max(n_max, g)
     primes = sieve_primes(n_max)
     s1 = np.zeros(n_max + 1)
     s2 = np.zeros(n_max + 1)

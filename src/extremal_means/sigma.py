@@ -6,7 +6,8 @@ Three independent routes to the same object:
   piecewise chi profiles (chi = 1 on [0,1), values in [-1,1]).
 * sigma_closed / sigma_dde: the one-parameter step profile (1, then
   -delta) admits closed forms through u = 3 and a conservative delay
-  equation d/du[u*s] = s(u) - (1+delta)*s(u-1) beyond.
+  equation d/du[u*s] = s(u) - (1+delta)*s(u-1) beyond, marched in full
+  or, by sigma_dde_to_first_zero, up to the first unit holding a zero.
 * sigma_series: first-order expansion in delta around the delta = 0
   solution, used as a cross-check only; series_first_term is its
   delta-free correction T_1(u).
@@ -21,12 +22,11 @@ only.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
 from .dickman import rho
-from .grid import SolutionGrid, solve_step_profile, step_profile_prefixes, steps_per_unit
+from .grid import SolutionGrid, march_to_first_nonpositive, solve_step_profile, steps_per_unit
 from .piecewise import ConstantSegment, PiecewiseFunction, integrate_callable
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "closed_tail_integral",
     "sigma_closed",
     "sigma_dde",
-    "sigma_dde_prefixes",
+    "sigma_dde_to_first_zero",
     "sigma_series",
     "series_first_term",
 ]
@@ -229,6 +229,9 @@ def solve_volterra(
 # the one-parameter step profile
 
 
+_DDE_STEP = 1e-4  # the step of sigma_dde and sigma_dde_to_first_zero
+
+
 def _check_step_profile(delta: float, u_max: float) -> None:
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
@@ -239,7 +242,7 @@ def _check_step_profile(delta: float, u_max: float) -> None:
 def sigma_dde(
     delta: float,
     u_max: float,
-    h: float = 1e-4,
+    h: float = _DDE_STEP,
     richardson: bool = True,
 ) -> SolutionGrid:
     """Step-profile solution by the conservative delay update.
@@ -247,27 +250,18 @@ def sigma_dde(
     Seeds the closed form on [0, 2], then marches
     d/du[u*s] = s(u) - (1+delta)*s(u-1).  With richardson=True a
     half-step solve sharpens the table; the closed-form region keeps its
-    seeded values.  extremal.locate_first_zero reads the first zero off
-    the returned grid.
+    seeded values.  extremal.find_U reads the first zero off the start of
+    this grid that sigma_dde_to_first_zero marches.
     """
     _check_step_profile(delta, u_max)
     return solve_step_profile(1.0 + delta, u_max, h, richardson)
 
 
-def sigma_dde_prefixes(
-    delta: float,
-    u_max: float,
-    h: float = 1e-4,
-    richardson: bool = True,
-) -> Iterator[SolutionGrid]:
-    """sigma_dde while it is marched: the grids on [0, 2], [0, 3], ... up
-    to [0, u_max], each node for node the start of sigma_dde(delta, u_max).
-
-    A search that needs only the start of the profile stops the march at
-    the first grid that answers it (see grid.step_profile_prefixes).
-    """
+def sigma_dde_to_first_zero(delta: float, u_max: float) -> SolutionGrid:
+    """The start of sigma_dde(delta, u_max) up to the first whole unit that
+    holds a node <= 0 past u = 1, or all of it (grid.march_to_first_nonpositive)."""
     _check_step_profile(delta, u_max)
-    return step_profile_prefixes(1.0 + delta, u_max, h, richardson)
+    return march_to_first_nonpositive(1.0 + delta, u_max, _DDE_STEP, richardson=True)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import chi_renewal, constants, dickman, extremal, oracle, sigma
+from .piecewise import integrate_callable
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -47,8 +48,6 @@ def _check_dickman_closed() -> CheckResult:
     # from 2, using only the closed [1,2] values under the integral
     def tail(t: np.ndarray) -> np.ndarray:
         return (1.0 - np.log(t - 1.0)) / t
-
-    from .piecewise import integrate_callable
 
     rho3 = (1.0 - math.log(2.0)) - integrate_callable(tail, 2.0, 3.0, tol=1e-13).value
     dev = max(dev, abs(dickman.rho(3.0) - rho3))
@@ -204,13 +203,13 @@ def _check_constants_order() -> CheckResult:
     dev = max(dev, abs(constants.order3_profile_average(math.exp(4.0)) - c3))
     monotone = c2 < c3 < c4.value < constants.ORDER_LIMIT_VALUE
     seam = 0.0
+    eps = 1e-9
     for a, b in ((math.log(2.0) - 0.2, 0.2), (0.1, math.log(2.0))):
-        for eps in (1e-9,):
-            seam = max(
-                seam,
-                abs(constants.order4_bound(a + eps, b) - constants.order4_bound(a - eps, b)),
-                abs(constants.order4_bound(a, b + eps) - constants.order4_bound(a, b - eps)),
-            )
+        seam = max(
+            seam,
+            abs(constants.order4_bound(a + eps, b) - constants.order4_bound(a - eps, b)),
+            abs(constants.order4_bound(a, b + eps) - constants.order4_bound(a, b - eps)),
+        )
     ok = dev <= 1e-8 and monotone and seam <= 1e-7
     return CheckResult(
         "constants-order-ladder",

@@ -94,10 +94,13 @@ def test_value_regions_and_domain():
     assert ext.value(1.0) == -delta
     assert ext.value(ext.U) == -delta  # window is closed on the right
     assert ext.value(ext.U + ext.h) != -delta
-    with pytest.raises(ValueError):
-        ext.value(-0.1)
-    with pytest.raises(ValueError):
-        ext.value(ext.t_max + 1.0)
+    # NaN fails every region mask, so it must fail the range check too
+    for bad in (-0.1, ext.t_max + 1.0, math.nan):
+        message = rf"^t must be finite and lie in \[0, {ext.t_max}\], got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            ext.value(bad)
+        with pytest.raises(ValueError, match=message):
+            ext.value(np.array([bad, 0.5]))
     vec = ext.value(np.array([0.5, 1.5, ext.U + 0.5]))
     assert vec.shape == (3,)
 

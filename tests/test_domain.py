@@ -9,11 +9,23 @@ import numpy as np
 import pytest
 
 from extremal_means.chi_renewal import extend_chi
-from extremal_means.constants import order_constant
-from extremal_means.dickman import rho_total_integral
-from extremal_means.extremal import chi_delta, compute_I, delta_for_U, gamma_odd_order
+from extremal_means.constants import (
+    average_bound_objective,
+    order3_profile_average,
+    order4_bound,
+    order_constant,
+)
+from extremal_means.dickman import dde_residual_max, rho_total_integral
+from extremal_means.extremal import chi_delta, compute_I, delta_for_U, gamma_odd_order, mean_grid
 from extremal_means.grid import SolutionGrid
-from extremal_means.oracle import construct_tracking_spec, empirical_chi, tracking_rows
+from extremal_means.oracle import (
+    construct_tracking_spec,
+    divisor_correlation,
+    divisor_domination_check,
+    empirical_chi,
+    sandwich_check,
+    tracking_rows,
+)
 from extremal_means.sigma import sigma_dde, solve_volterra
 
 STEP_USERS = {
@@ -58,6 +70,25 @@ def tracking_base(y):
     return tracking_rows(np.ones(1001), y, 0.2, [1.0])
 
 
+UNIT_F = np.ones(101, dtype=complex)
+
+# arguments for which +inf is as invalid as nan and -inf
+BOTH_INFINITIES = [
+    pytest.param("A", lambda x: order4_bound(x, 0.1), id="A-order4_bound"),
+    pytest.param("B", lambda x: order4_bound(0.1, x), id="B-order4_bound"),
+    pytest.param("u", order3_profile_average, id="u-order3_profile_average"),
+    pytest.param("c", average_bound_objective, id="c-average_bound_objective"),
+    pytest.param("lo", lambda x: dde_residual_max(x, 10.0), id="lo-dde_residual_max"),
+    pytest.param("hi", lambda x: dde_residual_max(1.5, x), id="hi-dde_residual_max"),
+    pytest.param("U", lambda x: mean_grid(0.3, x), id="U-mean_grid"),
+    pytest.param("n_max", lambda x: divisor_correlation(UNIT_F, x), id="n_max-divisor_correlation"),
+    pytest.param(
+        "n_max", lambda x: divisor_domination_check(UNIT_F, x), id="n_max-divisor_domination_check"
+    ),
+    pytest.param("n_max", lambda x: sandwich_check(np.ones(101), x), id="n_max-sandwich_check"),
+]
+
+
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 @pytest.mark.parametrize(
     "name, call",
@@ -69,11 +100,31 @@ def tracking_base(y):
         ("U", lambda x: compute_I(0.2, U=x)),
         ("u", tracking_cutoff),
         ("y", tracking_base),
-    ],
+    ]
+    + BOTH_INFINITIES,
 )
 def test_non_finite_argument_named(name, call, bad):
     with pytest.raises(ValueError, match=rf"^{name} must .*got {bad}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("name, call", BOTH_INFINITIES)
+def test_positive_infinity_named(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must .*got inf$"):
+        call(math.inf)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, message",
+    [
+        (5.0, 4.0, r"^hi must be finite and > lo = 5.0, got 4.0$"),
+        (2.0, 2.00005, r"^\[2.0, 2.00005\] holds no table node past u = 1 other than u = 2$"),
+        (50.0, 60.0, r"^\[50.0, 60.0\] holds no table node"),
+    ],
+)
+def test_dde_residual_needs_a_node_to_check(lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        dde_residual_max(lo, hi)
 
 
 @pytest.mark.parametrize(

@@ -89,11 +89,6 @@ def test_delta_for_U_inverts_find_U(u):
     assert abs(find_U(d) - u) < 1e-7
 
 
-def _march_to_the_cap(delta, u_max, richardson):
-    """sigma_dde_prefixes reduced to its last grid: every march runs to u_max."""
-    return iter([sigma_dde(delta, u_max, richardson=richardson)])
-
-
 @pytest.mark.parametrize("delta", [0.03, 1e-3, 1e-6, 1e-12, 1e-14])
 def test_find_U_equals_the_march_to_the_cap(delta, monkeypatch):
     # find_U stops marching at the first unit that holds a zero
@@ -101,7 +96,8 @@ def test_find_U_equals_the_march_to_the_cap(delta, monkeypatch):
         early = find_U(delta)
     except RootNotFoundError:
         early = None
-    monkeypatch.setattr(extremal, "sigma_dde_prefixes", _march_to_the_cap)
+    # sigma_dde takes the same (delta, u_max) and always marches to u_max
+    monkeypatch.setattr(extremal, "sigma_dde_to_first_zero", sigma_dde)
     if early is None:
         with pytest.raises(RootNotFoundError):
             find_U(delta)
@@ -114,7 +110,7 @@ def test_find_U_equals_the_march_to_the_cap(delta, monkeypatch):
 @pytest.mark.parametrize("u", [4.0, 6.5])
 def test_delta_for_U_equals_the_search_on_marches_to_the_cap(u, monkeypatch):
     early = delta_for_U(u)
-    monkeypatch.setattr(extremal, "sigma_dde_prefixes", _march_to_the_cap)
+    monkeypatch.setattr(extremal, "sigma_dde_to_first_zero", sigma_dde)
     assert early == delta_for_U(u)
 
 

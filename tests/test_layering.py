@@ -2,8 +2,9 @@
 
 Every `from .x import ...` and `from . import x` counts, including the
 ones deferred into function bodies.  The numerical modules (all but the
-cli and verification wrappers) must form an acyclic graph, and sigma,
-the solver layer, sits on grid, piecewise and dickman only.
+cli and verification wrappers) must form an acyclic graph; grid and
+piecewise, the substrate, import no package module, and sigma, the
+solver layer, sits on grid, piecewise and dickman only.
 """
 
 from __future__ import annotations
@@ -49,3 +50,8 @@ def test_numerical_modules_are_acyclic():
 
 def test_sigma_sits_on_grid_piecewise_dickman():
     assert _graph()["sigma"] <= {"grid", "piecewise", "dickman"}
+
+
+def test_grid_and_piecewise_import_no_package_module():
+    graph = _graph()
+    assert graph["grid"] == set() and graph["piecewise"] == set()

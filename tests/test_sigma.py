@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from extremal_means.chi_renewal import extend_chi, verify_sigma_vanishes
 from extremal_means.dickman import rho
 from extremal_means.extremal import chi_delta, compute_I, find_U, locate_first_zero
-from extremal_means.grid import solve_step_profile
+from extremal_means.grid import march_to_first_nonpositive, solve_step_profile
 from extremal_means.piecewise import (
     ConstantSegment,
     PiecewiseFunction,
@@ -26,7 +26,7 @@ from extremal_means.sigma import (
     sigma_closed,
     sigma_closed_band,
     sigma_dde,
-    sigma_dde_prefixes,
+    sigma_dde_to_first_zero,
     sigma_series,
     series_first_term,
     solve_volterra,
@@ -130,20 +130,22 @@ def test_shorter_march_is_a_prefix_of_the_longer(delta, richardson):
     # find_U stops the march at the first unit that holds a zero; that is
     # exact only while this prefix property holds
     full = sigma_dde(delta, 12.0, richardson=richardson)
-    prefixes = list(sigma_dde_prefixes(delta, 12.0, richardson=richardson))
-    assert [g.u_max for g in prefixes] == [float(k) for k in range(2, 13)]
     for u1 in (4.0, 7.0):
         short = sigma_dde(delta, u1, richardson=richardson)
         assert np.array_equal(short.values, full.values[: len(short.values)])
-        assert np.array_equal(prefixes[int(u1) - 2].values, short.values)
         # the cubic stencils differ only at the top node, not inside its cell
         us = np.concatenate([np.linspace(0.0, u1 - 1e-4, 2001), u1 - 1e-4 * np.array([0.5, 1e-6])])
         assert np.array_equal(short.value_cubic(us), full.value_cubic(us))
-    assert np.array_equal(prefixes[-1].values, full.values)
-    # a horizon off the integers ends on its partial unit
-    tail = list(sigma_dde_prefixes(delta, 6.5, richardson=richardson))
-    assert [g.u_max for g in tail] == [2.0, 3.0, 4.0, 5.0, 6.0, 6.5]
-    assert np.array_equal(tail[-1].values, sigma_dde(delta, 6.5, richardson=richardson).values)
+    # the march to the first non-positive node i ends on i's unit
+    m = full.m
+    i = m + 1 + int(np.nonzero(full.values[m + 1 :] <= 0.0)[0][0])
+    early = march_to_first_nonpositive(1.0 + delta, 12.0, 1e-4, richardson)
+    assert early.u_max == max(2, math.ceil(i / m))
+    assert np.array_equal(early.values, full.values[: len(early.values)])
+    # a zero past the horizon, here one off the integers, gets the full grid
+    far = march_to_first_nonpositive(1.0 + 1e-9, 6.5, 1e-4, richardson)
+    assert far.u_max == 6.5
+    assert np.array_equal(far.values, sigma_dde(1e-9, 6.5, richardson=richardson).values)
 
 
 def test_cubic_on_a_horizon_off_the_integers():
@@ -197,15 +199,12 @@ def bisect_on_value_cubic(grid):
 
 
 def test_locate_first_zero_equals_the_bisection_on_value_cubic():
-    # zeros in (3, 4], read off the first marched prefix, and in (4, 9.5],
-    # read off longer ones
+    # zeros in (3, 4], read off a march to 4, and in (4, 9.5], off longer ones
     drifts = [1.0 / (k - 1) for k in range(20, 65, 4)] + np.geomspace(1e-9, 0.01, 12).tolist()
     for delta in drifts:
-        for grid in sigma_dde_prefixes(delta, 12.0):
-            zero = locate_first_zero(grid)
-            assert zero == bisect_on_value_cubic(grid)
-            if zero is not None:
-                break
+        grid = sigma_dde_to_first_zero(delta, 12.0)
+        zero = locate_first_zero(grid)
+        assert zero == bisect_on_value_cubic(grid)
         assert zero == find_U(delta) and 3.0 < zero < 9.5
 
 
