@@ -98,8 +98,6 @@ def render_table(grid: str, fmt: str = "csv", digits: int | None = None, kmax: i
             for r in table_by_first_zero()
         ]
     elif grid == "k":
-        if not 4 <= kmax <= 64:
-            raise ValueError(f"k grid needs 4 <= kmax <= 64, got {kmax}")
         digits = _check_digits(10 if digits is None else digits)
         header = ["k", "delta", "U", "I", "gamma_Sk"]
         rows = [
@@ -110,7 +108,7 @@ def render_table(grid: str, fmt: str = "csv", digits: int | None = None, kmax: i
                 fmt_table(r.I, digits),
                 fmt_table(r.gamma_Sk, digits) if r.gamma_Sk is not None else "",
             ]
-            for r in table_by_order(4, kmax)
+            for r in table_by_order(kmax)
         ]
     else:
         raise ValueError(f"grid must be 'u' or 'k', got {grid!r}")

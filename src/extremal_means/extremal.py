@@ -30,6 +30,9 @@ U_MIN = math.exp(0.5)
 # of chasing a crossing that the grid cannot certify.
 U_CAP = 12.0
 
+# First row of the order table (drift 1/3).
+FIRST_TABLE_ORDER = 4
+
 _BISECT_TOL_U = 1e-13
 _BISECT_TOL_DELTA = 1e-12
 
@@ -238,14 +241,12 @@ def table_by_first_zero() -> tuple[TableRow, ...]:
     return tuple(rows)
 
 
-def table_by_order(k_min: int = 4, k_max: int = 17) -> tuple[TableRow, ...]:
-    """Rows keyed by the order k of the value set, with drift 1/(k-1)."""
-    if not (isinstance(k_min, int) and isinstance(k_max, int)):
-        raise ValueError("k_min and k_max must be integers")
-    if not 3 <= k_min <= k_max <= 64:
-        raise ValueError(f"need 3 <= k_min <= k_max <= 64, got {k_min}..{k_max}")
+def table_by_order(k_max: int = 17) -> tuple[TableRow, ...]:
+    """Rows keyed by the order k = 4, ..., k_max of the value set, with drift 1/(k-1)."""
+    if not (isinstance(k_max, int) and FIRST_TABLE_ORDER <= k_max <= 64):
+        raise ValueError(f"k_max must be an integer in [{FIRST_TABLE_ORDER}, 64], got {k_max}")
     rows = []
-    for k in range(k_min, k_max + 1):
+    for k in range(FIRST_TABLE_ORDER, k_max + 1):
         d = 1.0 / (k - 1)
         u = find_U(d)
         g = gamma_odd_order(k) if k % 2 == 1 else None

@@ -8,9 +8,10 @@ seconds; the asymptotic statements themselves are out of reach at desk
 scale and are only tracked within generous, named tolerances.
 
 Value convention: an f value at a prime is an angle index ell in
-{0, ..., k-1} (the value is e(ell/k)) or None for the value 0.  Angle
-indices are added exactly modulo k along factorizations; floating point
-enters only when values are materialized into sums.
+{0, ..., k}: the value e(ell/k) for ell < k, and 0 for the absorbing
+index ell = k.  Angle indices are added exactly modulo k along
+factorizations; floating point enters only when values are materialized
+into sums.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .extremal import find_U, mean_grid
 # (f alone is a 320 MB complex array).
 SIEVE_CAP = 2 * 10**7
 
+# Largest order k: build_f adds two angle indices below k in int16.
+MAX_ORDER = 2**14
+
 # default desk scale: y^sqrt(e) for the order-2 construction just fits
 DESK_Y = 10**4
 DESK_N = 4_000_000
@@ -36,11 +40,16 @@ class InfeasibleError(ValueError):
     """A target profile demands class weights outside [0, 1/(k-1)]."""
 
 
+def _integer_in(x: float, lo: float, hi: float, name: str) -> int:
+    """x as an int, checked to be an integer in [lo, hi]."""
+    if not (math.isfinite(x) and x == int(x) and lo <= x <= hi):
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {x}")
+    return int(x)
+
+
 def sieve_primes(N: int) -> np.ndarray:
     """All primes <= N, ascending."""
-    N = int(N)
-    if not 2 <= N <= SIEVE_CAP:
-        raise ValueError(f"sieve limit must lie in [2, {SIEVE_CAP}], got {N}")
+    N = _integer_in(N, 2, SIEVE_CAP, "N")
     composite = np.zeros(N + 1, dtype=bool)
     composite[:2] = True
     for p in range(2, math.isqrt(N) + 1):
@@ -55,9 +64,7 @@ def smallest_prime_factors(N: int) -> np.ndarray:
     Each prime p <= sqrt(N) writes itself over its multiples from p^2 on,
     the largest first, so the smallest prime factor writes last.
     """
-    N = int(N)
-    if not 2 <= N <= SIEVE_CAP:
-        raise ValueError(f"sieve limit must lie in [2, {SIEVE_CAP}], got {N}")
+    N = _integer_in(N, 2, SIEVE_CAP, "N")
     spf = np.arange(N + 1, dtype=np.int32)
     if N >= 4:  # below 4 every n is 1 or a prime
         for p in sieve_primes(math.isqrt(N))[::-1]:
@@ -69,53 +76,48 @@ def smallest_prime_factors(N: int) -> np.ndarray:
 class MultiplicativeSpec:
     """Recipe for a completely multiplicative f with k-th root values.
 
-    `assignment` maps primes in (y, N] to an angle index or to None (the
-    value 0); primes <= y implicitly carry the value 1, and unassigned
-    primes above y default to 1 as well.
+    `primes` is an ascending integer array of primes in (y, N], and
+    `assignment[i]` is the angle index of `primes[i]` (index k for the
+    value 0); every other prime carries the value 1.
     """
 
     k: int
     y: float
-    assignment: dict[int, int | None]
+    primes: np.ndarray
+    assignment: tuple[int, ...]
     N: int
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"order must be >= 2, got {self.k}")
-        primes, ells = _class_arrays(self.assignment, self.k)
-        low = np.flatnonzero(primes <= self.y)
-        if low.size:
-            raise ValueError(f"prime {primes[low[0]]} below the threshold y={self.y}")
-        # index k stands for None, so an explicit k shows up as one k too many
-        n_zero = list(self.assignment.values()).count(None)
-        if np.any((ells < 0) | (ells > self.k)) or np.count_nonzero(ells == self.k) != n_zero:
-            v = next(v for v in self.assignment.values() if v is not None and not 0 <= v < self.k)
-            raise ValueError(f"angle index {v} out of range for order {self.k}")
-
-
-def _class_arrays(assignment: dict[int, int | None], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes of an assignment and their angle indices, None as index k."""
-    n = len(assignment)
-    primes = np.fromiter(assignment, dtype=np.int64, count=n)
-    ells = np.fromiter(
-        (k if v is None else v for v in assignment.values()), dtype=np.int32, count=n
-    )
-    return primes, ells
+        _integer_in(self.k, 2, MAX_ORDER, "order k")
+        if not math.isfinite(self.y):
+            raise ValueError(f"y must be finite, got {self.y}")
+        _integer_in(self.N, 2, SIEVE_CAP, "N")
+        p, ells = self.primes, np.asarray(self.assignment)
+        if ells.shape != p.shape:
+            raise ValueError(f"need one angle index per prime, got {ells.shape} for {p.shape}")
+        lo = max(self.y, 1.0)
+        if p.dtype.kind not in "iu" or (
+            p.size and not (lo < p[0] and p[-1] <= self.N and np.all(p[1:] > p[:-1]))
+        ):
+            raise ValueError(f"primes must be integers that strictly increase in ({lo}, {self.N}]")
+        if ells.size and (ells.dtype.kind not in "iu" or ells.min() < 0 or ells.max() > self.k):
+            raise ValueError(f"angle indices must be integers in [0, {self.k}] for order {self.k}")
 
 
 def random_spec(
     k: int, y: float, N: int, seed: int, zero_probability: float = 0.0
 ) -> MultiplicativeSpec:
     """Uniformly random angle assignment on primes in (y, N]; deterministic per seed."""
+    k = _integer_in(k, 2, MAX_ORDER, "order k")
+    if not 0.0 <= zero_probability <= 1.0:
+        raise ValueError(f"zero_probability must lie in [0, 1], got {zero_probability}")
     rng = np.random.default_rng(seed)
     primes = sieve_primes(N)
     sel = primes[primes > y]
     angles = rng.integers(0, k, size=len(sel))
     zeros = rng.random(len(sel)) < zero_probability
-    assignment: dict[int, int | None] = {}
-    for p, a, z in zip(sel.tolist(), angles.tolist(), zeros.tolist()):
-        assignment[p] = None if z else int(a)
-    return MultiplicativeSpec(k=k, y=float(y), assignment=assignment, N=int(N))
+    assignment = tuple(np.where(zeros, k, angles).tolist())
+    return MultiplicativeSpec(k=k, y=float(y), primes=sel, assignment=assignment, N=int(N))
 
 
 def _completely_multiplicative(at_prime: np.ndarray, spf: np.ndarray, first, combine) -> np.ndarray:
@@ -143,22 +145,23 @@ def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
     the value 0 is the absorbing index k, so the array stays exact until
     it is materialized.
     """
-    N = int(N)
-    if spec.N < N:
-        raise ValueError(f"spec covers primes to {spec.N} < requested {N}")
+    N = _integer_in(N, 2, spec.N, "N")
     k = spec.k
+    spf = smallest_prime_factors(N)
+    n_keep = np.searchsorted(spec.primes, N, side="right")
+    primes = spec.primes[:n_keep]
+    composite = primes[spf[primes] != primes]
+    if composite.size:
+        raise ValueError(f"spec entry {composite[0]} is not a prime")
     ell_at = np.zeros(N + 1, dtype=np.int16)
-    primes, ells = _class_arrays(spec.assignment, k)
-    keep = primes <= N
-    ell_at[primes[keep]] = ells[keep]
-    del primes, ells, keep  # freed before the sieve and the recursion allocate
+    ell_at[primes] = spec.assignment[:n_keep]
 
     def add_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         s = (a + b) % k
         s[(a == k) | (b == k)] = k
         return s
 
-    ell = _completely_multiplicative(ell_at, smallest_prime_factors(N), (k, 0), add_angles)
+    ell = _completely_multiplicative(ell_at, spf, (k, 0), add_angles)
     return np.append(np.exp(2j * np.pi * np.arange(k) / k), 0.0)[ell]
 
 
@@ -169,6 +172,8 @@ def build_g(f: np.ndarray, spf: np.ndarray | None = None) -> np.ndarray:
     """
     if spf is None:
         spf = smallest_prime_factors(len(f) - 1)
+    elif len(spf) < len(f):
+        raise ValueError(f"spf must cover n <= {len(f) - 1}, got a table to {len(spf) - 1}")
     return _completely_multiplicative(np.abs(1.0 + f) - 1.0, spf, (0.0, 1.0), np.multiply)
 
 
@@ -351,9 +356,8 @@ def construct_tracking_spec(
     largest-deficit-first assignment on log-prime weight keeps every
     class's running sum within one prime gap of its target.
     """
-    k = int(k)
-    if k < 2:
-        raise ValueError(f"order must be >= 2, got {k}")
+    k = _integer_in(k, 2, MAX_ORDER, "order k")
+    N = _integer_in(N, 2, SIEVE_CAP, "N")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if not (math.isfinite(y) and y > 1.0):
@@ -392,8 +396,8 @@ def construct_tracking_spec(
         )
     alpha = np.clip(alpha, 0.0, cap)
 
-    assignment = dict(zip(sel.tolist(), _greedy_classes(logs, alpha, k)))
-    return MultiplicativeSpec(k=k, y=float(y), assignment=assignment, N=int(N))
+    assignment = tuple(_greedy_classes(logs, alpha, k))
+    return MultiplicativeSpec(k=k, y=float(y), primes=sel, assignment=assignment, N=N)
 
 
 def _greedy_classes(logs: np.ndarray, alpha: np.ndarray, k: int) -> list[int]:
@@ -494,8 +498,7 @@ def tracking_rows(
 
 def mobius(n: int) -> int:
     """Moebius function by trial division (small n only)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _integer_in(n, 1, math.inf, "n")
     count = 0
     d = 2
     while d * d <= n:
@@ -512,8 +515,7 @@ def mobius(n: int) -> int:
 
 def totient(n: int) -> int:
     """Euler phi by trial division (small n only)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _integer_in(n, 1, math.inf, "n")
     result = n
     d = 2
     m = n

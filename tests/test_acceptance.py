@@ -109,7 +109,7 @@ def second_band_excess(delta: float, U: float) -> float:
 
 def test_criterion_2_order_table():
     t0 = time.perf_counter()
-    rows = table_by_order(4, 17)
+    rows = table_by_order(17)
     elapsed = time.perf_counter() - t0
     failures: list[str] = []
     golden = read_golden("table_k.csv")

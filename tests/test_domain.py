@@ -19,11 +19,18 @@ from extremal_means.dickman import dde_residual_max, rho_total_integral
 from extremal_means.extremal import chi_delta, compute_I, delta_for_U, gamma_odd_order, mean_grid
 from extremal_means.grid import SolutionGrid
 from extremal_means.oracle import (
+    MultiplicativeSpec,
+    build_f,
+    build_g,
     construct_tracking_spec,
     divisor_correlation,
     divisor_domination_check,
     empirical_chi,
+    mobius,
+    random_spec,
     sandwich_check,
+    smallest_prime_factors,
+    totient,
     tracking_rows,
 )
 from extremal_means.sigma import sigma_dde, solve_volterra
@@ -72,6 +79,14 @@ def tracking_base(y):
 
 UNIT_F = np.ones(101, dtype=complex)
 
+
+def small_spec(k=3, y=1.0, primes=(11,), assignment=(1,), N=100):
+    return MultiplicativeSpec(k=k, y=y, primes=np.array(primes), assignment=assignment, N=N)
+
+
+def build_small_f(N):
+    return build_f(random_spec(3, 10.0, 1000, seed=1), N)
+
 # arguments for which +inf is as invalid as nan and -inf
 BOTH_INFINITIES = [
     pytest.param("A", lambda x: order4_bound(x, 0.1), id="A-order4_bound"),
@@ -86,6 +101,27 @@ BOTH_INFINITIES = [
         "n_max", lambda x: divisor_domination_check(UNIT_F, x), id="n_max-divisor_domination_check"
     ),
     pytest.param("n_max", lambda x: sandwich_check(np.ones(101), x), id="n_max-sandwich_check"),
+    pytest.param("order k", lambda x: random_spec(x, 10.0, 100, seed=0), id="k-random_spec"),
+    pytest.param("order k", lambda x: small_spec(k=x), id="k-MultiplicativeSpec"),
+    pytest.param(
+        "order k",
+        lambda x: construct_tracking_spec(x, 0.5, 1e2, 1.0, 10**5),
+        id="k-construct_tracking_spec",
+    ),
+    pytest.param(
+        "zero_probability",
+        lambda x: random_spec(3, 10.0, 100, seed=0, zero_probability=x),
+        id="zero_probability-random_spec",
+    ),
+    pytest.param("y", lambda x: random_spec(3, x, 100, seed=0), id="y-random_spec"),
+    pytest.param("y", lambda x: small_spec(y=x), id="y-MultiplicativeSpec"),
+    pytest.param("N", lambda x: small_spec(N=x), id="N-MultiplicativeSpec"),
+    pytest.param("N", build_small_f, id="N-build_f"),
+    pytest.param(
+        "N", lambda x: construct_tracking_spec(2, 1.0, 1e2, 1.0, x), id="N-construct_tracking_spec"
+    ),
+    pytest.param("n", mobius, id="n-mobius"),
+    pytest.param("n", totient, id="n-totient"),
 ]
 
 
@@ -206,3 +242,53 @@ def test_gamma_odd_order_takes_odd_integers_only(bad):
 def test_tracking_spec_checks_y_and_A(y, A, message):
     with pytest.raises(ValueError, match=message):
         construct_tracking_spec(2, 1.0, y, A, 1000)
+
+
+SIEVE_LAB_REJECTS = {
+    # build_f adds angle indices in int16: past 2^14 the sums wrap
+    "k-above-cap": (lambda: random_spec(20000, 1.0, 10**5, 1), r"^order k .*16384\], got 20000$"),
+    "k-past-int16": (lambda: random_spec(40000, 1.0, 10**5, 1), r"^order k .*got 40000$"),
+    "k-fraction-spec": (lambda: small_spec(k=2.5), r"^order k must be an integer .*got 2.5$"),
+    "k-fraction-tracking": (
+        lambda: construct_tracking_spec(2.5, 0.5, 1e2, 1.0, 10**5),
+        r"^order k .*got 2.5$",
+    ),
+    "index-above-k": (lambda: small_spec(assignment=(4,)), r"^angle indices .*\[0, 3\]"),
+    "index-float": (lambda: small_spec(assignment=(1.0,)), r"^angle indices must be integers"),
+    "index-count": (lambda: small_spec(assignment=(1, 2)), r"^need one angle index per prime"),
+    "prime-above-N": (lambda: small_spec(primes=(101,)), r"^primes must .*in \(1.0, 100\]$"),
+    "prime-at-y": (lambda: small_spec(y=11.0), r"^primes must .*in \(11.0, 100\]$"),
+    "prime-one": (lambda: small_spec(y=-5.0, primes=(1,)), r"^primes must .*in \(1.0, 100\]$"),
+    "primes-descend": (
+        lambda: small_spec(primes=(13, 11), assignment=(1, 1)),
+        r"^primes must .*increase",
+    ),
+    "primes-float": (lambda: small_spec(primes=(11.0,)), r"^primes must be integers"),
+    "N-fraction": (lambda: small_spec(N=100.5), r"^N must be an integer .*got 100.5$"),
+    "entry-composite": (
+        lambda: build_f(small_spec(primes=(4,)), 100),
+        r"^spec entry 4 is not a prime$",
+    ),
+    "N-past-spec": (
+        lambda: build_f(small_spec(N=1000), 2000),
+        r"^N must be an integer in \[2, 1000\], got 2000$",
+    ),
+    "N-negative": (lambda: build_small_f(-5), r"^N must be an integer in \[2, 1000\], got -5$"),
+    "zero-probability-above-1": (
+        lambda: random_spec(3, 10.0, 100, 0, zero_probability=2.0),
+        r"^zero_probability must lie in \[0, 1\], got 2.0$",
+    ),
+    "spf-short": (
+        lambda: build_g(UNIT_F, smallest_prime_factors(50)),
+        r"^spf must cover n <= 100, got a table to 50$",
+    ),
+    "mobius-fraction": (lambda: mobius(2.5), r"^n must be an integer in \[1, inf\], got 2.5$"),
+    "totient-fraction": (lambda: totient(2.5), r"^n must be an integer in \[1, inf\], got 2.5$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIEVE_LAB_REJECTS))
+def test_sieve_lab_rejects_bad_input(case):
+    call, message = SIEVE_LAB_REJECTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -206,8 +206,8 @@ def test_table_keys_and_monotonicity():
 
 def test_table_by_order_validation():
     with pytest.raises(ValueError):
-        table_by_order(3, 2)
+        table_by_order(3)
     with pytest.raises(ValueError):
-        table_by_order(4, 65)
+        table_by_order(65)
     with pytest.raises(ValueError):
-        table_by_order(2, 17)
+        table_by_order(17.0)

@@ -18,6 +18,7 @@ import pytest
 from extremal_means.chi_renewal import extend_chi
 from extremal_means.extremal import find_U
 from extremal_means.oracle import (
+    MAX_ORDER,
     InfeasibleError,
     MultiplicativeSpec,
     StepProfile,
@@ -112,8 +113,8 @@ def test_liouville_partial_sum():
     # all primes sent to the angle index of -1 makes f(n) = (-1)^Omega(n);
     # its partial sum to 10^6 is a classical table value
     N = 10**6
-    assignment = {int(p): 1 for p in sieve_primes(N)}
-    spec = MultiplicativeSpec(k=2, y=1.0, assignment=assignment, N=N)
+    primes = sieve_primes(N)
+    spec = MultiplicativeSpec(k=2, y=1.0, primes=primes, assignment=(1,) * len(primes), N=N)
     f = build_f(spec, N)
     total = complex(np.sum(f[1:]))
     assert abs(total - (-530.0)) < 1e-6
@@ -130,16 +131,35 @@ def test_complete_multiplicativity():
         assert abs(f[m * n] - f[m] * f[n]) < 1e-12
 
 
+def test_complete_multiplicativity_at_the_largest_order():
+    # two angle indices just below MAX_ORDER still add without wrapping int16
+    spec = random_spec(MAX_ORDER, 1.0, 10**5, seed=1)
+    f = build_f(spec, 10**5)
+    rng = np.random.default_rng(0)
+    m = rng.integers(2, 317, size=2000)
+    n = rng.integers(2, 10**5 // m + 1)
+    assert np.max(np.abs(f[m * n] - f[m] * f[n])) < 1e-12
+
+
 def test_build_f_validation():
     spec = random_spec(3, 10.0, 1000, seed=1)
     with pytest.raises(ValueError):
         build_f(spec, 2000)
     with pytest.raises(ValueError):
-        MultiplicativeSpec(k=1, y=1.0, assignment={}, N=100)
+        MultiplicativeSpec(k=1, y=1.0, primes=np.array([], dtype=np.int64), assignment=(), N=100)
     with pytest.raises(ValueError):
-        MultiplicativeSpec(k=3, y=10.0, assignment={7: 1}, N=100)
+        MultiplicativeSpec(k=3, y=10.0, primes=np.array([7]), assignment=(1,), N=100)
     with pytest.raises(ValueError):
-        MultiplicativeSpec(k=3, y=10.0, assignment={11: 3}, N=100)
+        # index k is the value 0, so k + 1 is the first index out of range
+        MultiplicativeSpec(k=3, y=10.0, primes=np.array([11]), assignment=(4,), N=100)
+
+
+def test_random_spec_draw_is_frozen():
+    # a zero drawn at a prime is the absorbing index k
+    spec = random_spec(3, 50.0, 20000, seed=12, zero_probability=0.3)
+    assert len(spec.primes) == len(spec.assignment) == 2247
+    assert Counter(spec.assignment) == {0: 524, 1: 475, 2: 573, 3: 675}
+    assert complex(np.sum(build_f(spec, 20000)[1:])) == (3961.999999999998 - 1176.0624983392663j)
 
 
 def test_companion_g_for_order_three_is_indicator():
@@ -330,7 +350,7 @@ def test_tracking_sums_equal_the_full_running_sums(desk_f):
 
 def test_order3_construction_tracks_target():
     spec = construct_tracking_spec(3, 0.5, 1e3, 1.0, 10**6)
-    counts = Counter(spec.assignment.values())
+    counts = Counter(spec.assignment)
     assert counts[1] == 28080 and counts[2] == 28079  # balanced split, frozen
     f = build_f(spec, 10**6)
     val = empirical_chi(f, 1e3, 1.5)
@@ -359,7 +379,7 @@ def test_tracking_assignment_matches_numpy_greedy(k, delta, y, A, N):
     U = find_U(delta)
     primes = sieve_primes(N)
     sel = primes[(primes > y) & (primes <= y ** (A * U))]
-    assert list(spec.assignment) == sel.tolist()
+    assert spec.primes.tolist() == sel.tolist()
     logs = np.log(sel)
     t = logs / math.log(y)
     chi = np.full(len(sel), -delta)
@@ -367,7 +387,7 @@ def test_tracking_assignment_matches_numpy_greedy(k, delta, y, A, N):
     assert beyond.any()
     chi[beyond] = extend_chi(delta, t_max=A * U).value(t[beyond])
     alpha = np.clip((1.0 - chi) / k, 0.0, 1.0 / (k - 1))
-    assert list(spec.assignment.values()) == numpy_greedy(logs, alpha, k)
+    assert list(spec.assignment) == numpy_greedy(logs, alpha, k)
 
 
 def test_greedy_ties_go_to_the_lowest_class():
