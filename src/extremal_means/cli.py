@@ -21,7 +21,15 @@ import numpy as np
 
 from . import constants, dickman, oracle, verification
 from .chi_renewal import extend_chi
-from .extremal import RootNotFoundError, delta_for_U, find_U, table_by_first_zero, table_by_order
+from .extremal import (
+    TABLE_COLUMNS,
+    RootNotFoundError,
+    TableRow,
+    delta_for_U,
+    find_U,
+    table_by_first_zero,
+    table_by_order,
+)
 from .sigma import sigma_dde
 
 FORMATS = ("csv", "json", "markdown")
@@ -92,27 +100,19 @@ def render_table(grid: str, fmt: str = "csv", digits: int | None = None, kmax: i
     (9 significant figures for the u grid, 10 for the k grid)."""
     if grid == "u":
         digits = _check_digits(9 if digits is None else digits)
-        header = ["u", "delta", "I"]
-        rows = [
-            [_fmt_key(r.key), fmt_table(r.delta, digits), fmt_table(r.I, digits)]
-            for r in table_by_first_zero()
-        ]
+        rows, fmt_key = table_by_first_zero(), _fmt_key
     elif grid == "k":
         digits = _check_digits(10 if digits is None else digits)
-        header = ["k", "delta", "U", "I", "gamma_Sk"]
-        rows = [
-            [
-                str(r.key),
-                fmt_table(r.delta, digits),
-                fmt_table(r.U, digits),
-                fmt_table(r.I, digits),
-                fmt_table(r.gamma_Sk, digits) if r.gamma_Sk is not None else "",
-            ]
-            for r in table_by_order(kmax)
-        ]
+        rows, fmt_key = table_by_order(kmax), str
     else:
         raise ValueError(f"grid must be 'u' or 'k', got {grid!r}")
-    return _render_rows(header, rows, fmt)
+    columns = TABLE_COLUMNS[grid]
+
+    def cells(row: TableRow) -> list[str]:
+        key, *values = (getattr(row, field) for _, field in columns)
+        return [fmt_key(key)] + ["" if v is None else fmt_table(v, digits) for v in values]
+
+    return _render_rows([col for col, _ in columns], [cells(r) for r in rows], fmt)
 
 
 def render_constants(which: str = "all") -> str:
@@ -139,6 +139,8 @@ def render_constants(which: str = "all") -> str:
 
 def render_sigma_grid(delta: float, u_max: float, step: float, fmt: str, digits: int) -> str:
     _check_digits(digits)
+    if not 0.0 < u_max < math.inf:
+        raise ValueError(f"u_max must be finite and positive, got {u_max}")
     if not 0.0 < step <= u_max:
         raise ValueError(f"step must lie in (0, u_max], got {step}")
     _check_rows(u_max, step)

@@ -3,15 +3,15 @@
 Everything here sits a few lines of calculus away from the profile
 machinery: the three-branch bound for order-4 value sets, the crossing of
 two deficiency bounds for unit-disc values, and the minimization behind
-the average-case factor.  Solvers are plain bisection or golden-section
-at fixed tolerance; nothing here touches the marched tables.
+the average-case factor.  The order-4 extremum and the crossing are
+closed forms; the average-case stationary point, e^{-c} = c, is found by
+bisection.  Nothing here touches the marched tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -80,52 +80,21 @@ def order4_bound(A: float, B: float) -> float:
     return 2.0 - LOG2 - B - (1.0 - 1.0 / SQRT2) * A
 
 
-def golden_section_max(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Maximizer of a unimodal function on [a, b] by golden-section search.
-
-    Returns (x, fn(x)) once the bracket is 1e-12 wide.  Near a smooth
-    interior maximum the comparison signal drowns in roundoff once the
-    bracket shrinks below ~sqrt(eps), so a final three-point parabolic
-    vertex step polishes x well past that plateau.
-    """
-    if not b > a:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = float(a), float(b)
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    while hi - lo > 1e-12:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = fn(d)
-    x = 0.5 * (lo + hi)
-    # parabolic polish; step must stay inside [a, b]
-    step = min(1e-5, 0.25 * (b - a))
-    if a + step < x < b - step:
-        f_lo, f_mid, f_hi = fn(x - step), fn(x), fn(x + step)
-        denom = f_hi - 2.0 * f_mid + f_lo
-        if denom < 0.0:
-            shift = 0.5 * step * (f_lo - f_hi) / denom
-            if abs(shift) < step:
-                x = x + shift
-    return x, fn(x)
-
-
 def extremize_order4() -> OrderConstant:
-    """Extremize A -> order4_bound(A, (1-A)/2) over [0, 1].
+    """Maximize the slice A -> order4_bound(A, (1-A)/2) over [0, 1].
 
-    The extremum is an interior maximum (both endpoints evaluate lower);
-    its location has the closed form 2 log((3 - sqrt(2))/2) + 1, which the
-    tests use as an independent check on the search.
+    With B = (1-A)/2 the slice leaves the first branch once
+    A + B > log 2, that is A > 2 log 2 - 1, and stays in the second branch
+    (B <= log 2 throughout).  There it reads, up to a constant,
+    -(1 - 1/sqrt(2)) A - sqrt(2) e^{-B} - (1 + 1/sqrt(2)) B, which is
+    strictly concave in A; its derivative vanishes where
+    e^{-B} = (3 - sqrt(2))/2, so the maximizer is
+    A0 = 1 + 2 log((3 - sqrt(2))/2) = 0.53586..., inside the branch.  On
+    the first branch the slice rises (its A-derivative is positive), so A0
+    is the maximum over all of [0, 1].
     """
-    x, val = golden_section_max(lambda A: order4_bound(A, 0.5 * (1.0 - A)), 0.0, 1.0)
-    return OrderConstant(k=4, value=val, argmin_or_max=x)
+    A0 = 1.0 + 2.0 * math.log((3.0 - SQRT2) / 2.0)
+    return OrderConstant(k=4, value=order4_bound(A0, 0.5 * (1.0 - A0)), argmin_or_max=A0)
 
 
 def order_constant(k: float) -> OrderConstant:
@@ -173,20 +142,11 @@ def unit_disc_bounds() -> UnitDiscBounds:
 
     The rising bound B >= A - 2 + 2 e^{-A/2} and the falling bound
     B >= 2 e^{(1-A)/2} + A - 3 cross where their gap
-    1 + 2 (1 - sqrt(e)) e^{-A/2} vanishes; the gap is strictly increasing
-    in A, so bisection on [0, 1] pins the crossing (closed form:
-    2 log(2 (sqrt(e) - 1))).  The flag records the chain
-    1 - 33 B*/70 <= 34/35.
+    1 + 2 (1 - sqrt(e)) e^{-A/2} vanishes, that is where
+    e^{A/2} = 2 (sqrt(e) - 1): A* = 2 log(2 (sqrt(e) - 1)).  The flag
+    records the chain 1 - 33 B*/70 <= 34/35.
     """
-
-    def gap(A: float) -> float:
-        rising = A - 2.0 + 2.0 * math.exp(-0.5 * A)
-        falling = 2.0 * math.exp(0.5 * (1.0 - A)) + A - 3.0
-        return rising - falling
-
-    if not (gap(0.0) < 0.0 < gap(1.0)):
-        raise RuntimeError("crossing bracket failed")
-    A_star = bisect(lambda A: gap(A) < 0.0, 0.0, 1.0)
+    A_star = 2.0 * math.log(2.0 * (math.sqrt(math.e) - 1.0))
     B_star = A_star - 2.0 + 2.0 * math.exp(-0.5 * A_star)
     check = 1.0 - 33.0 * B_star / 70.0 <= ORDER_LIMIT_VALUE
     return UnitDiscBounds(A_star=A_star, B_star=B_star, check_34_35=check)

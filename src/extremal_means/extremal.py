@@ -70,6 +70,11 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
     `use_closed_form=False` forces the bisection branch (used to test that
     the branches agree at the seam).
 
+    Past (1, 2], the zero lies in (2, 3] exactly when delta >= DELTA_AT_3:
+    U decreases in delta, and DELTA_AT_3 = delta_for_U(3) is the drift
+    whose closed mean vanishes at 3, the smaller root of the quadratic in
+    1 + delta.
+
     The march (sigma_dde_to_first_zero) stops at the first whole unit that
     holds a non-positive node, not at U_CAP, and returns one grid that is
     validated and scanned once.  That grid equals the start of the U_CAP
@@ -85,7 +90,7 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
 
     if sigma_closed(delta, 2.0) <= 0.0:
         lo, hi = 1.0, 2.0
-    elif sigma_closed(delta, 3.0) <= 0.0:
+    elif delta >= DELTA_AT_3:
         lo, hi = 2.0, 3.0
     else:
         zero = locate_first_zero(sigma_dde_to_first_zero(delta, U_CAP))
@@ -143,25 +148,26 @@ def delta_for_U(u: float) -> float:
     return bisect(zero_at_or_past_u, lo, CLOSED_FORM_DELTA, _BISECT_TOL_DELTA)
 
 
+# Drift whose first zero is 3: find_U bisects the closed mean on [2, 3]
+# from here up.
+DELTA_AT_3 = delta_for_U(3.0)
+
+
 def _closed_mean_integral(delta: float, w: float) -> float:
     """Integral of the cutoff mean over [2, w] for 2 <= w <= 3.
 
-    Integrating the closed form and swapping the order of integration in its
-    double-integral tail gives a single smooth quadrature in the inner
-    variable; no nested quadrature is needed.
+    The closed mean is 1 - x log u + x^2 T(u) / 2 with x = 1 + delta.
+    Swapping the order of integration in the tail gives
+    int_2^w T(u) du = int_1^{w-1} ((w-t) log(w-t) - (w-t) + 1)/t dt, and
+    splitting (w-t) log(w-t)/t = w log(w-t)/t - log(w-t) turns that into
+    w T(w) - 2 (w-1) log(w-1) + 2 (w-2), so the one quadrature is T(w).
     """
     if w <= 2.0:
         return 0.0
-    head = (w - 2.0) - (1.0 + delta) * (
-        w * math.log(w) - w - 2.0 * math.log(2.0) + 2.0
-    )
-
-    def inner(t: np.ndarray) -> np.ndarray:
-        wt = w - t
-        return (wt * np.log(wt) - wt + 1.0) / t
-
-    tail = integrate_callable(inner, 1.0, w - 1.0, tol=1e-11)
-    return head + 0.5 * (1.0 + delta) ** 2 * tail.value
+    x = 1.0 + delta
+    head = (w - 2.0) - x * (w * math.log(w) - w - 2.0 * math.log(2.0) + 2.0)
+    tail = w * closed_tail_integral(w) - 2.0 * (w - 1.0) * math.log(w - 1.0) + 2.0 * (w - 2.0)
+    return head + 0.5 * x**2 * tail
 
 
 def _check_zero(U: float) -> None:
@@ -217,6 +223,14 @@ class TableRow:
     U: float
     I: float
     gamma_Sk: float | None = None
+
+
+# Columns of the two summary tables: (header, TableRow field), key column
+# first.  The cli prints them and verify reads the golden CSVs by them.
+TABLE_COLUMNS = {
+    "u": (("u", "key"), ("delta", "delta"), ("I", "I")),
+    "k": (("k", "key"), ("delta", "delta"), ("U", "U"), ("I", "I"), ("gamma_Sk", "gamma_Sk")),
+}
 
 
 def gamma_odd_order(k: int) -> float:

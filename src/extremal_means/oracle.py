@@ -182,10 +182,8 @@ def _primes_from_spf(spf: np.ndarray) -> np.ndarray:
 
 
 def _clamp_n_max(n_max: int, f: np.ndarray) -> int:
-    """n_max, checked, and cut to the last index of f."""
-    if not 1 <= n_max < math.inf:
-        raise ValueError(f"n_max must be finite and >= 1, got {n_max}")
-    return int(min(n_max, len(f) - 1))
+    """n_max, checked to be an integer >= 1, and cut to the last index of f."""
+    return min(_integer_in(n_max, 1, math.inf, "n_max"), len(f) - 1)
 
 
 def divisor_correlation(f: np.ndarray, n_max: int) -> np.ndarray:
@@ -228,9 +226,9 @@ def transforms(f: np.ndarray, N: int, h_max: int | None = None) -> TransformBund
     only small n matter); the deficiency profile jumps at primes, the
     partial-sum profile at every integer.
     """
-    N = int(N)
-    if N > len(f) - 1:
-        raise ValueError(f"f covers n <= {len(f) - 1} < requested {N}")
+    N = _integer_in(N, 2, len(f) - 1, "N")
+    if h_max is not None:
+        _integer_in(h_max, 1, math.inf, "h_max")
     spf = smallest_prime_factors(N)
     primes = _primes_from_spf(spf)
     g = build_g(f[: N + 1], spf)

@@ -198,8 +198,12 @@ def _check_constants_order() -> CheckResult:
     dev = abs(c2 - (2.0 - 2.0 / math.sqrt(math.e)))
     dev = max(dev, abs(c3 - (4.0 / 3.0 - math.exp(-2.0 / 3.0))))
     dev = max(dev, abs(c4.value - 0.8296539745260567))
-    # the stationary point must reproduce the closed-form crossing
-    dev = max(dev, abs(c4.argmin_or_max - 0.5358665577480751) * 1e-2)
+    # the slice must be stationary at the closed-form maximizer
+    def slice_at(a: float) -> float:
+        return constants.order4_bound(a, 0.5 * (1.0 - a))
+
+    a0, eps = c4.argmin_or_max, 1e-6
+    dev = max(dev, abs(slice_at(a0 + eps) - slice_at(a0 - eps)) / (2.0 * eps))
     dev = max(dev, abs(constants.order3_profile_average(math.exp(4.0)) - c3))
     monotone = c2 < c3 < c4.value < constants.ORDER_LIMIT_VALUE
     seam = 0.0
@@ -220,8 +224,8 @@ def _check_constants_order() -> CheckResult:
 
 def _check_constants_disc() -> CheckResult:
     b = constants.unit_disc_bounds()
-    closed_a = 2.0 * math.log(2.0 * (math.sqrt(math.e) - 1.0))
-    dev = abs(b.A_star - closed_a)
+    # B* must sit on both bounds: the rising one and the falling one
+    dev = abs(b.B_star - (2.0 * math.exp(0.5 * (1.0 - b.A_star)) + b.A_star - 3.0))
     dev = max(dev, abs(b.B_star - (b.A_star - 2.0 + 2.0 * math.exp(-b.A_star / 2.0))))
     ok = dev <= 1e-10 and b.check_34_35 and (1.0 - 33.0 * b.B_star / 70.0) <= 34.0 / 35.0
     return CheckResult(
@@ -262,18 +266,11 @@ def _read_rows(path: Path) -> list[dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
-# golden CSV column -> TableRow field, key column first; gamma_Sk is
-# blank in the CSV where the row holds None
-_GOLDEN_COLUMNS = {
-    "u": (("u", "key"), ("delta", "delta"), ("I", "I")),
-    "k": (("k", "key"), ("delta", "delta"), ("U", "U"), ("I", "I"), ("gamma_Sk", "gamma_Sk")),
-}
-
-
 def _check_golden(golden_dir: Path, grid: str) -> CheckResult:
     """Every cell of one summary table against its golden CSV at 1e-7."""
     name = f"golden-table-{grid}"
-    columns = _GOLDEN_COLUMNS[grid]
+    # gamma_Sk is blank in the CSV where the row holds None
+    columns = extremal.TABLE_COLUMNS[grid]
     path = golden_dir / f"table_{grid}.csv"
     golden = _read_rows(path)
     rows = extremal.table_by_first_zero() if grid == "u" else extremal.table_by_order()

@@ -228,6 +228,13 @@ def test_oversized_grids_exit_2_before_allocating(args, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("u_max", ["nan", "-1", "inf"])
+def test_sigma_names_a_bad_u_max(u_max, capsys):
+    code, out, err = run_cli(["sigma", "--delta", "0.3", f"--u-max={u_max}"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: u_max must be finite and positive, got {float(u_max)}\n"
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "table.csv"
     code = main(["table", "--grid", "u", "--output", str(dest)])

@@ -32,6 +32,7 @@ from extremal_means.oracle import (
     smallest_prime_factors,
     totient,
     tracking_rows,
+    transforms,
 )
 from extremal_means.sigma import sigma_dde, solve_volterra
 
@@ -281,6 +282,30 @@ SIEVE_LAB_REJECTS = {
     "spf-short": (
         lambda: build_g(UNIT_F, smallest_prime_factors(50)),
         r"^spf must cover n <= 100, got a table to 50$",
+    ),
+    "transforms-N-fraction": (
+        lambda: transforms(UNIT_F, 100.5),
+        r"^N must be an integer in \[2, 100\], got 100.5$",
+    ),
+    "transforms-N-nan": (
+        lambda: transforms(UNIT_F, math.nan),
+        r"^N must be an integer in \[2, 100\], got nan$",
+    ),
+    "transforms-h_max-fraction": (
+        lambda: transforms(UNIT_F, 100, h_max=2.5),
+        r"^h_max must be an integer in \[1, inf\], got 2.5$",
+    ),
+    "correlation-n_max-fraction": (
+        lambda: divisor_correlation(UNIT_F, 10.7),
+        r"^n_max must be an integer in \[1, inf\], got 10.7$",
+    ),
+    "domination-n_max-fraction": (
+        lambda: divisor_domination_check(UNIT_F, 100.5),
+        r"^n_max must be an integer in \[1, inf\], got 100.5$",
+    ),
+    "sandwich-n_max-fraction": (
+        lambda: sandwich_check(np.ones(101), 100.5),
+        r"^n_max must be an integer in \[1, inf\], got 100.5$",
     ),
     "mobius-fraction": (lambda: mobius(2.5), r"^n must be an integer in \[1, inf\], got 2.5$"),
     "totient-fraction": (lambda: totient(2.5), r"^n must be an integer in \[1, inf\], got 2.5$"),

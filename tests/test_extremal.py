@@ -137,6 +137,47 @@ def test_mean_grid_reads_the_march_to_the_cap(delta):
     )
 
 
+def test_delta_for_U_past_3_never_recomputes_T3(monkeypatch):
+    # find_U tests the [2, 3] regime against DELTA_AT_3, computed once at
+    # import, instead of the closed mean at u = 3
+    import extremal_means.sigma as sigma
+
+    seen = []
+    tail = sigma.closed_tail_integral
+
+    def spy(u):
+        seen.append(u)
+        return tail(u)
+
+    monkeypatch.setattr(sigma, "closed_tail_integral", spy)
+    delta_for_U(4.0)
+    assert seen and 3.0 not in seen
+    assert extremal.DELTA_AT_3 == delta_for_U(3.0)
+
+
+def test_compute_I_second_band_mpmath():
+    """compute_I on [2, 3] against a 30-digit value at the same float U.
+
+    The reference integrates sigma = 1 - (1+d) log u + (1+d)^2 int_2^u
+    log(t-1)/t dt with the inner integral swapped out, not the package's
+    identity for the second-band mean.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for delta in (0.1, 0.2, 0.3):
+            U = find_U(delta)
+            d, u = mp.mpf(delta), mp.mpf(U)
+
+            def s1(t):
+                return 1 - (1 + d) * mp.log(t)
+
+            band3 = mp.quad(s1, [2, u]) + (1 + d) ** 2 * mp.quad(
+                lambda t: (u - t) * mp.log(t - 1) / t, [2, u]
+            )
+            exact = (1 + mp.quad(s1, [1, 2]) + band3) / u
+            assert abs(compute_I(delta, U) - exact) <= 1e-13, delta
+
+
 def test_compute_I_closed_case():
     # delta = 1: U = sqrt(e), and the mean integrates the two closed
     # branches; compare against direct quadrature

@@ -4,7 +4,9 @@ Every `from .x import ...` and `from . import x` counts, including the
 ones deferred into function bodies.  The numerical modules (all but the
 cli and verification wrappers) must form an acyclic graph; grid and
 piecewise, the substrate, import no package module, and sigma, the
-solver layer, sits on grid, piecewise and dickman only.
+solver layer, sits on grid, piecewise and dickman only.  constants sits
+on piecewise alone: its numbers are closed forms and small quadratures,
+and nothing there touches the marched tables.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ def test_numerical_modules_are_acyclic():
 
 def test_sigma_sits_on_grid_piecewise_dickman():
     assert _graph()["sigma"] <= {"grid", "piecewise", "dickman"}
+
+
+def test_constants_sits_on_piecewise_only():
+    assert _graph()["constants"] == {"piecewise"}
 
 
 def test_grid_and_piecewise_import_no_package_module():
