@@ -68,7 +68,8 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
     the closed-form mean while the zero is at most 3, and a marched grid
     beyond that.  Raises RootNotFoundError when the zero would exceed U_CAP.
     `use_closed_form=False` forces the bisection branch (used to test that
-    the branches agree at the seam).
+    the branches agree at the seam): it bisects (1, 2] from the same
+    threshold, delta >= CLOSED_FORM_DELTA.
 
     Past (1, 2], the zero lies in (2, 3] exactly when delta >= DELTA_AT_3:
     U decreases in delta, and DELTA_AT_3 = delta_for_U(3) is the drift
@@ -88,7 +89,7 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
     if use_closed_form and delta >= CLOSED_FORM_DELTA:
         return math.exp(1.0 / (1.0 + delta))
 
-    if sigma_closed(delta, 2.0) <= 0.0:
+    if delta >= CLOSED_FORM_DELTA:
         lo, hi = 1.0, 2.0
     elif delta >= DELTA_AT_3:
         lo, hi = 2.0, 3.0
@@ -123,7 +124,9 @@ def delta_for_U(u: float) -> float:
     On (3, U_CAP] a monotone bisection in delta asks whether
     find_U(d) >= u, and find_U marches only to the first whole unit that
     holds the zero, so a step near the answer marches about ceil(u)
-    units, not U_CAP.
+    units, not U_CAP.  For d >= DELTA_AT_3, find_U(d) is at most 3 (the
+    closed form or a bisection on [2, 3]), so the answer is False without
+    a call: the same answers, midpoints and result, with no T quadrature.
     """
     u = float(u)
     if not U_MIN <= u <= U_CAP:
@@ -135,6 +138,8 @@ def delta_for_U(u: float) -> float:
     # u in (3, U_CAP]: bracket from above, then bisect on find_U itself.
     # RootNotFoundError means the zero is past the cap, hence past u.
     def zero_at_or_past_u(d: float) -> bool:
+        if d >= DELTA_AT_3:
+            return False  # find_U(d) <= 3 < u
         try:
             return find_U(d) >= u
         except RootNotFoundError:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,25 +146,55 @@ def integrate_delay_equation(
     values[:start] must already hold the solution.  Each unit block of at
     most m indices is filled by one cumulative sum, valid because the
     delayed indices i-m, i-m-1 stay strictly below the block start.
+
+    The block is built in values[i:stop] itself, through `out=`, so only
+    its denominators are allocated.  The operations are those of
+    values[i - 1] - cumsum(rate * 0.5 * h * (w_{n-m} + w_{n-m-1}) /
+    (n * h - 0.5 * h)) in the same order, and n converts to a double
+    exactly, so every node keeps its bits.
     """
     if start <= m:
         raise ValueError("need the full history u <= 1 before stepping")
     n_total = len(values)
+    scale = rate * 0.5 * h
     i = start
     while i < n_total:
         stop = min(i + m, n_total)
-        c = rate * 0.5 * h * (values[i - m : stop - m] + values[i - m - 1 : stop - m - 1]) / (
-            np.arange(i, stop) * h - 0.5 * h
-        )
-        values[i:stop] = values[i - 1] - np.cumsum(c)
+        block = values[i:stop]
+        np.add(values[i - m : stop - m], values[i - m - 1 : stop - m - 1], out=block)
+        np.multiply(block, scale, out=block)
+        denom = np.arange(i, stop, dtype=float)
+        denom *= h
+        denom -= 0.5 * h
+        np.divide(block, denom, out=block)
+        np.cumsum(block, out=block)
+        np.subtract(values[i - 1], block, out=block)
         i = stop
 
 
+@lru_cache(maxsize=4)
+def _log_band(m: int, h: float) -> np.ndarray:
+    """log u at the nodes u = (m + 1) h, ..., 2 m h of (1, 2], read-only.
+
+    It does not depend on the rate, so every march at step h shares it.
+    """
+    band = np.log(np.arange(m + 1, 2 * m + 1) * h)
+    band.flags.writeable = False
+    return band
+
+
 def _seed_step_profile(values: np.ndarray, m: int, h: float, rate: float) -> None:
-    """Write the closed form on [0, 2]: 1 on [0, 1], 1 - rate*log u on [1, 2]."""
+    """Write the closed form on [0, 2]: 1 on [0, 1], 1 - rate*log u on [1, 2].
+
+    log u comes from the cached band of step h (np.log works element by
+    element, so a prefix of the band is the log of the shorter range) and
+    1 - rate*log u is formed in place by the same two operations.
+    """
     top = min(2 * m, len(values) - 1)
     values[: m + 1] = 1.0
-    values[m + 1 : top + 1] = 1.0 - rate * np.log(np.arange(m + 1, top + 1) * h)
+    seg = values[m + 1 : top + 1]
+    np.multiply(_log_band(m, h)[: max(top - m, 0)], rate, out=seg)
+    np.subtract(1.0, seg, out=seg)
 
 
 def _march_step_profile(
@@ -193,9 +224,11 @@ def _march_step_profile(
         integrate_delay_equation(coarse[: stop + 1], top + 1, m, h, rate)
         if richardson:
             integrate_delay_equation(fine[: 2 * stop + 1], 2 * top + 1, 2 * m, h / 2.0, rate)
-            values[top + 1 : stop + 1] = (
-                4.0 * fine[2 * top + 2 : 2 * stop + 1 : 2] - coarse[top + 1 : stop + 1]
-            ) / 3.0
+            # (4 fine - coarse) / 3, written in place
+            dst = values[top + 1 : stop + 1]
+            np.multiply(fine[2 * top + 2 : 2 * stop + 1 : 2], 4.0, out=dst)
+            np.subtract(dst, coarse[top + 1 : stop + 1], out=dst)
+            np.divide(dst, 3.0, out=dst)
         top = stop
         yield top, values
 

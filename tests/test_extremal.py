@@ -151,8 +151,61 @@ def test_delta_for_U_past_3_never_recomputes_T3(monkeypatch):
 
     monkeypatch.setattr(sigma, "closed_tail_integral", spy)
     delta_for_U(4.0)
-    assert seen and 3.0 not in seen
+    assert seen == []  # no T past 3 at all, T(3) included
+    # the spy is live: the closed mean on (2, 3] reads T through it
+    sigma.sigma_closed(0.3, 2.5)
+    assert seen == [2.5]
     assert extremal.DELTA_AT_3 == delta_for_U(3.0)
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        CLOSED_FORM_DELTA,
+        float(np.nextafter(CLOSED_FORM_DELTA, 0.0)),
+        float(np.nextafter(CLOSED_FORM_DELTA, 1.0)),
+        0.44,
+        0.5,
+        1.0,
+    ],
+)
+def test_find_U_flags_agree_at_the_closed_form_seam(delta):
+    # the (1, 2] bisection is chosen by delta >= CLOSED_FORM_DELTA, the
+    # threshold of the closed branch
+    assert abs(find_U(delta) - find_U(delta, use_closed_form=False)) <= 1e-12
+
+
+def test_find_U_from_DELTA_AT_3_up_stays_at_most_3():
+    # what lets delta_for_U answer find_U(d) >= u > 3 with False there
+    d3 = extremal.DELTA_AT_3
+    deltas = [d3, float(np.nextafter(d3, 1.0))] + [float(d) for d in np.linspace(d3, 1.0, 100)]
+    for d in deltas:
+        assert find_U(d) <= 3.0
+        assert find_U(d, use_closed_form=False) <= 3.0
+
+
+@pytest.mark.parametrize("u", [3.5, 4.0, 5.0, 8.0])
+def test_delta_for_U_past_3_takes_no_T_quadrature(u, monkeypatch):
+    import extremal_means.sigma as sigma
+
+    t_calls, zero_calls = [], []
+    tail, zero = sigma.closed_tail_integral, extremal.find_U
+
+    def count_t(x):
+        t_calls.append(x)
+        return tail(x)
+
+    def count_zero(*args, **kwargs):
+        zero_calls.append(args)
+        return zero(*args, **kwargs)
+
+    monkeypatch.setattr(sigma, "closed_tail_integral", count_t)
+    monkeypatch.setattr(extremal, "find_U", count_zero)
+    delta_for_U(u)
+    assert t_calls == []
+    # the bisection still asks find_U below DELTA_AT_3, many times a solve
+    assert len(zero_calls) > 1
+    assert all(a[0] < extremal.DELTA_AT_3 for a in zero_calls)
 
 
 def test_compute_I_second_band_mpmath():

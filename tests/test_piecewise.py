@@ -11,6 +11,7 @@ from extremal_means.piecewise import (
     ConstantSegment,
     PiecewiseFunction,
     QuadratureError,
+    QuadratureResult,
     SampledSegment,
     bisect,
     integrate_callable,
@@ -57,6 +58,71 @@ def test_integrate_callable_matches_antiderivative(coeffs, width):
     r = integrate_callable(fn, 0.5, 0.5 + width, tol=1e-12)
     scale = max(1.0, abs(r.value))
     assert abs(r.value - (F(0.5 + width) - F(0.5))) < 1e-10 * scale
+
+
+def _per_level_reference(fn, a, b, tol):
+    """_adaptive_simpson with each level summed by float(np.sum(...))."""
+    fa, fb = float(fn(np.array([a]))[0]), float(fn(np.array([b]))[0])
+    evals = 2
+    trap = 0.5 * (b - a) * (fa + fb)
+    simpson_prev = None
+    n = 1
+    for _ in range(24):
+        step = (b - a) / n
+        total_mid = 0.0
+        for lo in range(0, n, 1 << 20):
+            hi = min(lo + (1 << 20), n)
+            xm = a + (np.arange(lo, hi, dtype=float) + 0.5) * step
+            total_mid += float(np.sum(np.asarray(fn(xm), dtype=float)))
+            evals += hi - lo
+        trap_next = 0.5 * trap + 0.5 * step * total_mid
+        simpson = (4.0 * trap_next - trap) / 3.0
+        if simpson_prev is not None:
+            err = abs(simpson - simpson_prev)
+            if err <= tol * max(1.0, abs(simpson)):
+                return QuadratureResult(float(simpson), float(err), evals)
+        simpson_prev = simpson
+        trap = trap_next
+        n *= 2
+    raise AssertionError("the reference did not converge")
+
+
+def _reference_with_breakpoints(fn, a, b, tol, breakpoints):
+    pts = sorted({a, b} | {p for p in breakpoints if a < p < b})
+    value = err = 0.0
+    evals = 0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        r = _per_level_reference(fn, lo, hi, tol)
+        value += r.value
+        err += r.est_error
+        evals += r.evaluations
+    return QuadratureResult(value, err, evals)
+
+
+def _quadrature_cases():
+    from extremal_means.dickman import rho
+    from extremal_means.extremal import find_U, mean_grid
+
+    for u in np.linspace(2.0, 3.0, 201)[1:]:
+        u = float(u)
+        yield (lambda t, u=u: np.log(u - t) / t), 1.0, u - 1.0, 1e-12, ()
+    for delta in (0.03, 1e-3):  # U in (3, 4) and (4, 5)
+        U = find_U(delta)
+        cuts = [float(j) for j in range(4, int(np.floor(U)) + 1)]
+        yield mean_grid(delta, U).value_cubic, 3.0, U, 1e-11, cuts
+    yield rho, 2.0, 6.0, 1e-11, (3.0, 4.0, 5.0)
+    # a square-root cusp off the halving points: 2^20 + 1 evaluations
+    yield (lambda t: np.sqrt(np.abs(t - 0.3))), 0.0, 1.0, 1e-9, ()
+
+
+def test_level_sums_keep_the_per_level_reference_bits():
+    # np.add.reduce is the reduction np.sum wraps: same pairwise sum, same bits
+    deep = 0
+    for fn, a, b, tol, cuts in _quadrature_cases():
+        got = integrate_callable(fn, a, b, tol=tol, breakpoints=cuts)
+        assert got == _reference_with_breakpoints(fn, a, b, tol, cuts)
+        deep = max(deep, got.evaluations)
+    assert deep >= 2**14 + 1  # at least 14 halvings in one case
 
 
 def _recording(pred):

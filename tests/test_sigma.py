@@ -4,12 +4,14 @@ and the series cross-check."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extremal_means import grid
 from extremal_means.chi_renewal import extend_chi, verify_sigma_vanishes
 from extremal_means.dickman import rho
 from extremal_means.extremal import chi_delta, compute_I, find_U, locate_first_zero
@@ -99,19 +101,78 @@ def _gathering_stepper(values, start, m, h, rate):
         i = stop
 
 
+def _textbook_seed(values, m, h, rate):
+    """The closed form on [0, 2], with its own np.log over the nodes of (1, 2]."""
+    top = min(2 * m, len(values) - 1)
+    values[: m + 1] = 1.0
+    values[m + 1 : top + 1] = 1.0 - rate * np.log(np.arange(m + 1, top + 1) * h)
+
+
+def _reference_step_profile(rate, u_max, h, richardson):
+    """solve_step_profile from the textbook seed, the gathering stepper and
+    the Richardson combine written as one expression."""
+    m, n = round(1.0 / h), round(u_max / h)
+    coarse = np.empty(n + 1)
+    _textbook_seed(coarse, m, h, rate)
+    if n > 2 * m:
+        _gathering_stepper(coarse, 2 * m + 1, m, h, rate)
+    if not richardson:
+        return coarse
+    fine = _reference_step_profile(rate, u_max, h / 2.0, False)
+    out = (4.0 * fine[::2] - coarse) / 3.0
+    out[: 2 * m + 1] = coarse[: 2 * m + 1]
+    return out
+
+
 @pytest.mark.parametrize("h, u_max", [(1e-3, 7.5), (1e-4, 5.0)])
 def test_march_equals_the_gathering_reference(h, u_max):
-    # reading the delayed values through slices must not change a bit
-    delta, m = 0.3, round(1.0 / h)
+    # reading the delayed values through slices, stepping each block in
+    # place and seeding from the cached log band must not change a bit
+    delta = 0.3
     coarse = sigma_dde(delta, u_max, h=h, richardson=False).values
-    expected = coarse.copy()
-    _gathering_stepper(expected, 2 * m + 1, m, h, 1.0 + delta)
-    assert np.array_equal(coarse, expected)
-    # Richardson: (4 fine - coarse) / 3, with the closed form kept on [0, 2]
+    assert np.array_equal(coarse, _reference_step_profile(1.0 + delta, u_max, h, False))
+    # the half step, then Richardson: (4 fine - coarse) / 3, with the
+    # closed form kept on [0, 2]
     fine = sigma_dde(delta, u_max, h=h / 2.0, richardson=False).values
-    expected = (4.0 * fine[::2] - coarse) / 3.0
-    expected[: 2 * m + 1] = coarse[: 2 * m + 1]
-    assert np.array_equal(sigma_dde(delta, u_max, h=h).values, expected)
+    assert np.array_equal(fine, _reference_step_profile(1.0 + delta, u_max, h / 2.0, False))
+    sharp = sigma_dde(delta, u_max, h=h).values
+    assert np.array_equal(sharp, _reference_step_profile(1.0 + delta, u_max, h, True))
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("u_max", [0.5, 1.0, 1.5, 2.0, 3.25])
+def test_short_horizons_keep_the_textbook_seed(u_max, richardson):
+    # below 2 the seed takes a prefix of the cached band, below 1 none of it
+    for h in (1e-4, 5e-5):
+        got = solve_step_profile(1.3, u_max, h, richardson).values
+        assert np.array_equal(got, _reference_step_profile(1.3, u_max, h, richardson))
+
+
+@pytest.mark.parametrize("h", [1e-4, 5e-5])
+def test_log_band_is_cached_and_read_only(h):
+    m = round(1.0 / h)
+    band = grid._log_band(m, h)
+    assert band is grid._log_band(m, h)
+    assert np.array_equal(band, np.log(np.arange(m + 1, 2 * m + 1) * h))
+    with pytest.raises(ValueError):
+        band[0] = 0.0
+
+
+def test_stepper_allocates_only_the_block_denominators():
+    # three unit blocks at m = 10^4; per-block temporaries (the delayed
+    # sum, its scaled copy, an index array, the cumsum) would be 5 * 8m
+    m, rate = 10_000, 1.3
+    h = 1.0 / m
+    values = np.empty(5 * m + 1)
+    values[: 2 * m + 1] = solve_step_profile(rate, 2.0, h, False).values
+    tracemalloc.start()
+    try:
+        grid.integrate_delay_equation(values, 2 * m + 1, m, h, rate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * m
+    assert np.array_equal(values, _reference_step_profile(rate, 5.0, h, False))
 
 
 def test_richardson_sharpens_coarse_march():
