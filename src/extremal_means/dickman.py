@@ -1,9 +1,22 @@
-"""The smooth-number density function and its delay-equation table.
+"""The smooth-number density function and its per-unit power series.
 
 rho(u) solves u*rho'(u) = -rho(u-1) with rho = 1 on [0, 1].  Closed
-forms exist through u = 2 (1 - log u on [1, 2]); past that the table is
-the step-profile march at rate 1 (grid.solve_step_profile), sharpened by
-one Richardson extrapolation against a half-step solve.
+forms exist through u = 2 (1 - log u on [1, 2]); past that each unit
+[k, k+1] holds one power series about its centre c = k + 1/2, the
+classical route of van de Lune & Wattel (Math. Comp. 23, 1969) and
+Marsaglia, Zaman & Marsaglia (Math. Comp. 53, 1989).
+
+With rho(c + z) = sum a_n z^n and b_n the previous unit's coefficients,
+the delay equation gives c*(n+1)*a_{n+1} + n*a_n = -b_n, which fixes
+a_1, a_2, ... from b alone.  a_0 comes from the integral form of the
+equation, u*rho(u) = integral_{u-1}^{u} rho, taken at z = 0:
+
+    k*a_0 = sum b_n (1/2)^(n+1)/(n+1) + sum_{n>=1} a_n (-1)^n (1/2)^(n+1)/(n+1),
+
+a sum of positive terms.  Continuity at u = k would instead subtract
+nearly equal numbers and lose relative accuracy unit by unit.  A unit's
+continuation is singular only at the integers <= k - 1, 3/2 from the
+centre, so the terms fall like 3^-n and 40 of them reach 1e-19.
 """
 
 from __future__ import annotations
@@ -13,8 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .grid import SolutionGrid, solve_step_profile
-from .piecewise import bisect, integrate_callable
+from .piecewise import bisect
 
 __all__ = [
     "default_table",
@@ -26,25 +38,60 @@ __all__ = [
 
 LOG2 = float(np.log(2.0))
 
+UNITS = 40  # rho is tabulated on [0, UNITS]
+TERMS = 40
+U_MAX = float(UNITS)
+
+# integral_0^{1/2} z^n dz = (1/2)^(n+1)/(n+1)
+_HALF_MOMENTS = [0.5 ** (n + 1) / (n + 1) for n in range(TERMS)]
+
+# dde_residual_max differentiates rho at the nodes of this step
+RESIDUAL_STEPS = 10_000
+RESIDUAL_H = 1.0 / RESIDUAL_STEPS
+
 
 @cache
-def default_table() -> SolutionGrid:
-    """rho on [0, 40] at step 1e-4, sharpened by one Richardson pass."""
-    return solve_step_profile(1.0, 40.0, 1e-4, True)
+def default_table() -> np.ndarray:
+    """Coefficients of rho about k + 1/2 on the units [k, k+1], k < UNITS.
+
+    Row k holds a_0, ..., a_{TERMS-1}; row 0 is the constant 1.  Built in
+    plain floats; the array is read-only.
+    """
+    prev = [1.0] + [0.0] * (TERMS - 1)
+    rows = [prev]
+    for k in range(1, UNITS):
+        c = k + 0.5
+        a = [0.0] * TERMS
+        for n in range(TERMS - 1):
+            a[n + 1] = -(prev[n] + n * a[n]) / (c * (n + 1))
+        total = sum(b * w for b, w in zip(prev, _HALF_MOMENTS))
+        total += sum(a[n] * (-w if n % 2 else w) for n, w in enumerate(_HALF_MOMENTS) if n)
+        a[0] = total / k
+        rows.append(a)
+        prev = a
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
 
 
 def rho(u: float | np.ndarray) -> float | np.ndarray:
-    """rho(u); exact on [0, 2], cubic off-grid interpolation beyond."""
-    grid = default_table()
+    """rho(u); exact on [0, 2], one unit's power series beyond.
+
+    u in (k, k+1] reads unit k (u = 40 the last unit).  A scalar is
+    evaluated by Horner in plain floats, an array by Horner over one
+    gathered coefficient column per term; both take the same operations
+    in the same order, so a scalar gives the same double as the same u
+    inside an array.
+    """
     u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    u_arr = np.atleast_1d(u_arr)
+    if u_arr.ndim == 0:
+        return _rho_scalar(float(u_arr))
     if not np.all(np.isfinite(u_arr)):
         raise ValueError("argument must be finite")
     out = np.zeros_like(u_arr)
     if np.any(u_arr < 0.0):
         raise ValueError("argument must be nonnegative")
-    if np.any(u_arr > grid.u_max + 1e-12):
+    if np.any(u_arr > U_MAX + 1e-12):
         raise ValueError("argument beyond tabulated range")
     low = u_arr <= 1.0
     out[low] = 1.0
@@ -52,67 +99,101 @@ def rho(u: float | np.ndarray) -> float | np.ndarray:
     out[mid] = 1.0 - np.log(u_arr[mid])
     high = u_arr > 2.0
     if np.any(high):
-        out[high] = grid.value_cubic(u_arr[high])
-    if scalar:
-        return float(out[0])
+        uh = u_arr[high]
+        k = np.minimum(np.ceil(uh).astype(np.intp) - 1, UNITS - 1)
+        z = uh - (k + 0.5)
+        columns = default_table().T
+        acc = columns[-1][k]
+        for col in columns[-2::-1]:
+            acc *= z
+            acc += col[k]
+        out[high] = acc
     return out
+
+
+def _rho_scalar(u: float) -> float:
+    if not math.isfinite(u):
+        raise ValueError("argument must be finite")
+    if u < 0.0:
+        raise ValueError("argument must be nonnegative")
+    if u > U_MAX + 1e-12:
+        raise ValueError("argument beyond tabulated range")
+    if u <= 1.0:
+        return 1.0
+    if u <= 2.0:
+        return float(1.0 - np.log(u))
+    k = min(math.ceil(u) - 1, UNITS - 1)
+    z = u - (k + 0.5)
+    coef = default_table()[k].tolist()
+    acc = coef.pop()
+    for a in reversed(coef):
+        acc = acc * z + a
+    return acc
 
 
 def rho_inverse(x: float) -> float:
     """Smallest u >= 1 with rho(u) = x, for 0 < x <= 1.
 
     The branch on [1, 2] inverts in closed form; below rho(2) the
-    table is bisected (rho is strictly decreasing for u >= 1).
+    series is bisected (rho is strictly decreasing for u >= 1).
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("inverse needs 0 < x <= 1")
     if x >= 1.0 - LOG2:
         return float(np.exp(1.0 - x))
-    top = default_table().u_max
-    if rho(top) > x:
+    if rho(U_MAX) > x:
         raise ValueError("target below the tabulated range of rho")
-    return bisect(lambda u: rho(u) > x, 2.0, top, 1e-13)
+    return bisect(lambda u: rho(u) > x, 2.0, U_MAX, 1e-13)
+
+
+def _antiderivative(coef: list[float], z: float) -> float:
+    """sum a_n z^(n+1)/(n+1), by Horner."""
+    acc = 0.0
+    for n in range(len(coef) - 1, -1, -1):
+        acc = acc * z + coef[n] / (n + 1)
+    return acc * z
 
 
 def rho_total_integral(u_cut: float = 20.0) -> float:
     """integral_0^{u_cut} rho; converges to exp(Euler gamma) as u_cut grows.
 
     [0, 2] in closed form (integral of 1 - log u is 2u - u log u - 2
-    past 1), then adaptive quadrature on the table split at integer
-    kink points.
+    past 1), then each unit's polynomial integrated exactly.
     """
-    top = default_table().u_max
-    if not 2.0 <= u_cut <= top:
-        raise ValueError(f"u_cut must be finite and lie in [2, {top}], got {u_cut}")
-    closed = 1.0 + (2.0 * 2.0 - 2.0 * np.log(2.0) - 2.0) - 0.0
-    if u_cut == 2.0:
-        return closed
-    cuts = [float(k) for k in range(3, int(np.floor(u_cut)) + 1)]
-    tail = integrate_callable(lambda t: np.asarray(rho(t)), 2.0, u_cut, tol=1e-10, breakpoints=cuts)
-    return closed + tail.value
+    if not 2.0 <= u_cut <= U_MAX:
+        raise ValueError(f"u_cut must be finite and lie in [2, {U_MAX}], got {u_cut}")
+    total = 1.0 + (2.0 * 2.0 - 2.0 * np.log(2.0) - 2.0) - 0.0
+    table = default_table()
+    for k in range(2, math.ceil(u_cut)):
+        coef = table[k].tolist()
+        top = min(u_cut - (k + 0.5), 0.5)
+        total += _antiderivative(coef, top) - _antiderivative(coef, -0.5)
+    return float(total)
 
 
 def dde_residual_max(lo: float = 1.5, hi: float = 10.0) -> float:
-    """Max |u*rho'(u) + rho(u-1)| over grid nodes in [lo, hi].
+    """Max |u*rho'(u) + rho(u-1)| over the nodes of step RESIDUAL_H in [lo, hi].
 
-    rho' is taken by centered differences on the table.  Nodes where
-    the second derivative jumps (u = 2 exactly) are excluded: a
+    rho' is taken by centered differences of rho at the nodes.  Nodes
+    where the second derivative jumps (u = 2 exactly) are excluded: a
     centered difference straddling a curvature jump is only first
-    order accurate, which says nothing about the table itself.
+    order accurate, which says nothing about rho itself.
     """
     if not 0.0 <= lo < math.inf:
         raise ValueError(f"lo must be finite and >= 0, got {lo}")
     if not lo < hi < math.inf:
         raise ValueError(f"hi must be finite and > lo = {lo}, got {hi}")
-    g = default_table()
-    h, v = g.h, g.values
-    m = g.m
+    h, m = RESIDUAL_H, RESIDUAL_STEPS
     n_lo = max(int(np.ceil(lo / h)), m + 1)
-    n_hi = min(int(np.floor(hi / h)), len(v) - 2)
+    n_hi = min(int(np.floor(hi / h)), UNITS * m - 1)
     idx = np.arange(n_lo, n_hi + 1)
     idx = idx[idx != 2 * m]
     if not idx.size:
         raise ValueError(f"[{lo}, {hi}] holds no table node past u = 1 other than u = 2")
-    deriv = (v[idx + 1] - v[idx - 1]) / (2.0 * h)
-    resid = idx * h * deriv + v[idx - m]
+    # v holds rho at every node read: the delayed n - m up to the last n + 1
+    base = n_lo - m
+    v = rho(np.arange(base, n_hi + 2) * h)
+    j = idx - base
+    deriv = (v[j + 1] - v[j - 1]) / (2.0 * h)
+    resid = idx * h * deriv + v[j - m]
     return float(np.max(np.abs(resid)))

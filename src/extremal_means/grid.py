@@ -29,9 +29,10 @@ __all__ = [
     "steps_per_unit",
 ]
 
-# Most nodes a grid may span at its step: 16 MB a float64 array.  The
-# largest grid in use, the default rho table (u_max 40, h 1e-4), spans
-# 400,000; its Richardson half-step grid doubles that.
+# Most nodes a grid may span at its step: 16 MB a float64 array.  It
+# bounds what a caller-chosen horizon and step (`sigma --u-max`,
+# `chi-extend --h`) can ask for; the marched means and renewal samples
+# the package builds itself stay well below it.
 MAX_NODES = 2_000_000
 
 
@@ -148,10 +149,11 @@ def integrate_delay_equation(
     delayed indices i-m, i-m-1 stay strictly below the block start.
 
     The block is built in values[i:stop] itself, through `out=`, so only
-    its denominators are allocated.  The operations are those of
-    values[i - 1] - cumsum(rate * 0.5 * h * (w_{n-m} + w_{n-m-1}) /
-    (n * h - 0.5 * h)) in the same order, and n converts to a double
-    exactly, so every node keeps its bits.
+    its denominators are allocated, and they are released before the
+    next block's are.  The operations are those of values[i - 1] -
+    cumsum(rate * 0.5 * h * (w_{n-m} + w_{n-m-1}) / (n * h - 0.5 * h))
+    in the same order, and n converts to a double exactly, so every node
+    keeps its bits.
     """
     if start <= m:
         raise ValueError("need the full history u <= 1 before stepping")
@@ -167,6 +169,7 @@ def integrate_delay_equation(
         denom *= h
         denom -= 0.5 * h
         np.divide(block, denom, out=block)
+        del denom
         np.cumsum(block, out=block)
         np.subtract(values[i - 1], block, out=block)
         i = stop

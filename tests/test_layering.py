@@ -4,9 +4,10 @@ Every `from .x import ...` and `from . import x` counts, including the
 ones deferred into function bodies.  The numerical modules (all but the
 cli and verification wrappers) must form an acyclic graph; grid and
 piecewise, the substrate, import no package module, and sigma, the
-solver layer, sits on grid, piecewise and dickman only.  constants sits
-on piecewise alone: its numbers are closed forms and small quadratures,
-and nothing there touches the marched tables.
+solver layer, sits on grid, piecewise and dickman only.  constants and
+dickman sit on piecewise alone: their numbers are closed forms, power
+series and small quadratures, and nothing there touches the marched
+grids.
 """
 
 from __future__ import annotations
@@ -61,3 +62,7 @@ def test_constants_sits_on_piecewise_only():
 def test_grid_and_piecewise_import_no_package_module():
     graph = _graph()
     assert graph["grid"] == set() and graph["piecewise"] == set()
+
+
+def test_dickman_sits_on_piecewise_only():
+    assert _graph()["dickman"] == {"piecewise"}

@@ -160,7 +160,8 @@ def test_log_band_is_cached_and_read_only(h):
 
 def test_stepper_allocates_only_the_block_denominators():
     # three unit blocks at m = 10^4; per-block temporaries (the delayed
-    # sum, its scaled copy, an index array, the cumsum) would be 5 * 8m
+    # sum, its scaled copy, an index array, the cumsum) would be 5 * 8m,
+    # and a block's denominators kept while the next are built 2 * 8m
     m, rate = 10_000, 1.3
     h = 1.0 / m
     values = np.empty(5 * m + 1)
@@ -171,7 +172,7 @@ def test_stepper_allocates_only_the_block_denominators():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * m
+    assert peak < 1.5 * 8 * m
     assert np.array_equal(values, _reference_step_profile(rate, 5.0, h, False))
 
 
