@@ -77,15 +77,12 @@ def default_table() -> np.ndarray:
 def rho(u: float | np.ndarray) -> float | np.ndarray:
     """rho(u); exact on [0, 2], one unit's power series beyond.
 
-    u in (k, k+1] reads unit k (u = 40 the last unit).  A scalar is
-    evaluated by Horner in plain floats, an array by Horner over one
-    gathered coefficient column per term; both take the same operations
-    in the same order, so a scalar gives the same double as the same u
-    inside an array.
+    u in (k, k+1] reads unit k (u = 40 the last unit), evaluated by
+    Horner over one gathered coefficient column per term.
     """
     u_arr = np.asarray(u, dtype=float)
-    if u_arr.ndim == 0:
-        return _rho_scalar(float(u_arr))
+    scalar = u_arr.ndim == 0
+    u_arr = np.atleast_1d(u_arr)
     if not np.all(np.isfinite(u_arr)):
         raise ValueError("argument must be finite")
     out = np.zeros_like(u_arr)
@@ -108,27 +105,9 @@ def rho(u: float | np.ndarray) -> float | np.ndarray:
             acc *= z
             acc += col[k]
         out[high] = acc
+    if scalar:
+        return float(out[0])
     return out
-
-
-def _rho_scalar(u: float) -> float:
-    if not math.isfinite(u):
-        raise ValueError("argument must be finite")
-    if u < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if u > U_MAX + 1e-12:
-        raise ValueError("argument beyond tabulated range")
-    if u <= 1.0:
-        return 1.0
-    if u <= 2.0:
-        return float(1.0 - np.log(u))
-    k = min(math.ceil(u) - 1, UNITS - 1)
-    z = u - (k + 0.5)
-    coef = default_table()[k].tolist()
-    acc = coef.pop()
-    for a in reversed(coef):
-        acc = acc * z + a
-    return acc
 
 
 def rho_inverse(x: float) -> float:
@@ -157,18 +136,18 @@ def _antiderivative(coef: list[float], z: float) -> float:
 def rho_total_integral(u_cut: float = 20.0) -> float:
     """integral_0^{u_cut} rho; converges to exp(Euler gamma) as u_cut grows.
 
-    [0, 2] in closed form (integral of 1 - log u is 2u - u log u - 2
-    past 1), then each unit's polynomial integrated exactly.
+    [0, 2] in closed form (1 on [0, 1], 2 - 2 log 2 for 1 - log u on
+    [1, 2]), then each unit's polynomial integrated exactly.
     """
     if not 2.0 <= u_cut <= U_MAX:
         raise ValueError(f"u_cut must be finite and lie in [2, {U_MAX}], got {u_cut}")
-    total = 1.0 + (2.0 * 2.0 - 2.0 * np.log(2.0) - 2.0) - 0.0
+    total = 3.0 - 2.0 * LOG2
     table = default_table()
     for k in range(2, math.ceil(u_cut)):
         coef = table[k].tolist()
         top = min(u_cut - (k + 0.5), 0.5)
         total += _antiderivative(coef, top) - _antiderivative(coef, -0.5)
-    return float(total)
+    return total
 
 
 def dde_residual_max(lo: float = 1.5, hi: float = 10.0) -> float:

@@ -172,7 +172,7 @@ def test_inverse_round_trip_to_1e12(u):
 
 def test_scalar_is_the_array_path_bit_for_bit():
     rng = np.random.default_rng(3)
-    us = np.concatenate([np.linspace(0.0, 40.0, 4001), rng.uniform(2.0, 40.0, 1000)])
+    us = np.concatenate([np.linspace(0.0, 40.0, 401), rng.uniform(2.0, 40.0, 100)])
     arr = rho(us)
     assert [rho(float(u)) for u in us] == arr.tolist()
     assert type(rho(np.float64(7.3))) is float
