@@ -125,29 +125,19 @@ def rho_inverse(x: float) -> float:
     return bisect(lambda u: rho(u) > x, 2.0, U_MAX, 1e-13)
 
 
-def _antiderivative(coef: list[float], z: float) -> float:
-    """sum a_n z^(n+1)/(n+1), by Horner."""
-    acc = 0.0
-    for n in range(len(coef) - 1, -1, -1):
-        acc = acc * z + coef[n] / (n + 1)
-    return acc * z
-
-
 def rho_total_integral(u_cut: float = 20.0) -> float:
     """integral_0^{u_cut} rho; converges to exp(Euler gamma) as u_cut grows.
 
-    [0, 2] in closed form (1 on [0, 1], 2 - 2 log 2 for 1 - log u on
-    [1, 2]), then each unit's polynomial integrated exactly.
+    The integral form u*rho(u) = integral_{u-1}^{u} rho gives
+    F(u) = u*rho(u) + F(u-1) for F(u) = integral_0^u rho, with F(u) = u
+    on [0, 1], so F(u_cut) = u_cut - n + sum_{j<n} (u_cut-j)*rho(u_cut-j),
+    n = floor(u_cut).
     """
     if not 2.0 <= u_cut <= U_MAX:
         raise ValueError(f"u_cut must be finite and lie in [2, {U_MAX}], got {u_cut}")
-    total = 3.0 - 2.0 * LOG2
-    table = default_table()
-    for k in range(2, math.ceil(u_cut)):
-        coef = table[k].tolist()
-        top = min(u_cut - (k + 0.5), 0.5)
-        total += _antiderivative(coef, top) - _antiderivative(coef, -0.5)
-    return total
+    n = math.floor(u_cut)
+    w = u_cut - np.arange(n)
+    return float(u_cut - n + np.sum(w * rho(w)))
 
 
 def dde_residual_max(lo: float = 1.5, hi: float = 10.0) -> float:

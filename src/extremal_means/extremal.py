@@ -4,8 +4,9 @@ The cutoff profile chi_delta (1 on [0,1), -delta on [1,U)) produces a mean
 sigma_delta that decreases from 1 and crosses zero at a finite point U_delta
 once delta > 0.  This module locates that first zero on the solutions from
 sigma, inverts the map delta -> U_delta, builds chi_delta, and integrates
-the mean up to the zero.  Those operations generate the two tables
-exported by the command line tool.
+the mean up to the zero by the delay equation's integral identity, from
+point values of the mean and no quadrature of it.  Those operations
+generate the two tables exported by the command line tool.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SolutionGrid
-from .piecewise import ConstantSegment, PiecewiseFunction, bisect, integrate_callable
+from .piecewise import ConstantSegment, PiecewiseFunction, bisect
 from .sigma import closed_tail_integral, sigma_closed, sigma_dde, sigma_dde_to_first_zero
 
 # Above this delta the first zero sits in (1,2] and solves
@@ -158,23 +159,6 @@ def delta_for_U(u: float) -> float:
 DELTA_AT_3 = delta_for_U(3.0)
 
 
-def _closed_mean_integral(delta: float, w: float) -> float:
-    """Integral of the cutoff mean over [2, w] for 2 <= w <= 3.
-
-    The closed mean is 1 - x log u + x^2 T(u) / 2 with x = 1 + delta.
-    Swapping the order of integration in the tail gives
-    int_2^w T(u) du = int_1^{w-1} ((w-t) log(w-t) - (w-t) + 1)/t dt, and
-    splitting (w-t) log(w-t)/t = w log(w-t)/t - log(w-t) turns that into
-    w T(w) - 2 (w-1) log(w-1) + 2 (w-2), so the one quadrature is T(w).
-    """
-    if w <= 2.0:
-        return 0.0
-    x = 1.0 + delta
-    head = (w - 2.0) - x * (w * math.log(w) - w - 2.0 * math.log(2.0) + 2.0)
-    tail = w * closed_tail_integral(w) - 2.0 * (w - 1.0) * math.log(w - 1.0) + 2.0 * (w - 2.0)
-    return head + 0.5 * x**2 * tail
-
-
 def _check_zero(U: float) -> None:
     if not 1.0 < U <= U_CAP:
         raise ValueError(f"U must be finite and lie in (1, {U_CAP}], got {U}")
@@ -183,7 +167,7 @@ def _check_zero(U: float) -> None:
 def mean_grid(delta: float, U: float) -> SolutionGrid:
     """The pre-cutoff mean for delta, marched on [0, max(2, ceil U)].
 
-    Every reader of the mean on [0, U] takes it from this grid.  A
+    Every reader of the mean past 3 takes it from this grid.  A
     shorter march is the start of a longer one, node for node, and the
     stencil helper behind value_cubic (grid._stencil_start) picks the
     same stencil on both, so the values on [0, U] are those of any
@@ -196,26 +180,23 @@ def mean_grid(delta: float, U: float) -> SolutionGrid:
 def compute_I(delta: float, U: float) -> float:
     """Average of the cutoff mean over [0, U]: the table quantity I.
 
-    U is the first zero for delta.  Closed forms cover [0, 3]; past 3 the
-    mean is integrated on a marched sigma_dde grid.
+    U is the first zero for delta.  Integrating the delay equation
+    d/du[u*s] = s(u) - x*s(u-1), x = 1 + delta, over [1, w] gives
+    F(w) = w*s(w) + x*F(w-1) for F(w) = int_0^w s, with F(w) = w on
+    [0, 1].  So F(U) needs s only at U, U-1, ..., U-floor(U)+1, read
+    from sigma_closed up to 3 and from mean_grid past 3.
     """
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     _check_zero(U)
-    if U <= 2.0:
-        return (1.0 + delta) * (U - 1.0) / U
-
-    # [0,2] in closed form: plateau of length 1 plus 1 - (1+d) log u piece
-    total = 2.0 - (1.0 + delta) * (2.0 * math.log(2.0) - 1.0)
-    w = min(U, 3.0)
-    total += _closed_mean_integral(delta, w)
-    if U > 3.0:
-        cuts = [float(j) for j in range(4, int(math.floor(U)) + 1)]
-        tail = integrate_callable(
-            mean_grid(delta, U).value_cubic, 3.0, U, tol=1e-11, breakpoints=cuts
-        )
-        total += tail.value
+    grid = mean_grid(delta, U) if U > 3.0 else None
+    n = math.floor(U)
+    total = U - n
+    for j in range(n - 1, -1, -1):
+        w = U - j
+        s = sigma_closed(delta, w) if w <= 3.0 else grid.value_cubic(w)
+        total = w * s + (1.0 + delta) * total
     return total / U
 
 

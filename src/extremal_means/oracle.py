@@ -204,6 +204,9 @@ class StepProfile:
 
     def value(self, u: float | np.ndarray) -> float | np.ndarray:
         u_arr = np.asarray(u, dtype=float)
+        finite = np.isfinite(u_arr)
+        if not np.all(finite):
+            raise ValueError(f"u must be finite, got {u_arr[~finite][0]}")
         idx = np.searchsorted(self.points, u_arr, side="right")
         out = np.where(idx > 0, self.cum[np.maximum(idx - 1, 0)], 0.0)
         return float(out) if np.ndim(u) == 0 else out

@@ -103,10 +103,9 @@ class PiecewiseFunction:
 
     def eval_array(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t >= self.domain_end):
-            raise ValueError(
-                f"argument outside [0, {self.domain_end}); evaluation is undefined there"
-            )
+        inside = (t >= 0.0) & (t < self.domain_end)
+        if not np.all(inside):
+            raise ValueError(f"t must lie in [0, {self.domain_end}), got {t[~inside][0]}")
         out = np.empty_like(t)
         idx = self.segment_index(t)
         for i, seg in enumerate(self.segments):
@@ -120,6 +119,8 @@ class PiecewiseFunction:
 
     def eval_left(self, t: float) -> float:
         """Left limit at t; differs from eval(t) exactly at jump breakpoints."""
+        if not (0.0 <= t < np.inf and t <= self.domain_end):
+            raise ValueError(f"t must be finite and lie in [0, {self.domain_end}], got {t}")
         bp = np.asarray(self.breakpoints)
         i = int(np.clip(np.searchsorted(bp, t, side="left") - 1, 0, len(bp) - 1))
         return float(self.segments[i].values(np.array([t]))[0])
@@ -176,8 +177,10 @@ def integrate_callable(
     breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
     """Adaptive integral of a vectorized callable, split at interior breakpoints."""
-    if b < a:
-        raise ValueError("integration bounds must satisfy a <= b")
+    if not -np.inf < a < np.inf:
+        raise ValueError(f"a must be finite, got {a}")
+    if not a <= b < np.inf:
+        raise ValueError(f"b must be finite and >= a = {a}, got {b}")
     pts = sorted({a, b} | {p for p in breakpoints if a < p < b})
     value = 0.0
     err = 0.0

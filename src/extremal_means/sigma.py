@@ -43,6 +43,8 @@ __all__ = [
 def closed_tail_integral(u: float) -> float:
     """T(u) = integral_1^{u-1} log(u-t)/t dt, the second-band term of
     sigma_closed; 0 for u <= 2, where the interval is empty."""
+    if not -math.inf < u < math.inf:
+        raise ValueError(f"u must be finite, got {u}")
     if u <= 2.0:
         return 0.0
     return integrate_callable(lambda t: np.log(u - t) / t, 1.0, u - 1.0, tol=1e-12).value

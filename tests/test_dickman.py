@@ -9,7 +9,6 @@ import math
 import subprocess
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +113,7 @@ def test_coefficient_table_cached_read_only_and_continuous():
 def recurrence_60_digits(units: int = 40, terms: int = 40) -> list[list]:
     """The per-unit coefficients of rho in 60-digit mpmath, by the same
     recurrence and integral rule as dickman.default_table."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         half = [mpmath.mpf(1) / 2 ** (n + 1) / (n + 1) for n in range(terms)]
         prev = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (terms - 1)
@@ -133,6 +133,7 @@ def recurrence_60_digits(units: int = 40, terms: int = 40) -> list[list]:
 
 def test_series_matches_the_li2_closed_form_on_2_3():
     # rho(u) = 1 - (1 - log(u-1)) log u + Li2(1-u) + pi^2/12 on [2, 3]
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for u in np.linspace(2.0, 3.0, 101):
             x = mpmath.mpf(float(u))
@@ -145,6 +146,7 @@ def test_series_matches_the_li2_closed_form_on_2_3():
 
 
 def test_series_matches_the_60_digit_recurrence_past_3():
+    mpmath = pytest.importorskip("mpmath")
     rows = recurrence_60_digits()
     us = np.concatenate([np.linspace(3.0, 40.0, 741)[1:], [3.0 + 1e-9, 17.5, 39.999]])
     with mpmath.workdps(60):
@@ -157,6 +159,24 @@ def test_series_matches_the_60_digit_recurrence_past_3():
 
 def test_total_integral_is_exp_gamma_to_rounding():
     assert abs(rho_total_integral(20.0) - math.exp(np.euler_gamma)) <= 1e-12
+
+
+def test_total_integral_matches_the_60_digit_polynomials():
+    # 1 on [0, 1] and 1 - log u on [1, 2] integrate to 3 - 2 log 2; past 2
+    # each unit's 60-digit polynomial is integrated exactly
+    mpmath = pytest.importorskip("mpmath")
+    rows = recurrence_60_digits()
+    with mpmath.workdps(60):
+        half = mpmath.mpf(1) / 2
+        for cut in (2.5, 3.7, 8.25, 17.5, 39.999, 40.0):
+            exact = 3 - 2 * mpmath.log(2)
+            for k in range(2, math.ceil(cut)):
+                top = min(mpmath.mpf(cut) - (k + half), half)
+                exact += sum(
+                    a * (top ** (n + 1) - (-half) ** (n + 1)) / (n + 1)
+                    for n, a in enumerate(rows[k])
+                )
+            assert abs(rho_total_integral(cut) - exact) <= 1e-15, cut
 
 
 def test_positive_and_strictly_decreasing_past_2():

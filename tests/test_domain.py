@@ -20,6 +20,7 @@ from extremal_means.extremal import chi_delta, compute_I, delta_for_U, gamma_odd
 from extremal_means.grid import SolutionGrid
 from extremal_means.oracle import (
     MultiplicativeSpec,
+    StepProfile,
     build_f,
     build_g,
     construct_tracking_spec,
@@ -34,7 +35,8 @@ from extremal_means.oracle import (
     tracking_rows,
     transforms,
 )
-from extremal_means.sigma import sigma_dde, solve_volterra
+from extremal_means.piecewise import integrate_callable
+from extremal_means.sigma import closed_tail_integral, sigma_dde, solve_volterra
 
 STEP_USERS = {
     "SolutionGrid": lambda h: SolutionGrid(h=h, u_max=2.0, values=np.ones(3)),
@@ -79,6 +81,7 @@ def tracking_base(y):
 
 
 UNIT_F = np.ones(101, dtype=complex)
+UNIT_STEPS = StepProfile(points=np.array([2.0, 3.0]), cum=np.array([1.0, 2.0]))
 
 
 def small_spec(k=3, y=1.0, primes=(11,), assignment=(1,), N=100):
@@ -97,6 +100,12 @@ BOTH_INFINITIES = [
     pytest.param("lo", lambda x: dde_residual_max(x, 10.0), id="lo-dde_residual_max"),
     pytest.param("hi", lambda x: dde_residual_max(1.5, x), id="hi-dde_residual_max"),
     pytest.param("U", lambda x: mean_grid(0.3, x), id="U-mean_grid"),
+    pytest.param("a", lambda x: integrate_callable(np.exp, x, 1.0), id="a-integrate_callable"),
+    pytest.param("b", lambda x: integrate_callable(np.exp, 0.0, x), id="b-integrate_callable"),
+    pytest.param("u", closed_tail_integral, id="u-closed_tail_integral"),
+    pytest.param("t", lambda x: chi_delta(0.3).eval(x), id="t-PiecewiseFunction.eval"),
+    pytest.param("t", lambda x: chi_delta(0.3).eval_left(x), id="t-PiecewiseFunction.eval_left"),
+    pytest.param("u", lambda x: UNIT_STEPS.value(x), id="u-StepProfile.value"),
     pytest.param("n_max", lambda x: divisor_correlation(UNIT_F, x), id="n_max-divisor_correlation"),
     pytest.param(
         "n_max", lambda x: divisor_domination_check(UNIT_F, x), id="n_max-divisor_domination_check"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -212,8 +213,8 @@ def test_compute_I_second_band_mpmath():
     """compute_I on [2, 3] against a 30-digit value at the same float U.
 
     The reference integrates sigma = 1 - (1+d) log u + (1+d)^2 int_2^u
-    log(t-1)/t dt with the inner integral swapped out, not the package's
-    identity for the second-band mean.
+    log(t-1)/t dt with the inner integral swapped out, not the delay
+    equation's integral identity that compute_I sums.
     """
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
@@ -229,6 +230,63 @@ def test_compute_I_second_band_mpmath():
             )
             exact = (1 + mp.quad(s1, [1, 2]) + band3) / u
             assert abs(compute_I(delta, U) - exact) <= 1e-13, delta
+
+
+def series_mean_50_digits(delta: float, U: float, terms: int = 90):
+    """(1/U) int_0^U sigma at 50 digits from per-unit power series.
+
+    Unit [k, k+1] holds sigma(k + 1/2 + z) = sum a_n z^n.  Unit [1, 2] is
+    the series of 1 - x log(3/2 + z), x = 1 + delta; past it the delay
+    equation gives c(n+1)a_{n+1} + n a_n = -x b_n from the previous unit's
+    b, and a_0 comes from continuity at u = k.  Each polynomial is
+    integrated exactly up to the float U.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        x, u, half = 1 + mp.mpf(delta), mp.mpf(U), mp.mpf(1) / 2
+        a = [1 - x * mp.log(3 * half)]
+        a += [x * (-1) ** n * (mp.mpf(2) / 3) ** n / n for n in range(1, terms)]
+        total, k = mp.mpf(1), 1
+        while True:
+            top = min(u - (k + half), half)
+            powers = [(top ** (n + 1) - (-half) ** (n + 1)) / (n + 1) for n in range(terms)]
+            total += mp.fdot(a, powers)
+            if u <= k + 1:
+                return total / u
+            k += 1
+            b, a = a, [mp.mpf(0)] * terms
+            for n in range(terms - 1):
+                a[n + 1] = -(x * b[n] + n * a[n]) / ((k + half) * (n + 1))
+            a[0] = mp.polyval(b[::-1], half) - mp.polyval(a[::-1], -half)
+
+
+@pytest.mark.parametrize(
+    "delta", [1.0 / (k - 1) for k in (18, 19, 24, 31, 40, 53, 64)] + [0.01, 1e-3, 1e-5]
+)
+def test_compute_I_past_3_matches_the_50_digit_series(delta):
+    U = find_U(delta)
+    assert U > 3.0
+    assert abs(compute_I(delta, U) - series_mean_50_digits(delta, U)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "delta, most", [(1.0, 0), (0.5, 0), (0.3, 1), (0.1, 1), (0.03, 1), (1e-5, 1)]
+)
+def test_compute_I_takes_at_most_one_quadrature(delta, most, monkeypatch):
+    # the only one is T at the point of U - j that falls in (2, 3]
+    U = find_U(delta)
+    calls = []
+    original = integrate_callable
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("extremal_means") and vars(mod).get("integrate_callable") is original:
+            monkeypatch.setattr(mod, "integrate_callable", spy)
+    compute_I(delta, U)
+    assert len(calls) <= most, calls
 
 
 def test_compute_I_closed_case():
