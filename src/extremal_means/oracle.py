@@ -24,9 +24,13 @@ import numpy as np
 from .chi_renewal import extend_chi
 from .extremal import find_U, mean_grid
 
-# Largest sieve length: `oracle --n 2e7` peaks at about 450 MB resident
+# Largest sieve length: `oracle --n 2e7` peaks at about 400 MB resident
 # (f alone is a 320 MB complex array).
 SIEVE_CAP = 2 * 10**7
+
+# Most nodes per block of the in-place multiplicative builder and of the
+# streamed running sums: their temporaries stay a few MB at any N.
+_BLOCK = 2**18
 
 # Largest order k: build_f adds two angle indices below k in int16.
 MAX_ORDER = 2**14
@@ -120,20 +124,23 @@ def random_spec(
     return MultiplicativeSpec(k=k, y=float(y), primes=sel, assignment=assignment, N=int(N))
 
 
-def _completely_multiplicative(at_prime: np.ndarray, spf: np.ndarray, first, combine) -> np.ndarray:
-    """out[n] = combine(out[n // spf(n)], at_prime[spf(n)]) for n >= 2, out[:2] = first.
+def _completely_multiplicative(out: np.ndarray, spf: np.ndarray, first, combine) -> np.ndarray:
+    """out[n] = combine(out[n // spf(n)], out[spf(n)]) for n >= 2, out[:2] = first, in place.
 
-    Filled in doubling blocks [lo, 2 lo), so every lookup n // spf(n) < lo
-    lands in already-filled territory.
+    On entry out holds the value at each prime (other entries are
+    overwritten).  Blocks [lo, hi) have at most _BLOCK nodes and
+    hi <= 2 lo, so a composite n has spf(n) < lo and n // spf(n) < lo:
+    both lookups land in filled territory.  A prime p reads out[1] and its
+    own entry before the block is written, and combine(first[1], x) == x,
+    so its value stays as given.
     """
-    N = len(at_prime) - 1
-    out = np.empty_like(at_prime)
+    N = len(out) - 1
     out[:2] = first
     lo = 2
     while lo <= N:
-        hi = min(2 * lo, N + 1)
+        hi = min(2 * lo, lo + _BLOCK, N + 1)
         p = spf[lo:hi]
-        out[lo:hi] = combine(out[np.arange(lo, hi, dtype=spf.dtype) // p], at_prime[p])
+        out[lo:hi] = combine(out[np.arange(lo, hi, dtype=spf.dtype) // p], out[p])
         lo = hi
     return out
 
@@ -162,6 +169,7 @@ def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
         return s
 
     ell = _completely_multiplicative(ell_at, spf, (k, 0), add_angles)
+    del spf  # freed before the complex array is built
     return np.append(np.exp(2j * np.pi * np.arange(k) / k), 0.0)[ell]
 
 
@@ -174,7 +182,10 @@ def build_g(f: np.ndarray, spf: np.ndarray | None = None) -> np.ndarray:
         spf = smallest_prime_factors(len(f) - 1)
     elif len(spf) < len(f):
         raise ValueError(f"spf must cover n <= {len(f) - 1}, got a table to {len(spf) - 1}")
-    return _completely_multiplicative(np.abs(1.0 + f) - 1.0, spf, (0.0, 1.0), np.multiply)
+    g = np.zeros(len(f))
+    primes = _primes_from_spf(spf[: len(f)])
+    g[primes] = np.abs(1.0 + f[primes]) - 1.0
+    return _completely_multiplicative(g, spf, (0.0, 1.0), np.multiply)
 
 
 def _primes_from_spf(spf: np.ndarray) -> np.ndarray:
@@ -187,17 +198,28 @@ def _clamp_n_max(n_max: int, f: np.ndarray) -> int:
 
 
 def divisor_correlation(f: np.ndarray, n_max: int) -> np.ndarray:
-    """h(n) = sum over ab = n of f(a) conj(f(b)), for n <= n_max."""
+    """h(n) = sum over ab = n of f(a) conj(f(b)), for n <= n_max.
+
+    Split at s = isqrt(n_max): one slice per a <= s, then one per b with
+    a > s, b descending, so each h(n) still adds its terms in ascending a.
+    """
     n_max = _clamp_n_max(n_max, f)
     h = np.zeros(n_max + 1, dtype=complex)
-    for a in range(1, n_max + 1):
+    s = math.isqrt(n_max)
+    for a in range(1, s + 1):
         h[a::a] += f[a] * np.conj(f[1 : n_max // a + 1])
+    for b in range(n_max // (s + 1), 0, -1):
+        h[b * (s + 1) :: b] += f[s + 1 : n_max // b + 1] * np.conj(f[b])
     return h
 
 
 @dataclass(frozen=True)
 class StepProfile:
-    """Right-continuous step function: cum[j] holds the value from points[j] on."""
+    """Right-continuous step function: cum[j] holds the value from points[j] on.
+
+    The points are float64 (integers up to the sieve cap are exact), so a
+    float query searches them without a cast copy of the whole array.
+    """
 
     points: np.ndarray
     cum: np.ndarray
@@ -235,13 +257,30 @@ def transforms(f: np.ndarray, N: int, h_max: int | None = None) -> TransformBund
     spf = smallest_prime_factors(N)
     primes = _primes_from_spf(spf)
     g = build_g(f[: N + 1], spf)
+    del spf
     h = divisor_correlation(f, h_max if h_max is not None else N)
     deficiency = StepProfile(
-        points=primes.astype(np.int64),
+        points=primes.astype(float),
         cum=np.cumsum((1.0 - g[primes]) / primes),
     )
-    partial = StepProfile(points=np.arange(1, N + 1), cum=np.cumsum(g[1:]))
+    partial = StepProfile(points=np.arange(1.0, N + 1), cum=np.cumsum(g[1:]))
     return TransformBundle(g_values=g, h_values=h, deficiency=deficiency, partial_sum=partial)
+
+
+def _divisor_sums(values: np.ndarray, n_max: int) -> np.ndarray:
+    """sum over d | n of values[d], for n <= n_max.
+
+    Split at s = isqrt(n_max) as in divisor_correlation: one slice per
+    d <= s, then one per cofactor e of the d > s, e descending, so each
+    sum still adds its divisors in ascending order.
+    """
+    out = np.zeros(n_max + 1, dtype=values.dtype)
+    s = math.isqrt(n_max)
+    for d in range(1, s + 1):
+        out[d::d] += values[d]
+    for e in range(n_max // (s + 1), 0, -1):
+        out[e * (s + 1) :: e] += values[s + 1 : n_max // e + 1]
+    return out
 
 
 def divisor_domination_check(f: np.ndarray, n_max: int) -> int:
@@ -254,11 +293,8 @@ def divisor_domination_check(f: np.ndarray, n_max: int) -> int:
     spf = smallest_prime_factors(n_max)
     primes = _primes_from_spf(spf)
     g = build_g(f[: n_max + 1], spf)
-    f_div = np.zeros(n_max + 1, dtype=complex)
-    g_div = np.zeros(n_max + 1)
-    for d in range(1, n_max + 1):
-        f_div[d::d] += f[d]
-        g_div[d::d] += g[d]
+    f_div = _divisor_sums(f, n_max)
+    g_div = _divisor_sums(g, n_max)
     excluded = np.zeros(n_max + 1, dtype=bool)
     for p in primes.tolist():
         if p * p > n_max:
@@ -305,7 +341,10 @@ def empirical_chi(f: np.ndarray, y: float, u: float) -> complex:
     if not (math.isfinite(u) and u > 0.0):
         raise ValueError(f"u must be finite and positive, got {u}")
     N = len(f) - 1
-    x = float(y) ** float(u)
+    try:
+        x = float(y) ** float(u)
+    except OverflowError:
+        raise ValueError(f"y^u overflows a float for y = {y}, u = {u}") from None
     if x > N + 1e-9:
         raise ValueError(f"y^u = {x:g} exceeds the f range {N}")
     primes = sieve_primes(int(min(x, N)))
@@ -444,7 +483,9 @@ def tracking_rows(
     """Measured means at x = y^u against the delta-profile target.
 
     The target is the dip solution for u <= U and 0 beyond; deviation is
-    the distance of the partial-sum mean from it.
+    the distance of the partial-sum mean from it.  The running sums stop
+    at the largest cutoff and stream f in chunks of at most _BLOCK
+    entries, so their working memory does not grow with N.
     """
     if not (math.isfinite(y) and y > 1.0):
         raise ValueError(f"y must be finite and > 1, got {y}")
@@ -455,27 +496,32 @@ def tracking_rows(
             raise ValueError(f"u must be finite and positive, got {u}")
     if not u_values:
         return []
-    x_top = y ** max(u_values)
+    try:
+        x_top = float(y) ** max(u_values)
+    except OverflowError:
+        raise ValueError(f"y^u overflows a float for y = {y}, u = {max(u_values)}") from None
     if x_top > N + 1e-9:
         raise ValueError(f"largest cutoff y^u = {x_top:g} exceeds the f range {N}")
     U = find_U(delta)
     target_at = mean_grid(delta, U).value_cubic
-    # running sums from one cutoff to the next, in ascending order: the
-    # carry added to the first element keeps each sum sequential, so it
-    # equals the entry of np.cumsum over all of f bit for bit
+    # running sums from one cutoff to the next, in ascending order and in
+    # chunks of at most _BLOCK: the carry added to each chunk's first
+    # element keeps each sum sequential, so it equals the entry of
+    # np.cumsum over all of f bit for bit
     sums = {}
     n_done, s, s_div = 0, 0j, 0j
     for n in sorted({int(float(y) ** u) for u in u_values}):
-        if n > n_done:
-            run = f[n_done + 1 : n + 1].copy()
-            if n_done:
+        for lo in range(n_done, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            run = f[lo + 1 : hi + 1].copy()
+            if lo:
                 run[0] += s
             s = np.cumsum(run, out=run)[-1]
-            np.divide(f[n_done + 1 : n + 1], np.arange(n_done + 1, n + 1), out=run)
-            if n_done:
+            np.divide(f[lo + 1 : hi + 1], np.arange(lo + 1, hi + 1), out=run)
+            if lo:
                 run[0] += s_div
             s_div = np.cumsum(run, out=run)[-1]
-            n_done = n
+        n_done = n
         sums[n] = s, s_div
     rows = []
     for u in u_values:

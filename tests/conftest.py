@@ -1,9 +1,9 @@
 """Shared fixtures.
 
 The desk-scale sieve construction (k=2, full drift, y=1e4, N=4e6) takes
-a couple of seconds to build, so it is session-scoped and shared by the
-oracle tests; acceptance timing rebuilds it fresh inside the timed
-block instead of borrowing this one.
+about 0.4 s to build on a 2-core host, so it is session-scoped and
+shared by the oracle tests; acceptance timing rebuilds it fresh inside
+the timed block instead of borrowing this one.
 """
 
 from __future__ import annotations

@@ -316,6 +316,14 @@ SIEVE_LAB_REJECTS = {
         lambda: sandwich_check(np.ones(101), 100.5),
         r"^n_max must be an integer in \[1, inf\], got 100.5$",
     ),
+    "tracking-rows-overflow": (
+        lambda: tracking_rows(UNIT_F, 1e300, 1.0, [5.0]),
+        r"^y\^u overflows a float for y = 1e\+300, u = 5.0$",
+    ),
+    "empirical-chi-overflow": (
+        lambda: empirical_chi(UNIT_F, 1e300, 5.0),
+        r"^y\^u overflows a float for y = 1e\+300, u = 5.0$",
+    ),
     "mobius-fraction": (lambda: mobius(2.5), r"^n must be an integer in \[1, inf\], got 2.5$"),
     "totient-fraction": (lambda: totient(2.5), r"^n must be an integer in \[1, inf\], got 2.5$"),
 }

@@ -10,6 +10,7 @@ stands in for asymptopia.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -38,6 +39,7 @@ from extremal_means.oracle import (
     totient,
     tracking_rows,
     transforms,
+    _divisor_sums,
     _greedy_classes,
 )
 
@@ -50,6 +52,29 @@ GREEDY_SPECS = (
     (3, 0.45, 30.0, 1.5, 10**5),
     (4, 0.3, 30.0, 1.5, 10**5),
 )
+MILLION = 10**6
+
+
+@pytest.fixture(scope="module")
+def million_spec() -> MultiplicativeSpec:
+    """Order 3 with the value 0 at some primes, long enough for the
+    builder to run blocks capped below twice their start."""
+    return random_spec(3, 10.0, MILLION, seed=1, zero_probability=0.2)
+
+
+def traced_peak(call):
+    """call() and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64)
 
 
 def sundaram_primes(N: int) -> np.ndarray:
@@ -141,6 +166,40 @@ def test_complete_multiplicativity_at_the_largest_order():
     assert np.max(np.abs(f[m * n] - f[m] * f[n])) < 1e-12
 
 
+def doubling_block_builder(at_prime, spf, first, combine):
+    """Out-of-place reference: uncapped doubling blocks [lo, 2 lo), primes read from at_prime."""
+    N = len(at_prime) - 1
+    out = np.empty_like(at_prime)
+    out[:2] = first
+    lo = 2
+    while lo <= N:
+        hi = min(2 * lo, N + 1)
+        p = spf[lo:hi]
+        out[lo:hi] = combine(out[np.arange(lo, hi, dtype=spf.dtype) // p], at_prime[p])
+        lo = hi
+    return out
+
+
+def test_in_place_builders_equal_the_doubling_block_reference(million_spec):
+    k, N = million_spec.k, MILLION
+    spf = smallest_prime_factors(N)
+    ell_at = np.zeros(N + 1, dtype=np.int16)
+    ell_at[million_spec.primes] = million_spec.assignment
+
+    def add_angles(a, b):
+        s = (a + b) % k
+        s[(a == k) | (b == k)] = k
+        return s
+
+    ell = doubling_block_builder(ell_at, spf, (k, 0), add_angles)
+    assert np.count_nonzero(ell == k) > 0  # the absorbing index occurs
+    f = build_f(million_spec, N)
+    assert np.array_equal(bits(f), bits(np.append(np.exp(2j * np.pi * np.arange(k) / k), 0.0)[ell]))
+    g = doubling_block_builder(np.abs(1.0 + f) - 1.0, spf, (0.0, 1.0), np.multiply)
+    assert np.array_equal(bits(build_g(f)), bits(g))
+    assert np.array_equal(bits(build_g(f, smallest_prime_factors(N + 12345))), bits(g))
+
+
 def test_build_f_validation():
     spec = random_spec(3, 10.0, 1000, seed=1)
     with pytest.raises(ValueError):
@@ -198,6 +257,33 @@ def test_divisor_correlation_against_brute_force():
     for n in range(1, 301):
         brute = sum(f[d] * np.conj(f[n // d]) for d in range(1, n + 1) if n % d == 0)
         assert abs(h[n] - brute) < 1e-12
+
+
+def per_d_correlation(f: np.ndarray, n_max: int) -> np.ndarray:
+    h = np.zeros(n_max + 1, dtype=complex)
+    for a in range(1, n_max + 1):
+        h[a::a] += f[a] * np.conj(f[1 : n_max // a + 1])
+    return h
+
+
+def per_d_sums(values: np.ndarray, n_max: int) -> np.ndarray:
+    out = np.zeros(n_max + 1, dtype=values.dtype)
+    for d in range(1, n_max + 1):
+        out[d::d] += values[d]
+    return out
+
+
+def test_divisor_sums_equal_the_per_d_loops():
+    # the hyperbola split adds each n's divisors in the same ascending
+    # order as one slice per divisor, so every bit agrees
+    N = 10**5
+    f = build_f(random_spec(4, 10.0, N, seed=11, zero_probability=0.1), N)
+    g = build_g(f)
+    for n_max in (1, 2, 3, 16, 17, 1000, N):
+        h = divisor_correlation(f, n_max)
+        assert np.array_equal(bits(h), bits(per_d_correlation(f, n_max)))
+    assert np.array_equal(bits(_divisor_sums(f, N)), bits(per_d_sums(f, N)))
+    assert np.array_equal(bits(_divisor_sums(g, N)), bits(per_d_sums(g, N)))
 
 
 def test_correlation_at_primes_and_divisor_bound():
@@ -346,6 +432,41 @@ def test_tracking_sums_equal_the_full_running_sums(desk_f):
         assert [(r.partial_sum, r.log_mean) for r in rows] == full_cumsum_means(
             desk_f, DESK_Y, u_values
         )
+
+
+def test_build_f_keeps_only_f_and_the_angle_indices(million_spec):
+    # f is 16 bytes per n and the int16 angles 2; the smallest-prime-factor
+    # table (4) is freed before f is built, and the builder's temporaries
+    # are bounded by its block size
+    f, peak = traced_peak(lambda: build_f(million_spec, MILLION))
+    assert peak <= 19 * MILLION
+    assert len(f) == MILLION + 1
+
+
+def test_transforms_free_the_sieve_before_the_sums(million_spec):
+    # kept: g, the partial-sum points and running sums (8 bytes per n
+    # each) and the prime profile; spf is freed before the sums
+    f = build_f(million_spec, MILLION)
+    _, peak = traced_peak(lambda: transforms(f, MILLION, h_max=16))
+    assert peak <= 27 * MILLION
+
+
+def test_step_profile_query_makes_no_cast_copy(million_spec):
+    # float queries search the float points as they are: no 8-byte-per-n
+    # float copy of integer points per call
+    bundle = transforms(build_f(million_spec, MILLION), MILLION, h_max=16)
+    u = np.linspace(1.0, MILLION, 200)
+    values, peak = traced_peak(lambda: bundle.partial_sum.value(u))
+    assert peak <= 10**6
+    assert np.array_equal(values, np.cumsum(bundle.g_values[1:])[u.astype(np.int64) - 1])
+
+
+def test_tracking_sums_stream_in_bounded_chunks(desk_f):
+    U = find_U(DESK_DELTA)
+    us = [float(u) for u in np.arange(1.0, U, 0.05)] + [U]
+    rows, peak = traced_peak(lambda: tracking_rows(desk_f, DESK_Y, DESK_DELTA, us))
+    assert peak <= 16 * 10**6
+    assert len(rows) == len(us)
 
 
 def test_order3_construction_tracks_target():
