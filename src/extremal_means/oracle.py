@@ -173,44 +173,59 @@ def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
     return np.append(np.exp(2j * np.pi * np.arange(k) / k), 0.0)[ell]
 
 
-def build_g(f: np.ndarray, spf: np.ndarray | None = None) -> np.ndarray:
-    """Companion transform: completely multiplicative g with g(p) = |1 + f(p)| - 1.
+def build_g(f: np.ndarray) -> np.ndarray:
+    """Companion transform: completely multiplicative g with g(p) = |1 + f(p)| - 1 on n < len(f)."""
+    return _primes_and_g(f, len(f) - 1)[1]
 
-    spf, when given, is smallest_prime_factors(M) for some M >= len(f) - 1.
-    """
-    if spf is None:
-        spf = smallest_prime_factors(len(f) - 1)
-    elif len(spf) < len(f):
-        raise ValueError(f"spf must cover n <= {len(f) - 1}, got a table to {len(spf) - 1}")
-    g = np.zeros(len(f))
-    primes = _primes_from_spf(spf[: len(f)])
+
+def _primes_and_g(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes <= n and g = build_g(f[: n + 1]) from one spf scan; spf is freed on return."""
+    spf = smallest_prime_factors(n)
+    primes = np.flatnonzero(spf[2:] == np.arange(2, n + 1, dtype=spf.dtype)) + 2
+    g = np.zeros(n + 1)
     g[primes] = np.abs(1.0 + f[primes]) - 1.0
-    return _completely_multiplicative(g, spf, (0.0, 1.0), np.multiply)
+    return primes, _completely_multiplicative(g, spf, (0.0, 1.0), np.multiply)
 
 
-def _primes_from_spf(spf: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(spf[2:] == np.arange(2, len(spf), dtype=spf.dtype)) + 2
+def _clamp_n_max(n_max: int, f: np.ndarray, lo: int = 1) -> int:
+    """n_max, checked to be an integer >= 1, cut to the last index of f, and checked to reach lo."""
+    n = min(_integer_in(n_max, 1, math.inf, "n_max"), len(f) - 1)
+    if n < lo:
+        raise ValueError(f"n_max must be at least {lo} in the f range {len(f) - 1}, got {n_max}")
+    return n
 
 
-def _clamp_n_max(n_max: int, f: np.ndarray) -> int:
-    """n_max, checked to be an integer >= 1, and cut to the last index of f."""
-    return min(_integer_in(n_max, 1, math.inf, "n_max"), len(f) - 1)
+def _dirichlet(a: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
+    """Dirichlet convolution: sum over de = n of a[d] b[e], for n <= n_max.
+
+    Dirichlet's hyperbola split at s = isqrt(n_max): one slice per d <= s,
+    then one per e with d > s, e descending, so each sum still adds its
+    terms in ascending d.
+    """
+    out = np.zeros(n_max + 1, dtype=np.result_type(a, b))
+    s = math.isqrt(n_max)
+    for d in range(1, s + 1):
+        out[d::d] += a[d] * b[1 : n_max // d + 1]
+    for e in range(n_max // (s + 1), 0, -1):
+        out[e * (s + 1) :: e] += a[s + 1 : n_max // e + 1] * b[e]
+    return out
+
+
+def _repeated(bad: np.ndarray, n_max: int) -> np.ndarray:
+    """Mask of n <= n_max divisible by p^2 for some p in the ascending bad, and of n = 0."""
+    out = np.zeros(n_max + 1, dtype=bool)
+    out[0] = True
+    for p in bad.tolist():
+        if p * p > n_max:
+            break
+        out[p * p :: p * p] = True
+    return out
 
 
 def divisor_correlation(f: np.ndarray, n_max: int) -> np.ndarray:
-    """h(n) = sum over ab = n of f(a) conj(f(b)), for n <= n_max.
-
-    Split at s = isqrt(n_max): one slice per a <= s, then one per b with
-    a > s, b descending, so each h(n) still adds its terms in ascending a.
-    """
+    """h(n) = sum over ab = n of f(a) conj(f(b)), for n <= n_max."""
     n_max = _clamp_n_max(n_max, f)
-    h = np.zeros(n_max + 1, dtype=complex)
-    s = math.isqrt(n_max)
-    for a in range(1, s + 1):
-        h[a::a] += f[a] * np.conj(f[1 : n_max // a + 1])
-    for b in range(n_max // (s + 1), 0, -1):
-        h[b * (s + 1) :: b] += f[s + 1 : n_max // b + 1] * np.conj(f[b])
-    return h
+    return _dirichlet(f, np.conj(f[: n_max + 1]), n_max)
 
 
 @dataclass(frozen=True)
@@ -247,6 +262,7 @@ class TransformBundle:
 def transforms(f: np.ndarray, N: int, h_max: int | None = None) -> TransformBundle:
     """All companion quantities of f in one pass.
 
+    The primes and g come from one sieve scan (the g of build_g(f[: N + 1])).
     h is the divisor correlation (cost n log n, so cap it with h_max when
     only small n matter); the deficiency profile jumps at primes, the
     partial-sum profile at every integer.
@@ -254,10 +270,7 @@ def transforms(f: np.ndarray, N: int, h_max: int | None = None) -> TransformBund
     N = _integer_in(N, 2, len(f) - 1, "N")
     if h_max is not None:
         _integer_in(h_max, 1, math.inf, "h_max")
-    spf = smallest_prime_factors(N)
-    primes = _primes_from_spf(spf)
-    g = build_g(f[: N + 1], spf)
-    del spf
+    primes, g = _primes_and_g(f, N)
     h = divisor_correlation(f, h_max if h_max is not None else N)
     deficiency = StepProfile(
         points=primes.astype(float),
@@ -267,41 +280,18 @@ def transforms(f: np.ndarray, N: int, h_max: int | None = None) -> TransformBund
     return TransformBundle(g_values=g, h_values=h, deficiency=deficiency, partial_sum=partial)
 
 
-def _divisor_sums(values: np.ndarray, n_max: int) -> np.ndarray:
-    """sum over d | n of values[d], for n <= n_max.
-
-    Split at s = isqrt(n_max) as in divisor_correlation: one slice per
-    d <= s, then one per cofactor e of the d > s, e descending, so each
-    sum still adds its divisors in ascending order.
-    """
-    out = np.zeros(n_max + 1, dtype=values.dtype)
-    s = math.isqrt(n_max)
-    for d in range(1, s + 1):
-        out[d::d] += values[d]
-    for e in range(n_max // (s + 1), 0, -1):
-        out[e * (s + 1) :: e] += values[s + 1 : n_max // e + 1]
-    return out
-
-
 def divisor_domination_check(f: np.ndarray, n_max: int) -> int:
     """Count n <= n_max where |sum_{d|n} f(d)| exceeds sum_{d|n} g(d).
 
     Only n free of squares of "bad" primes (those with f(p) != 1) are in
     scope; the inequality is claimed there and the count should be 0.
     """
-    n_max = _clamp_n_max(n_max, f)
-    spf = smallest_prime_factors(n_max)
-    primes = _primes_from_spf(spf)
-    g = build_g(f[: n_max + 1], spf)
-    f_div = _divisor_sums(f, n_max)
-    g_div = _divisor_sums(g, n_max)
-    excluded = np.zeros(n_max + 1, dtype=bool)
-    for p in primes.tolist():
-        if p * p > n_max:
-            break
-        if abs(f[p] - 1.0) > 1e-12:
-            excluded[p * p :: p * p] = True
-    excluded[0] = True
+    n_max = _clamp_n_max(n_max, f, 2)
+    primes, g = _primes_and_g(f, n_max)
+    ones = np.ones(n_max + 1)
+    f_div = _dirichlet(f, ones, n_max)
+    g_div = _dirichlet(g, ones, n_max)
+    excluded = _repeated(primes[np.abs(f[primes] - 1.0) > 1e-12], n_max)
     violations = (np.abs(f_div) > g_div + 1e-9) & ~excluded
     return int(np.sum(violations))
 
@@ -313,24 +303,20 @@ def sandwich_check(g: np.ndarray, n_max: int) -> float:
     dividing n; n with a repeated bad prime (g(p) != 1) are excluded.
     Returns the worst violation of either side, floored at 0.
     """
-    n_max = _clamp_n_max(n_max, g)
+    n_max = _clamp_n_max(n_max, g, 2)
     primes = sieve_primes(n_max)
+    bad = primes[g[primes] != 1.0]
     s1 = np.zeros(n_max + 1)
     s2 = np.zeros(n_max + 1)
-    excluded = np.zeros(n_max + 1, dtype=bool)
-    for p in primes.tolist():
+    for p in bad.tolist():
         c = 1.0 - g[p]
-        if c != 0.0:
-            s1[p::p] += c
-            s2[p::p] += c * c
-            if p * p <= n_max:
-                excluded[p * p :: p * p] = True
-    excluded[0] = True
+        s1[p::p] += c
+        s2[p::p] += c * c
     gn = g[: n_max + 1]
     lower = (1.0 - s1) - gn
     upper = gn - (1.0 - s1 + 0.5 * (s1 * s1 - s2))
     worst = np.maximum(lower, upper)
-    worst[excluded] = -np.inf
+    worst[_repeated(bad, n_max)] = -np.inf
     return float(max(0.0, np.max(worst)))
 
 
@@ -544,8 +530,8 @@ def tracking_rows(
 
 
 def mobius(n: int) -> int:
-    """Moebius function by trial division (small n only)."""
-    n = _integer_in(n, 1, math.inf, "n")
+    """Moebius function by trial division, for n up to SIEVE_CAP."""
+    n = _integer_in(n, 1, SIEVE_CAP, "n")
     count = 0
     d = 2
     while d * d <= n:
@@ -561,8 +547,8 @@ def mobius(n: int) -> int:
 
 
 def totient(n: int) -> int:
-    """Euler phi by trial division (small n only)."""
-    n = _integer_in(n, 1, math.inf, "n")
+    """Euler phi by trial division, for n up to SIEVE_CAP."""
+    n = _integer_in(n, 1, SIEVE_CAP, "n")
     result = n
     d = 2
     m = n
@@ -583,9 +569,11 @@ def coprime_power_sum(k: int, l: int) -> tuple[complex, float]:
     The closed form is mobius(l) totient(k) / totient(l); the pair is
     returned so tests can compare the brute sum against it.
     """
-    if k < 1 or l < 1 or k % l != 0:
-        raise ValueError(f"need l | k with both positive, got k={k}, l={l}")
-    js = np.array([j for j in range(1, k + 1) if math.gcd(j, k) == 1])
+    k = _integer_in(k, 1, MAX_ORDER, "k")
+    l = _integer_in(l, 1, k, "l")
+    if k % l != 0:
+        raise ValueError(f"need l | k, got k={k}, l={l}")
+    js = np.flatnonzero(np.gcd(np.arange(1, k + 1), k) == 1) + 1
     lhs = complex(np.sum(np.exp(2j * np.pi * js / l)))
     rhs = mobius(l) * totient(k) / totient(l)
     return lhs, float(rhs)

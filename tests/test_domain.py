@@ -22,15 +22,14 @@ from extremal_means.oracle import (
     MultiplicativeSpec,
     StepProfile,
     build_f,
-    build_g,
     construct_tracking_spec,
+    coprime_power_sum,
     divisor_correlation,
     divisor_domination_check,
     empirical_chi,
     mobius,
     random_spec,
     sandwich_check,
-    smallest_prime_factors,
     totient,
     tracking_rows,
     transforms,
@@ -132,6 +131,8 @@ BOTH_INFINITIES = [
     ),
     pytest.param("n", mobius, id="n-mobius"),
     pytest.param("n", totient, id="n-totient"),
+    pytest.param("k", lambda x: coprime_power_sum(x, 1), id="k-coprime_power_sum"),
+    pytest.param("l", lambda x: coprime_power_sum(12, x), id="l-coprime_power_sum"),
 ]
 
 
@@ -288,10 +289,6 @@ SIEVE_LAB_REJECTS = {
         lambda: random_spec(3, 10.0, 100, 0, zero_probability=2.0),
         r"^zero_probability must lie in \[0, 1\], got 2.0$",
     ),
-    "spf-short": (
-        lambda: build_g(UNIT_F, smallest_prime_factors(50)),
-        r"^spf must cover n <= 100, got a table to 50$",
-    ),
     "transforms-N-fraction": (
         lambda: transforms(UNIT_F, 100.5),
         r"^N must be an integer in \[2, 100\], got 100.5$",
@@ -324,8 +321,38 @@ SIEVE_LAB_REJECTS = {
         lambda: empirical_chi(UNIT_F, 1e300, 5.0),
         r"^y\^u overflows a float for y = 1e\+300, u = 5.0$",
     ),
-    "mobius-fraction": (lambda: mobius(2.5), r"^n must be an integer in \[1, inf\], got 2.5$"),
-    "totient-fraction": (lambda: totient(2.5), r"^n must be an integer in \[1, inf\], got 2.5$"),
+    "domination-n_max-one": (
+        lambda: divisor_domination_check(UNIT_F, 1),
+        r"^n_max must be at least 2 in the f range 100, got 1$",
+    ),
+    "sandwich-n_max-past-short-g": (
+        lambda: sandwich_check(np.ones(2), 50),
+        r"^n_max must be at least 2 in the f range 1, got 50$",
+    ),
+    "mobius-fraction": (lambda: mobius(2.5), r"^n must be an integer in \[1, 20000000\], got 2.5$"),
+    "totient-fraction": (
+        lambda: totient(2.5),
+        r"^n must be an integer in \[1, 20000000\], got 2.5$",
+    ),
+    # trial division past the sieve cap would run about sqrt(n) steps
+    "mobius-above-cap": (
+        lambda: mobius(2**61 - 1),
+        r"^n must be an integer in \[1, 20000000\], got 2305843009213693951$",
+    ),
+    "totient-above-cap": (lambda: totient(20_000_001), r"^n must .*got 20000001$"),
+    "coprime-k-above-cap": (
+        lambda: coprime_power_sum(2**20, 1),
+        r"^k must be an integer in \[1, 16384\], got 1048576$",
+    ),
+    "coprime-l-fraction": (
+        lambda: coprime_power_sum(12, 1.5),
+        r"^l must be an integer in \[1, 12\], got 1.5$",
+    ),
+    "coprime-l-above-k": (
+        lambda: coprime_power_sum(6, 12),
+        r"^l must be an integer in \[1, 6\], got 12$",
+    ),
+    "coprime-l-not-divisor": (lambda: coprime_power_sum(6, 4), r"^need l \| k, got k=6, l=4$"),
 }
 
 

@@ -39,7 +39,7 @@ from extremal_means.oracle import (
     totient,
     tracking_rows,
     transforms,
-    _divisor_sums,
+    _dirichlet,
     _greedy_classes,
 )
 
@@ -197,7 +197,6 @@ def test_in_place_builders_equal_the_doubling_block_reference(million_spec):
     assert np.array_equal(bits(f), bits(np.append(np.exp(2j * np.pi * np.arange(k) / k), 0.0)[ell]))
     g = doubling_block_builder(np.abs(1.0 + f) - 1.0, spf, (0.0, 1.0), np.multiply)
     assert np.array_equal(bits(build_g(f)), bits(g))
-    assert np.array_equal(bits(build_g(f, smallest_prime_factors(N + 12345))), bits(g))
 
 
 def test_build_f_validation():
@@ -275,15 +274,68 @@ def per_d_sums(values: np.ndarray, n_max: int) -> np.ndarray:
 
 def test_divisor_sums_equal_the_per_d_loops():
     # the hyperbola split adds each n's divisors in the same ascending
-    # order as one slice per divisor, so every bit agrees
+    # order as one slice per divisor, and x * 1.0 == x, so every bit agrees
     N = 10**5
     f = build_f(random_spec(4, 10.0, N, seed=11, zero_probability=0.1), N)
     g = build_g(f)
     for n_max in (1, 2, 3, 16, 17, 1000, N):
-        h = divisor_correlation(f, n_max)
+        h = _dirichlet(f, np.conj(f[: n_max + 1]), n_max)
         assert np.array_equal(bits(h), bits(per_d_correlation(f, n_max)))
-    assert np.array_equal(bits(_divisor_sums(f, N)), bits(per_d_sums(f, N)))
-    assert np.array_equal(bits(_divisor_sums(g, N)), bits(per_d_sums(g, N)))
+        assert np.array_equal(bits(divisor_correlation(f, n_max)), bits(h))
+    ones = np.ones(N + 1)
+    assert np.array_equal(bits(_dirichlet(f, ones, N)), bits(per_d_sums(f, N)))
+    assert np.array_equal(bits(_dirichlet(g, ones, N)), bits(per_d_sums(g, N)))
+
+
+def per_prime_domination_check(f: np.ndarray, n_max: int) -> int:
+    """Reference: the bad-prime squares excluded one prime at a time."""
+    g = build_g(f[: n_max + 1])
+    f_div, g_div = per_d_sums(f[: n_max + 1], n_max), per_d_sums(g, n_max)
+    excluded = np.zeros(n_max + 1, dtype=bool)
+    for p in sieve_primes(n_max).tolist():
+        if p * p > n_max:
+            break
+        if abs(f[p] - 1.0) > 1e-12:
+            excluded[p * p :: p * p] = True
+    excluded[0] = True
+    return int(np.sum((np.abs(f_div) > g_div + 1e-9) & ~excluded))
+
+
+def per_prime_sandwich_check(g: np.ndarray, n_max: int) -> float:
+    """Reference: every prime visited, the unit ones skipped."""
+    s1 = np.zeros(n_max + 1)
+    s2 = np.zeros(n_max + 1)
+    excluded = np.zeros(n_max + 1, dtype=bool)
+    for p in sieve_primes(n_max).tolist():
+        c = 1.0 - g[p]
+        if c != 0.0:
+            s1[p::p] += c
+            s2[p::p] += c * c
+            if p * p <= n_max:
+                excluded[p * p :: p * p] = True
+    excluded[0] = True
+    gn = g[: n_max + 1]
+    worst = np.maximum((1.0 - s1) - gn, gn - (1.0 - s1 + 0.5 * (s1 * s1 - s2)))
+    worst[excluded] = -np.inf
+    return float(max(0.0, np.max(worst)))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_repeated_bad_prime_mask_equals_the_per_prime_loops(k):
+    # the multiplicative f and g give 0 either way; the perturbed copies
+    # are not multiplicative, so their counts and defects read the mask
+    N = 10**5
+    f = build_f(random_spec(k, 10.0, N, seed=k, zero_probability=0.2), N)
+    g = build_g(f)
+    n = np.arange(N + 1)
+    f_off = f * np.exp(0.3j * (n % 7))
+    g_off = g * (1.0 + 0.01 * np.cos(n))
+    for ff in (f, f_off):
+        assert divisor_domination_check(ff, N) == per_prime_domination_check(ff, N)
+    assert divisor_domination_check(f_off, N) > 0
+    for gg in (g, g_off):
+        assert sandwich_check(gg, N) == per_prime_sandwich_check(gg, N)
+    assert sandwich_check(g_off, N) > 1e-3
 
 
 def test_correlation_at_primes_and_divisor_bound():
@@ -551,6 +603,7 @@ def test_coprime_power_sum_closed_form():
                 continue
             lhs, rhs = coprime_power_sum(k, l)
             assert abs(lhs - rhs) < 1e-9, (k, l)
+    assert coprime_power_sum(12.0, 3) == coprime_power_sum(12, 3)
     with pytest.raises(ValueError):
         coprime_power_sum(6, 4)
     with pytest.raises(ValueError):
