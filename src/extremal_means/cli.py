@@ -173,9 +173,8 @@ def render_oracle_csv(
     spec = oracle.construct_tracking_spec(k, delta, y, a_mult, n_top)
     u_top = a_mult * find_U(delta)
     _check_rows(u_top - 1.0, u_step)
-    f = oracle.build_f(spec, n_top)
     u_values = [float(u) for u in np.arange(1.0, u_top - 1e-12, u_step)] + [u_top]
-    rows = oracle.tracking_rows(f, y, delta, u_values)
+    rows = oracle.spec_tracking_rows(spec, delta, u_values)
     header = ["x", "re_partial", "im_partial", "re_logmean", "im_logmean", "target", "deviation"]
     body = [
         [

@@ -24,13 +24,16 @@ import numpy as np
 from .chi_renewal import extend_chi
 from .extremal import find_U, mean_grid
 
-# Largest sieve length: `oracle --n 2e7` peaks at about 400 MB resident
-# (f alone is a 320 MB complex array).
+# Largest sieve length: `oracle --n 2e7` peaks at about 170 MB resident,
+# set by the sieve's int32 smallest-prime-factor table (80 MB) next to the
+# int16 angle indices (40 MB); f is never materialized whole there.
 SIEVE_CAP = 2 * 10**7
 
 # Most nodes per block of the in-place multiplicative builder and of the
-# streamed running sums: their temporaries stay a few MB at any N.
-_BLOCK = 2**18
+# streamed running sums: their temporaries stay near 2 MB at any N, so at
+# the desk N the sums, next to the 2-byte angle indices, stay below the
+# build's peak (sieve table and angles, 6 bytes per n).
+_BLOCK = 2**16
 
 # Largest order k: build_f adds two angle indices below k in int16.
 MAX_ORDER = 2**14
@@ -45,8 +48,12 @@ class InfeasibleError(ValueError):
 
 
 def _integer_in(x: float, lo: float, hi: float, name: str) -> int:
-    """x as an int, checked to be an integer in [lo, hi]."""
-    if not (math.isfinite(x) and x == int(x) and lo <= x <= hi):
+    """x as an int, checked to be an integer in [lo, hi].
+
+    The range test comes first and compares exactly, so a Python int past
+    the float range is rejected here rather than overflowing a float.
+    """
+    if not (lo <= x <= hi and (isinstance(x, int) or (math.isfinite(x) and x == int(x)))):
         raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {x}")
     return int(x)
 
@@ -145,12 +152,17 @@ def _completely_multiplicative(out: np.ndarray, spf: np.ndarray, first, combine)
     return out
 
 
-def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
-    """Materialize f(n) for n <= N as a complex array (f[0] = 0).
+def _roots(k: int) -> np.ndarray:
+    """The values of the angle indices 0..k: e(j/k) for j < k, then 0."""
+    return np.append(np.exp(2j * np.pi * np.arange(k) / k), 0.0)
+
+
+def build_angles(spec: MultiplicativeSpec, N: int) -> np.ndarray:
+    """The angle index of f(n) for n <= N as an int16 array (index k at n = 0).
 
     Angle indices add modulo k along the smallest-prime-factor recursion;
-    the value 0 is the absorbing index k, so the array stays exact until
-    it is materialized.
+    the value 0 is the absorbing index k, so the array is f exactly, at 2
+    bytes per n.  The sieve table is freed on return.
     """
     N = _integer_in(N, 2, spec.N, "N")
     k = spec.k
@@ -168,9 +180,16 @@ def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
         s[(a == k) | (b == k)] = k
         return s
 
-    ell = _completely_multiplicative(ell_at, spf, (k, 0), add_angles)
-    del spf  # freed before the complex array is built
-    return np.append(np.exp(2j * np.pi * np.arange(k) / k), 0.0)[ell]
+    return _completely_multiplicative(ell_at, spf, (k, 0), add_angles)
+
+
+def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
+    """f(n) for n <= N as a complex array (f[0] = 0), 16 bytes per n.
+
+    The roots indexed by build_angles(spec, N): callers that only sum f
+    (spec_tracking_rows) read the angle array block by block instead.
+    """
+    return _roots(spec.k)[build_angles(spec, N)]
 
 
 def build_g(f: np.ndarray) -> np.ndarray:
@@ -228,6 +247,17 @@ def divisor_correlation(f: np.ndarray, n_max: int) -> np.ndarray:
     return _dirichlet(f, np.conj(f[: n_max + 1]), n_max)
 
 
+def _step_value(cum: np.ndarray, count, u: float | np.ndarray) -> float | np.ndarray:
+    """cum[count(u) - 1] at a finite u, where count(u) jump points lie at or below u (0 if none)."""
+    u_arr = np.asarray(u, dtype=float)
+    finite = np.isfinite(u_arr)
+    if not np.all(finite):
+        raise ValueError(f"u must be finite, got {u_arr[~finite][0]}")
+    idx = count(u_arr)
+    out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+    return float(out) if np.ndim(u) == 0 else out
+
+
 @dataclass(frozen=True)
 class StepProfile:
     """Right-continuous step function: cum[j] holds the value from points[j] on.
@@ -240,13 +270,22 @@ class StepProfile:
     cum: np.ndarray
 
     def value(self, u: float | np.ndarray) -> float | np.ndarray:
-        u_arr = np.asarray(u, dtype=float)
-        finite = np.isfinite(u_arr)
-        if not np.all(finite):
-            raise ValueError(f"u must be finite, got {u_arr[~finite][0]}")
-        idx = np.searchsorted(self.points, u_arr, side="right")
-        out = np.where(idx > 0, self.cum[np.maximum(idx - 1, 0)], 0.0)
-        return float(out) if np.ndim(u) == 0 else out
+        return _step_value(self.cum, lambda v: np.searchsorted(self.points, v, side="right"), u)
+
+
+@dataclass(frozen=True)
+class IntegerStepProfile:
+    """StepProfile on the points 1, ..., len(cum), which it does not store.
+
+    Exactly floor(u) clipped to [0, len(cum)] of those points lie at or
+    below a finite u, so that count replaces the search.
+    """
+
+    cum: np.ndarray
+
+    def value(self, u: float | np.ndarray) -> float | np.ndarray:
+        n = len(self.cum)
+        return _step_value(self.cum, lambda v: np.clip(np.floor(v), 0, n).astype(np.intp), u)
 
 
 @dataclass(frozen=True)
@@ -256,7 +295,7 @@ class TransformBundle:
     g_values: np.ndarray
     h_values: np.ndarray
     deficiency: StepProfile  # running sum of (1 - g(p))/p over primes
-    partial_sum: StepProfile  # running sum of g(n)
+    partial_sum: IntegerStepProfile  # running sum of g(n)
 
 
 def transforms(f: np.ndarray, N: int, h_max: int | None = None) -> TransformBundle:
@@ -265,7 +304,8 @@ def transforms(f: np.ndarray, N: int, h_max: int | None = None) -> TransformBund
     The primes and g come from one sieve scan (the g of build_g(f[: N + 1])).
     h is the divisor correlation (cost n log n, so cap it with h_max when
     only small n matter); the deficiency profile jumps at primes, the
-    partial-sum profile at every integer.
+    partial-sum profile at every integer, and it keeps only its running
+    sums (8 bytes per n, as g does), not the integers it jumps at.
     """
     N = _integer_in(N, 2, len(f) - 1, "N")
     if h_max is not None:
@@ -276,7 +316,7 @@ def transforms(f: np.ndarray, N: int, h_max: int | None = None) -> TransformBund
         points=primes.astype(float),
         cum=np.cumsum((1.0 - g[primes]) / primes),
     )
-    partial = StepProfile(points=np.arange(1.0, N + 1), cum=np.cumsum(g[1:]))
+    partial = IntegerStepProfile(cum=np.cumsum(g[1:]))
     return TransformBundle(g_values=g, h_values=h, deficiency=deficiency, partial_sum=partial)
 
 
@@ -466,16 +506,34 @@ class TrackRow:
 def tracking_rows(
     f: np.ndarray, y: float, delta: float, u_values: list[float]
 ) -> list[TrackRow]:
-    """Measured means at x = y^u against the delta-profile target.
+    """Measured means of the array f at x = y^u against the delta-profile target.
 
     The target is the dip solution for u <= U and 0 beyond; deviation is
     the distance of the partial-sum mean from it.  The running sums stop
     at the largest cutoff and stream f in chunks of at most _BLOCK
     entries, so their working memory does not grow with N.
     """
+    return _tracking_rows(lambda lo, hi: f[lo:hi], len(f) - 1, y, delta, u_values)
+
+
+def spec_tracking_rows(
+    spec: MultiplicativeSpec, delta: float, u_values: list[float]
+) -> list[TrackRow]:
+    """tracking_rows(build_f(spec, spec.N), spec.y, delta, u_values), bit for bit.
+
+    f stays the int16 angle array (2 bytes per n, not 16) and each chunk
+    of the running sums indexes the roots; an indexed root is the same
+    double as the entry of build_f's array.
+    """
+    ell = build_angles(spec, spec.N)
+    roots = _roots(spec.k)
+    return _tracking_rows(lambda lo, hi: roots[ell[lo:hi]], spec.N, spec.y, delta, u_values)
+
+
+def _tracking_rows(block, N: int, y: float, delta: float, u_values: list[float]) -> list[TrackRow]:
+    """The rows of tracking_rows for the f whose values on [lo, hi) are block(lo, hi), n <= N."""
     if not (math.isfinite(y) and y > 1.0):
         raise ValueError(f"y must be finite and > 1, got {y}")
-    N = len(f) - 1
     u_values = [float(u) for u in u_values]
     for u in u_values:
         if not (math.isfinite(u) and u > 0.0):
@@ -491,22 +549,23 @@ def tracking_rows(
     U = find_U(delta)
     target_at = mean_grid(delta, U).value_cubic
     # running sums from one cutoff to the next, in ascending order and in
-    # chunks of at most _BLOCK: the carry added to each chunk's first
-    # element keeps each sum sequential, so it equals the entry of
-    # np.cumsum over all of f bit for bit
+    # chunks of at most _BLOCK, each read from block() once: the carry
+    # added to each chunk's first element keeps each sum sequential, so it
+    # equals the entry of np.cumsum over all of f bit for bit
     sums = {}
     n_done, s, s_div = 0, 0j, 0j
     for n in sorted({int(float(y) ** u) for u in u_values}):
         for lo in range(n_done, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
-            run = f[lo + 1 : hi + 1].copy()
-            if lo:
-                run[0] += s
-            s = np.cumsum(run, out=run)[-1]
-            np.divide(f[lo + 1 : hi + 1], np.arange(lo + 1, hi + 1), out=run)
+            vals = block(lo + 1, hi + 1)
+            run = vals / np.arange(lo + 1, hi + 1)
             if lo:
                 run[0] += s_div
             s_div = np.cumsum(run, out=run)[-1]
+            run[:] = vals
+            if lo:
+                run[0] += s
+            s = np.cumsum(run, out=run)[-1]
         n_done = n
         sums[n] = s, s_div
     rows = []

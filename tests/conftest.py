@@ -20,6 +20,10 @@ DESK_N = 4_000_000
 
 
 @pytest.fixture(scope="session")
-def desk_f() -> np.ndarray:
-    spec = oracle.construct_tracking_spec(DESK_K, DESK_DELTA, DESK_Y, 1.0, DESK_N)
-    return oracle.build_f(spec, DESK_N)
+def desk_spec() -> oracle.MultiplicativeSpec:
+    return oracle.construct_tracking_spec(DESK_K, DESK_DELTA, DESK_Y, 1.0, DESK_N)
+
+
+@pytest.fixture(scope="session")
+def desk_f(desk_spec) -> np.ndarray:
+    return oracle.build_f(desk_spec, DESK_N)

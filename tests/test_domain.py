@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from extremal_means.chi_renewal import extend_chi
+from extremal_means.cli import main
 from extremal_means.constants import (
     average_bound_objective,
     order3_profile_average,
@@ -339,6 +340,15 @@ SIEVE_LAB_REJECTS = {
         lambda: mobius(2**61 - 1),
         r"^n must be an integer in \[1, 20000000\], got 2305843009213693951$",
     ),
+    # an int past the float range fails the range test, not a float conversion
+    "mobius-huge-int": (
+        lambda: mobius(10**400),
+        r"^n must be an integer in \[1, 20000000\], got 1000",
+    ),
+    "N-huge-int-tracking": (
+        lambda: construct_tracking_spec(2, 1.0, 1e2, 1.0, 10**400),
+        r"^N must be an integer in \[2, 20000000\], got 1000",
+    ),
     "totient-above-cap": (lambda: totient(20_000_001), r"^n must .*got 20000001$"),
     "coprime-k-above-cap": (
         lambda: coprime_power_sum(2**20, 1),
@@ -361,3 +371,11 @@ def test_sieve_lab_rejects_bad_input(case):
     call, message = SIEVE_LAB_REJECTS[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("flag, name", [("--n", "N"), ("--k", "order k")])
+def test_oracle_command_rejects_a_huge_integer(flag, name, capsys):
+    code = main(["oracle", flag, str(10**400)])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith(f"error: {name} must be an integer in ")

@@ -17,12 +17,15 @@ import numpy as np
 import pytest
 
 from extremal_means.chi_renewal import extend_chi
+from extremal_means.cli import render_oracle_csv
 from extremal_means.extremal import find_U
 from extremal_means.oracle import (
     MAX_ORDER,
+    IntegerStepProfile,
     InfeasibleError,
     MultiplicativeSpec,
     StepProfile,
+    build_angles,
     build_f,
     build_g,
     construct_tracking_spec,
@@ -36,11 +39,13 @@ from extremal_means.oracle import (
     sandwich_check,
     sieve_primes,
     smallest_prime_factors,
+    spec_tracking_rows,
     totient,
     tracking_rows,
     transforms,
     _dirichlet,
     _greedy_classes,
+    _roots,
 )
 
 from conftest import DESK_DELTA, DESK_N, DESK_Y
@@ -193,8 +198,11 @@ def test_in_place_builders_equal_the_doubling_block_reference(million_spec):
 
     ell = doubling_block_builder(ell_at, spf, (k, 0), add_angles)
     assert np.count_nonzero(ell == k) > 0  # the absorbing index occurs
+    angles = build_angles(million_spec, N)
+    assert angles.dtype == np.int16 and np.array_equal(angles, ell)
     f = build_f(million_spec, N)
     assert np.array_equal(bits(f), bits(np.append(np.exp(2j * np.pi * np.arange(k) / k), 0.0)[ell]))
+    assert np.array_equal(bits(f), bits(_roots(k)[angles]))
     g = doubling_block_builder(np.abs(1.0 + f) - 1.0, spf, (0.0, 1.0), np.multiply)
     assert np.array_equal(bits(build_g(f)), bits(g))
 
@@ -390,6 +398,23 @@ def test_step_profile_conventions():
     assert vec.shape == (3,) and np.array_equal(vec, [0.0, 1.0, 3.0])
 
 
+def test_integer_step_profile_equals_the_searched_points():
+    N = 7
+    cum = np.cumsum(np.arange(1.0, N + 1) ** 2)
+    searched = StepProfile(points=np.arange(1.0, N + 1), cum=cum)
+    counted = IntegerStepProfile(cum=cum)
+    us = [-1.0, 0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, 2.5, float(N), N + 0.5, 1e300]
+    for u in us:
+        assert counted.value(u) == searched.value(u)
+        assert type(counted.value(u)) is float
+    assert np.array_equal(bits(counted.value(np.array(us))), bits(searched.value(np.array(us))))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^u must be finite, got {bad}$"):
+            searched.value(bad)
+        with pytest.raises(ValueError, match=rf"^u must be finite, got {bad}$"):
+            counted.value(np.array([1.0, bad]))
+
+
 def test_transforms_bundle_and_running_bound(desk_f):
     bundle = transforms(desk_f, DESK_N, h_max=64)
     assert len(bundle.h_values) == 65
@@ -486,6 +511,27 @@ def test_tracking_sums_equal_the_full_running_sums(desk_f):
         )
 
 
+def test_spec_rows_equal_the_rows_of_the_built_f(desk_spec, desk_f):
+    U = find_U(DESK_DELTA)
+    us = [float(u) for u in np.arange(1.0, U, 0.05)] + [U]
+    assert spec_tracking_rows(desk_spec, DESK_DELTA, us) == tracking_rows(
+        desk_f, DESK_Y, DESK_DELTA, us
+    )
+    spec = construct_tracking_spec(3, 0.5, 1e3, 1.0, 10**6)
+    us = [float(u) for u in np.arange(1.0, find_U(0.5), 0.05)]
+    rows = spec_tracking_rows(spec, 0.5, us)
+    assert rows == tracking_rows(build_f(spec, 10**6), 1e3, 0.5, us)
+    assert any(r.partial_sum.imag != 0.0 for r in rows)  # order 3 sums complex roots
+
+
+def test_oracle_command_keeps_f_as_angle_indices():
+    # the angle indices (2 bytes per n) next to the sieve table (4) while
+    # they are built, then a few MB of complex values per chunk; a complex
+    # f alone is 16 bytes per n
+    _, peak = traced_peak(lambda: render_oracle_csv(3, 0.5, 1e3, MILLION, 1.0, 0.05, "csv"))
+    assert peak <= 9 * MILLION
+
+
 def test_build_f_keeps_only_f_and_the_angle_indices(million_spec):
     # f is 16 bytes per n and the int16 angles 2; the smallest-prime-factor
     # table (4) is freed before f is built, and the builder's temporaries
@@ -496,16 +542,17 @@ def test_build_f_keeps_only_f_and_the_angle_indices(million_spec):
 
 
 def test_transforms_free_the_sieve_before_the_sums(million_spec):
-    # kept: g, the partial-sum points and running sums (8 bytes per n
-    # each) and the prime profile; spf is freed before the sums
+    # kept: g and the partial sums' running sums (8 bytes per n each, no
+    # stored points) and the prime profile; spf is freed before the sums
     f = build_f(million_spec, MILLION)
     _, peak = traced_peak(lambda: transforms(f, MILLION, h_max=16))
-    assert peak <= 27 * MILLION
+    assert peak <= 19 * MILLION
 
 
 def test_step_profile_query_makes_no_cast_copy(million_spec):
-    # float queries search the float points as they are: no 8-byte-per-n
-    # float copy of integer points per call
+    # a query allocates per query point, not per n: the partial-sum
+    # profile counts the integers at or below u, with no stored or cast
+    # copy of them
     bundle = transforms(build_f(million_spec, MILLION), MILLION, h_max=16)
     u = np.linspace(1.0, MILLION, 200)
     values, peak = traced_peak(lambda: bundle.partial_sum.value(u))
