@@ -23,7 +23,7 @@ from .constants import (
     order_constant,
     unit_disc_bounds,
 )
-from .dickman import dde_residual_max, rho, rho_inverse, rho_total_integral
+from .dickman import dde_residual_max, rho, rho_total_integral
 from .extremal import (
     CLOSED_FORM_DELTA,
     RootNotFoundError,
@@ -36,7 +36,7 @@ from .extremal import (
     table_by_first_zero,
     table_by_order,
 )
-from .sigma import sigma_closed, sigma_dde, sigma_series, solve_volterra
+from .sigma import sigma_closed, sigma_dde, solve_volterra
 from .verification import CheckResult, run_checks
 
 __version__ = "0.1.0"
@@ -64,12 +64,10 @@ __all__ = [
     "order4_bound",
     "order_constant",
     "rho",
-    "rho_inverse",
     "rho_total_integral",
     "run_checks",
     "sigma_closed",
     "sigma_dde",
-    "sigma_series",
     "solve_volterra",
     "table_by_first_zero",
     "table_by_order",

@@ -77,12 +77,9 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     1 - s(x), so no quadrature error enters from those regions at all.
     """
     delta = float(delta)
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    U, mean_at, kernel = _renewal_kernel(delta)
     if t_max is not None and not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
-
-    U = find_U(delta)
     if t_max is None:
         t_max = 4.0 * U
     if t_max <= U:
@@ -91,14 +88,7 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     if m < 10:
         raise ValueError(f"h must divide 1 with at least 10 steps per unit, got {h}")
 
-    # the mean is exact on [0, 2] and marched to ~1e-10 beyond, far below
-    # the O(h^2) renewal quadrature
-    mean_at = mean_grid(delta, U).value_cubic
     s_at_U = float(mean_at(U))          # ~0 by construction of U
-
-    def kernel(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return (1.0 + delta) * mean_at(v - 1.0) / v
 
     # kernel nodes j*h for j in [m, M]; the stub [M*h, U] is handled
     # separately (U need not sit on the grid)
@@ -180,24 +170,32 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     )
 
 
+def _renewal_kernel(delta: float):
+    """The first zero U of delta, the pre-cutoff mean s as a cubic
+    interpolant, and the renewal kernel k(v) = (1+delta) s(v-1) / v.
+
+    The mean is exact on [0, 2] and marched to ~1e-10 beyond, far below
+    the O(h^2) renewal quadrature.
+    """
+    U = find_U(delta)
+    mean_at = mean_grid(delta, U).value_cubic
+
+    def kernel(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        return (1.0 + delta) * mean_at(v - 1.0) / v
+
+    return U, mean_at, kernel
+
+
 def kernel_mass(delta: float) -> float:
     """Direct quadrature of the renewal kernel over [1, U].
 
     Independent of the antiderivative identity used by extend_chi; the
     result should equal 1 - s(U), i.e. 1 up to the zero-location error.
     """
-    delta = float(delta)
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    U = find_U(delta)
-    mean_at = mean_grid(delta, U).value_cubic
-
-    def kernel(v: np.ndarray) -> np.ndarray:
-        return (1.0 + delta) * mean_at(np.asarray(v, dtype=float) - 1.0) / v
-
+    U, _, kernel = _renewal_kernel(float(delta))
     cuts = [float(j) for j in range(2, int(math.floor(U)) + 1)]
-    res = integrate_callable(kernel, 1.0, U, tol=1e-11, breakpoints=cuts)
-    return res.value
+    return integrate_callable(kernel, 1.0, U, tol=1e-11, breakpoints=cuts).value
 
 
 def verify_sigma_vanishes(chi: ExtendedChi, u_max: float) -> float:

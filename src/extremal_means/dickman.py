@@ -26,17 +26,12 @@ from functools import cache
 
 import numpy as np
 
-from .piecewise import bisect
-
 __all__ = [
     "default_table",
     "rho",
-    "rho_inverse",
     "rho_total_integral",
     "dde_residual_max",
 ]
-
-LOG2 = float(np.log(2.0))
 
 UNITS = 40  # rho is tabulated on [0, UNITS]
 TERMS = 40
@@ -108,21 +103,6 @@ def rho(u: float | np.ndarray) -> float | np.ndarray:
     if scalar:
         return float(out[0])
     return out
-
-
-def rho_inverse(x: float) -> float:
-    """Smallest u >= 1 with rho(u) = x, for 0 < x <= 1.
-
-    The branch on [1, 2] inverts in closed form; below rho(2) the
-    series is bisected (rho is strictly decreasing for u >= 1).
-    """
-    if not 0.0 < x <= 1.0:
-        raise ValueError("inverse needs 0 < x <= 1")
-    if x >= 1.0 - LOG2:
-        return float(np.exp(1.0 - x))
-    if rho(U_MAX) > x:
-        raise ValueError("target below the tabulated range of rho")
-    return bisect(lambda u: rho(u) > x, 2.0, U_MAX, 1e-13)
 
 
 def rho_total_integral(u_cut: float = 20.0) -> float:

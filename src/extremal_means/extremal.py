@@ -46,11 +46,9 @@ def locate_first_zero(grid: SolutionGrid) -> float | None:
     """First u with grid value <= 0, refined on the cubic interpolant.
 
     Returns None when every node stays positive; find_U reads the one grid
-    of sigma_dde_to_first_zero.  The scan starts after the initial plateau.
-    The zero lies in the cell [(i-1)h, ih] that ends at the first
-    non-positive node i.  The bisection there reads the interpolant through
-    scalar SolutionGrid.value_cubic calls, which run in plain floats on the
-    stencil helper and weights of the array path and give the same double.
+    of sigma_dde_to_first_zero.  The scan starts after the initial plateau;
+    the zero lies in the cell [(i-1)h, ih] that ends at the first
+    non-positive node i, bisected on scalar value_cubic calls.
     """
     neg = np.nonzero(grid.values[grid.m + 1 :] <= 0.0)[0]
     if not neg.size:
@@ -78,11 +76,9 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
     1 + delta.
 
     The march (sigma_dde_to_first_zero) stops at the first whole unit that
-    holds a non-positive node, not at U_CAP, and returns one grid that is
-    validated and scanned once.  That grid equals the start of the U_CAP
-    grid node for node, and the one stencil helper of grid.py
-    (grid._stencil_start) picks the same stencil on both inside the
-    zero's cell, so the zero is the one the U_CAP grid gives, bit for bit.
+    holds a non-positive node, not at U_CAP.  A shorter march is the start
+    of a longer one with the same stencils (grid._march_step_profile), so
+    the zero is the one the U_CAP grid gives, bit for bit.
     """
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
@@ -107,8 +103,6 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
 def chi_delta(delta: float) -> PiecewiseFunction:
     """Cutoff step profile: 1 on [0,1), -delta on [1,U), 0 from U on,
     with U the first zero of the induced solution."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
     U = find_U(delta)
     return PiecewiseFunction(
         breakpoints=(0.0, 1.0, U),
@@ -167,11 +161,8 @@ def _check_zero(U: float) -> None:
 def mean_grid(delta: float, U: float) -> SolutionGrid:
     """The pre-cutoff mean for delta, marched on [0, max(2, ceil U)].
 
-    Every reader of the mean past 3 takes it from this grid.  A
-    shorter march is the start of a longer one, node for node, and the
-    stencil helper behind value_cubic (grid._stencil_start) picks the
-    same stencil on both, so the values on [0, U] are those of any
-    longer march.
+    Every reader of the mean past 3 takes it from this grid; its values
+    on [0, U] are those of any longer march (grid._march_step_profile).
     """
     _check_zero(U)
     return sigma_dde(delta, float(max(2, math.ceil(U + 1e-12))), richardson=True)

@@ -57,17 +57,16 @@ def steps_per_unit(h: float, span: float = 1.0) -> int:
 
 @dataclass(frozen=True)
 class SolutionGrid:
-    """Values of a delay-equation solution on u = 0, h, 2h, ..., u_max."""
+    """Values of a delay-equation solution on u = 0, h, 2h, ..., u_max.
+
+    The horizon u_max is the last node, read off the values.
+    """
 
     h: float
-    u_max: float
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         m = steps_per_unit(self.h)
-        n = round(self.u_max / self.h)
-        if len(self.values) != n + 1:
-            raise ValueError("values length inconsistent with h and u_max")
         if not np.all(self.values[: m + 1] == 1.0):
             raise ValueError("solution must be identically 1 on [0, 1]")
         # written so that NaN fails it too
@@ -77,6 +76,10 @@ class SolutionGrid:
     @property
     def m(self) -> int:
         return round(1.0 / self.h)
+
+    @property
+    def u_max(self) -> float:
+        return (len(self.values) - 1) / self.m
 
     def grid_u(self) -> np.ndarray:
         return np.arange(len(self.values)) * self.h
@@ -210,6 +213,8 @@ def _march_step_profile(
     ones a single call of integrate_delay_equation over [0, n*h] would
     fill, and the Richardson combine (4 fine - coarse) / 3 works node by
     node, so stopping early leaves the start of the full solve, bit for bit.
+    On a start that ends on a whole unit, _stencil_start picks the stencil
+    of the full grid everywhere short of its last node.
     """
     coarse = np.empty(n + 1)
     _seed_step_profile(coarse, m, h, rate)
@@ -237,10 +242,11 @@ def _march_step_profile(
 
 
 def _check_horizon(u_max: float, h: float) -> tuple[int, int]:
-    """(m, n): steps per unit and nodes past the origin of a grid on [0, u_max]."""
+    """(m, n): steps per unit and nodes past the origin of a grid that
+    reaches u_max, ending on the first node at or past it."""
     if not 0.0 <= u_max < math.inf:
         raise ValueError(f"u_max must be finite and >= 0, got {u_max}")
-    return steps_per_unit(h, u_max), round(u_max / h)
+    return steps_per_unit(h, u_max), math.ceil(u_max / h - 1e-9)
 
 
 def solve_step_profile(rate: float, u_max: float, h: float, richardson: bool) -> SolutionGrid:
@@ -255,7 +261,7 @@ def solve_step_profile(rate: float, u_max: float, h: float, richardson: bool) ->
     m, n = _check_horizon(u_max, h)
     for _, values in _march_step_profile(rate, m, n, h, richardson):
         pass
-    return SolutionGrid(h=h, u_max=u_max, values=values)
+    return SolutionGrid(h=h, values=values)
 
 
 def march_to_first_nonpositive(
@@ -265,11 +271,11 @@ def march_to_first_nonpositive(
     whole unit that holds a node <= 0 past u = 1.
 
     Only each unit's new nodes are scanned.  The grid ends on that unit,
-    or on u_max when every node stays positive, and is the start of the
-    full grid, node for node.
+    or on the full horizon when every node stays positive, and is the
+    start of the full grid, node for node.
     """
     m, n = _check_horizon(u_max, h)
     for top, values in _march_step_profile(rate, m, n, h, richardson):
         if top == n or np.any(values[top - m + 1 : top + 1] <= 0.0):
             break
-    return SolutionGrid(h=h, u_max=u_max if top == n else top / m, values=values[: top + 1])
+    return SolutionGrid(h=h, values=values[: top + 1])

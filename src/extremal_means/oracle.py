@@ -58,6 +58,24 @@ def _integer_in(x: float, lo: float, hi: float, name: str) -> int:
     return int(x)
 
 
+def _cutoff(y: float, t: float, N: int, name: str, exponent: str) -> float:
+    """The cutoff y^t for a finite y > 1, checked to be at most N.
+
+    The bound is N (1 + 1e-9), so a cutoff that lands on N up to rounding
+    passes; N * 1e-9 < 1 up to SIEVE_CAP, so int(y^t) <= N still.  `name`
+    and `exponent` ("y^u" and "u = 1.5") word the messages.
+    """
+    if not (math.isfinite(y) and y > 1.0):
+        raise ValueError(f"y must be finite and > 1, got {y}")
+    try:
+        x = float(y) ** t
+    except OverflowError:
+        raise ValueError(f"{name} overflows a float for y = {y}, {exponent}") from None
+    if x > N * (1.0 + 1e-9):
+        raise ValueError(f"{name} = {x:g} exceeds N = {N} for y = {y}, {exponent}")
+    return x
+
+
 def sieve_primes(N: int) -> np.ndarray:
     """All primes <= N, ascending."""
     N = _integer_in(N, 2, SIEVE_CAP, "N")
@@ -362,21 +380,11 @@ def sandwich_check(g: np.ndarray, n_max: int) -> float:
 
 def empirical_chi(f: np.ndarray, y: float, u: float) -> complex:
     """Log-weighted prime average of f up to y^u."""
-    if not (math.isfinite(y) and y > 1.0):
-        raise ValueError(f"y must be finite and > 1, got {y}")
     if not (math.isfinite(u) and u > 0.0):
         raise ValueError(f"u must be finite and positive, got {u}")
-    N = len(f) - 1
-    try:
-        x = float(y) ** float(u)
-    except OverflowError:
-        raise ValueError(f"y^u overflows a float for y = {y}, u = {u}") from None
-    if x > N + 1e-9:
-        raise ValueError(f"y^u = {x:g} exceeds the f range {N}")
-    primes = sieve_primes(int(min(x, N)))
-    sel = primes[: np.searchsorted(primes, x, side="right")]
-    logs = np.log(sel)
-    return complex(np.sum(f[sel] * logs) / np.sum(logs))
+    primes = sieve_primes(int(_cutoff(y, float(u), len(f) - 1, "y^u", f"u = {u}")))
+    logs = np.log(primes)
+    return complex(np.sum(f[primes] * logs) / np.sum(logs))
 
 
 @dataclass(frozen=True)
@@ -424,25 +432,15 @@ def construct_tracking_spec(
     """
     k = _integer_in(k, 2, MAX_ORDER, "order k")
     N = _integer_in(N, 2, SIEVE_CAP, "N")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if not (math.isfinite(y) and y > 1.0):
-        raise ValueError(f"y must be finite and > 1, got {y}")
+    U = find_U(delta)
     if not (math.isfinite(A) and A > 0.0):
         raise ValueError(f"A must be finite and positive, got {A}")
-    U = find_U(delta)
     t_end = A * U
-    try:
-        x_end = float(y) ** t_end
-    except OverflowError:
-        raise ValueError(f"y^(A U) overflows a float for y = {y}, A = {A}") from None
-    if x_end > N * (1.0 + 1e-9):
-        raise ValueError(f"y^(A U) = {x_end:g} exceeds the sieve limit {N}")
+    x_end = _cutoff(y, t_end, N, "y^(A U)", f"A = {A}")
 
-    primes = sieve_primes(N)
-    lo = np.searchsorted(primes, y, side="right")
-    hi = np.searchsorted(primes, x_end, side="right")
-    sel = primes[lo:hi]
+    # the sieve stops at the largest cutoff, not at N
+    primes = sieve_primes(int(x_end)) if x_end >= 2.0 else np.zeros(0, dtype=np.intp)
+    sel = primes[np.searchsorted(primes, y, side="right") :]
     if sel.size == 0:
         raise ValueError(f"A = {A} leaves no prime in (y, y^(A U)] = ({y:g}, {x_end:g}]")
     logs = np.log(sel)
@@ -470,23 +468,43 @@ def _greedy_classes(logs: np.ndarray, alpha: np.ndarray, k: int) -> list[int]:
     """Largest-deficit-first class of each prime, ties to the lowest index.
 
     Prime i adds (1 - (k-1) alpha_i) w_i to class 0's running target and
-    alpha_i w_i to every other class's, so classes 1..k-1 share one
-    running target.  The loop runs on Python floats (read one at a time
-    through memoryviews, not materialized as lists); the sums and gaps
-    are the same IEEE operations as a length-k numpy argmax loop.
+    alpha_i w_i to every other class's, so classes 1..k-1 share one target
+    t.  As in a length-k argmax loop, class j >= 1 wins only on a gap
+    t - a_j (a_j its assigned weight) strictly above class 0's, and then
+    the lowest index among the largest gaps does.  Rounding is monotone,
+    so that is the top of a heap keyed on (a_j, j); classes still at
+    weight 0 enter it one at a time (`fresh`), so no tie hides among
+    them.  Two distinct weights round to one gap only where t - a is
+    inexact, which Sterbenz's lemma rules out while t/2 <= a < 2t for the
+    least weight a (a weight b > 2t has a gap of at most -t < t - a).  Outside
+    that range, if the next entry's gap ties too, every entry is read and
+    the lowest tied index wins.  A prime costs O(log k), not k gaps.
     """
-    target0 = target1 = 0.0
-    assigned = [0.0] * k
+    import heapq  # deferred: every command imports this module, one uses heapq
+
+    target0 = target1 = assigned0 = 0.0
+    heap, fresh = [(0.0, 1)], 1
     classes = []
     for w, a in zip(memoryview(logs), memoryview(alpha)):
         target0 += (1.0 - (k - 1) * a) * w
         target1 += a * w
-        ell, best = 0, target0 - assigned[0]
-        for j in range(1, k):
-            gap = target1 - assigned[j]
-            if gap > best:
-                ell, best = j, gap
-        assigned[ell] += w
+        low, ell = heap[0]
+        best = target1 - low
+        if not best > target0 - assigned0:
+            assigned0 += w
+            ell = 0
+        elif (
+            0.5 * target1 <= low < 2.0 * target1
+            or target1 - min(heap[1:3], default=(math.inf,))[0] < best
+        ):
+            heapq.heapreplace(heap, (low + w, ell))
+        else:
+            low, ell = min((e for e in heap if target1 - e[0] == best), key=lambda e: e[1])
+            heap[heap.index((low, ell))] = (low + w, ell)
+            heapq.heapify(heap)
+        if ell == fresh < k - 1:
+            fresh += 1
+            heapq.heappush(heap, (0.0, fresh))
         classes.append(ell)
     return classes
 
@@ -513,7 +531,8 @@ def tracking_rows(
     at the largest cutoff and stream f in chunks of at most _BLOCK
     entries, so their working memory does not grow with N.
     """
-    return _tracking_rows(lambda lo, hi: f[lo:hi], len(f) - 1, y, delta, u_values)
+    u_values, xs = _tracking_cutoffs(y, u_values, len(f) - 1)
+    return _tracking_rows(lambda lo, hi: f[lo:hi], u_values, xs, delta)
 
 
 def spec_tracking_rows(
@@ -523,29 +542,32 @@ def spec_tracking_rows(
 
     f stays the int16 angle array (2 bytes per n, not 16) and each chunk
     of the running sums indexes the roots; an indexed root is the same
-    double as the entry of build_f's array.
+    double as the entry of build_f's array.  The array stops at the
+    largest cutoff floor(y^u): f(n) depends only on the factorization of n.
     """
-    ell = build_angles(spec, spec.N)
+    u_values, xs = _tracking_cutoffs(spec.y, u_values, spec.N)
+    ell = build_angles(spec, max(int(max(xs, default=0.0)), 2))
     roots = _roots(spec.k)
-    return _tracking_rows(lambda lo, hi: roots[ell[lo:hi]], spec.N, spec.y, delta, u_values)
+    return _tracking_rows(lambda lo, hi: roots[ell[lo:hi]], u_values, xs, delta)
 
 
-def _tracking_rows(block, N: int, y: float, delta: float, u_values: list[float]) -> list[TrackRow]:
-    """The rows of tracking_rows for the f whose values on [lo, hi) are block(lo, hi), n <= N."""
-    if not (math.isfinite(y) and y > 1.0):
-        raise ValueError(f"y must be finite and > 1, got {y}")
+def _tracking_cutoffs(y: float, u_values: list[float], N: int) -> tuple[list[float], list[float]]:
+    """The exponents u as floats, each finite and positive, and their
+    cutoffs y^u, the largest checked by _cutoff (y also on an empty list)."""
     u_values = [float(u) for u in u_values]
     for u in u_values:
         if not (math.isfinite(u) and u > 0.0):
             raise ValueError(f"u must be finite and positive, got {u}")
+    u_top = max(u_values, default=0.0)
+    _cutoff(y, u_top, N, "y^u", f"u = {u_top}")
+    return u_values, [float(y) ** u for u in u_values]
+
+
+def _tracking_rows(block, u_values: list[float], xs: list[float], delta: float) -> list[TrackRow]:
+    """The rows of tracking_rows at the checked cutoffs xs = y^u for the f
+    whose values on [lo, hi) are block(lo, hi)."""
     if not u_values:
         return []
-    try:
-        x_top = float(y) ** max(u_values)
-    except OverflowError:
-        raise ValueError(f"y^u overflows a float for y = {y}, u = {max(u_values)}") from None
-    if x_top > N + 1e-9:
-        raise ValueError(f"largest cutoff y^u = {x_top:g} exceeds the f range {N}")
     U = find_U(delta)
     target_at = mean_grid(delta, U).value_cubic
     # running sums from one cutoff to the next, in ascending order and in
@@ -554,7 +576,7 @@ def _tracking_rows(block, N: int, y: float, delta: float, u_values: list[float])
     # equals the entry of np.cumsum over all of f bit for bit
     sums = {}
     n_done, s, s_div = 0, 0j, 0j
-    for n in sorted({int(float(y) ** u) for u in u_values}):
+    for n in sorted({int(x) for x in xs}):
         for lo in range(n_done, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             vals = block(lo + 1, hi + 1)
@@ -569,8 +591,7 @@ def _tracking_rows(block, N: int, y: float, delta: float, u_values: list[float])
         n_done = n
         sums[n] = s, s_div
     rows = []
-    for u in u_values:
-        x = float(y) ** u
+    for u, x in zip(u_values, xs):
         s, s_div = sums[int(x)]
         partial = complex(s / x)
         log_mean = complex(s_div / math.log(x))

@@ -8,11 +8,11 @@ Three independent routes to the same object:
   -delta) admits closed forms through u = 3 and a conservative delay
   equation d/du[u*s] = s(u) - (1+delta)*s(u-1) beyond, marched in full
   or, by sigma_dde_to_first_zero, up to the first unit holding a zero.
-* sigma_series: first-order expansion in delta around the delta = 0
-  solution, used as a cross-check only; series_first_term is its
-  delta-free correction T_1(u).
+* series_first_term: T_1(u), the delta-free factor of the first-order
+  expansion rho - delta*T_1 around the delta = 0 solution, used as a
+  cross-check only.
 
-sigma_dde and sigma_series describe the profile that keeps weight
+sigma_dde and the series describe the profile that keeps weight
 -delta for ALL t > 1 (no cutoff).  Its first zero U, the cutoff profile
 chi_delta that switches to 0 there, and the mean up to U live in
 extremal, one layer up; this module sits on grid, piecewise and dickman
@@ -35,7 +35,6 @@ __all__ = [
     "sigma_closed",
     "sigma_dde",
     "sigma_dde_to_first_zero",
-    "sigma_series",
     "series_first_term",
 ]
 
@@ -224,7 +223,7 @@ def solve_volterra(
         fine = _volterra_values(chi, u_max, h / 2.0)
         values = (4.0 * fine[::2] - values) / 3.0
         values[: m + 1] = 1.0
-    return SolutionGrid(h=h, u_max=u_max, values=values)
+    return SolutionGrid(h=h, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +269,9 @@ def sigma_dde_to_first_zero(delta: float, u_max: float) -> SolutionGrid:
 # series cross-check
 
 
-def sigma_series(delta: float, u: float, j_max: int) -> float:
-    """Expansion of the no-cutoff solution in powers of -delta, truncated
-    after j_max correction terms.  j_max <= 1; a cross-check, not a solver.
-
-    The first correction is -delta * T_1(u), T_1(u) = int_1^u rho(u-t) dt/t.
-    """
-    if not 0 <= j_max <= 1:
-        raise ValueError("series truncation supports j_max in 0..1")
-    if u < 0:
-        raise ValueError("u must be >= 0")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
-    total = float(rho(u))
-    if j_max == 1 and u > 1.0:
-        total -= delta * series_first_term(u)
-    return total
-
-
 def series_first_term(u: float) -> float:
-    """T_1(u) = int_1^u rho(u-t) dt/t for u > 1, the delta-free factor of
-    sigma_series' first correction (0 for u <= 1)."""
+    """T_1(u) = int_1^u rho(u-t) dt/t for u > 1 (0 for u <= 1): the
+    no-cutoff mean is rho(u) - delta*T_1(u) + O(delta^2)."""
     if not (math.isfinite(u) and u >= 0.0):
         raise ValueError(f"u must be finite and >= 0, got {u}")
     if u <= 1.0:

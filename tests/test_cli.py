@@ -163,6 +163,16 @@ def test_sigma_grid_output(capsys):
     assert lines[4].startswith("1.5,0.513")
 
 
+def test_sigma_grid_reaches_a_horizon_off_the_step(capsys):
+    # the march ends on the first node at or past --u-max, so the last
+    # row is interpolated inside the grid, not clamped to sigma(2)
+    code, out, _ = run_cli(
+        ["sigma", "--delta", "0.3", "--u-max", "2.00005", "--step", "0.00005"], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[-2:] == ["2.0,0.09890866527", "2.00005,0.09887616700"]
+
+
 def test_chi_extend_output(capsys):
     code, out, _ = run_cli(
         ["chi-extend", "--delta", "0.2", "--t-max", "6.0", "--step", "1.0"], capsys

@@ -39,7 +39,7 @@ from extremal_means.piecewise import integrate_callable
 from extremal_means.sigma import closed_tail_integral, sigma_dde, solve_volterra
 
 STEP_USERS = {
-    "SolutionGrid": lambda h: SolutionGrid(h=h, u_max=2.0, values=np.ones(3)),
+    "SolutionGrid": lambda h: SolutionGrid(h=h, values=np.ones(3)),
     "sigma_dde": lambda h: sigma_dde(0.2, 3.0, h=h),
     "solve_volterra": lambda h: solve_volterra(chi_delta(0.3), 3.0, h=h),
     "extend_chi": lambda h: extend_chi(0.3, h=h),
@@ -224,10 +224,10 @@ def test_solution_grid_rejects_values_off_the_unit_band(bad):
     values = np.ones(31)
     values[25] = bad
     with pytest.raises(ValueError, match="^solution escaped the unit band$"):
-        SolutionGrid(h=0.1, u_max=3.0, values=values)
+        SolutionGrid(h=0.1, values=values)
     # the band edge itself stays accepted
     values[25] = -1.0 - 1e-6
-    assert SolutionGrid(h=0.1, u_max=3.0, values=values).values[25] == -1.0 - 1e-6
+    assert SolutionGrid(h=0.1, values=values).values[25] == -1.0 - 1e-6
 
 
 @pytest.mark.parametrize("bad", [3.5, math.inf, math.nan])

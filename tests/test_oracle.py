@@ -9,6 +9,8 @@ stands in for asymptopia.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import tracemalloc
 from collections import Counter
@@ -16,8 +18,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from extremal_means import oracle
 from extremal_means.chi_renewal import extend_chi
-from extremal_means.cli import render_oracle_csv
+from extremal_means.cli import fmt_sig, main, render_oracle_csv
 from extremal_means.extremal import find_U
 from extremal_means.oracle import (
     MAX_ORDER,
@@ -524,6 +527,31 @@ def test_spec_rows_equal_the_rows_of_the_built_f(desk_spec, desk_f):
     assert any(r.partial_sum.imag != 0.0 for r in rows)  # order 3 sums complex roots
 
 
+def test_oracle_command_takes_a_cutoff_on_N_up_to_rounding(capsys):
+    # y^(A U) lands on N up to rounding; the spec and the rows share one
+    # cutoff rule, so the rows of the spec the command builds are printed
+    y, A, N = 1e4, 1.0010879505335595, 4_000_000
+    u_top = A * find_U(1.0)
+    assert y**u_top > N + 1e-9
+    argv = ["oracle", "--k", "2", "--delta", "1", "--y", "1e4", "--n", str(N), "--a", repr(A)]
+    assert main(argv) == 0
+    printed = [r["deviation"] for r in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+    us = [float(u) for u in np.arange(1.0, u_top - 1e-12, 0.05)] + [u_top]
+    rows = tracking_rows(build_f(construct_tracking_spec(2, 1.0, y, A, N), N), y, 1.0, us)
+    assert printed == [fmt_sig(r.deviation) for r in rows]
+
+
+def test_oracle_command_sieves_only_to_the_largest_cutoff(monkeypatch):
+    # f(n) depends only on the factorization of n, so neither the spec
+    # nor the angle array reads n past floor(y^(A U)), about 7.0e5 here
+    sizes = []
+    for name in ("sieve_primes", "smallest_prime_factors"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda n, real=real: sizes.append(n) or real(n))
+    render_oracle_csv(3, 0.5, 1e3, MILLION, 1.0, 0.05, "csv")
+    assert max(sizes) == int(1e3 ** find_U(0.5)) < 0.71 * MILLION
+
+
 def test_oracle_command_keeps_f_as_angle_indices():
     # the angle indices (2 bytes per n) next to the sieve table (4) while
     # they are built, then a few MB of complex values per chunk; a complex
@@ -617,6 +645,22 @@ def test_greedy_ties_go_to_the_lowest_class():
     assert _greedy_classes(logs, alpha, 4) == numpy_greedy(logs, alpha, 4) == [0, 1, 2, 3] * 2
     logs, alpha = np.log([11.0, 13.0]), np.full(2, 0.5)
     assert _greedy_classes(logs, alpha, 2) == numpy_greedy(logs, alpha, 2) == [0, 1]
+    # distinct weights 2^-52 (class 1) and 0 (class 2) round to one gap
+    # 2^52: the lower index wins, not the lighter class
+    logs = np.array([2.0**-52, 2.0**53])
+    assert _greedy_classes(logs, alpha, 3) == numpy_greedy(logs, alpha, 3) == [1, 1]
+
+
+def test_greedy_heap_gives_the_loop_classes_on_spread_weights():
+    # weights over 28 decades and class weights on a few exact values
+    # make exact and rounded gap ties common
+    rng = np.random.default_rng(7)
+    for k in range(2, 8):
+        for _ in range(25):
+            n = int(rng.integers(1, 120))
+            logs = 10.0 ** rng.uniform(-12.0, 16.0, n)
+            alpha = rng.choice([0.0, 0.5 / (k - 1), 1.0 / k, 1.0 / (k - 1)], n)
+            assert _greedy_classes(logs, alpha, k) == numpy_greedy(logs, alpha, k)
 
 
 def test_construction_validation():

@@ -29,7 +29,6 @@ from extremal_means.sigma import (
     sigma_closed_band,
     sigma_dde,
     sigma_dde_to_first_zero,
-    sigma_series,
     series_first_term,
     solve_volterra,
 )
@@ -224,6 +223,12 @@ def test_cubic_on_a_horizon_off_the_integers():
         assert np.max(np.abs(grid.value_cubic(us) - full.value_cubic(us))) <= 1e-12
 
 
+def test_grid_ends_on_the_first_node_at_or_past_the_horizon():
+    assert sigma_dde(0.3, 2.0).u_max == 2.0
+    assert sigma_dde(0.3, 2.00005).u_max == sigma_dde(0.3, 2.0001).u_max == 2.0001
+    assert len(sigma_dde(0.3, 2.00005).values) == 20_002
+
+
 @pytest.mark.parametrize("richardson", [True, False])
 def test_scalar_value_cubic_is_the_array_path_bit_for_bit(richardson):
     # the plain-float scalar path shares the array path's stencil helper
@@ -399,20 +404,14 @@ def test_chi_delta_window_shape():
 
 
 def test_series_truncations():
-    # zeroth truncation is the plain smooth density
-    assert abs(sigma_series(0.3, 1.7, 0) - rho(1.7)) < 1e-12
-    # first truncation at u=2 has the closed value 1 - (1+delta)log 2
-    got = sigma_series(0.1, 2.0, 1)
+    # below u = 1 the first-order series rho - delta T1 is the plain density
+    assert series_first_term(0.5) == 0.0
+    assert rho(0.5) - 0.3 * series_first_term(0.5) == 1.0
+    # at u = 2 it has the closed value 1 - (1+delta) log 2: T1(2) = log 2
+    got = rho(2.0) - 0.1 * series_first_term(2.0)
     assert abs(got - (1.0 - 1.1 * math.log(2.0))) < 1e-10
     assert abs(got - 0.2375381014) < 1e-9  # frozen
-    for j_max in (2, 4):
-        with pytest.raises(ValueError):
-            sigma_series(0.1, 2.0, j_max)
-    # the delta-free factor: T1(2) = log 2, nothing below 1, and the
-    # series is rho - delta T1 bit for bit (verify's envelope relies on it)
     assert abs(series_first_term(2.0) - math.log(2.0)) < 1e-12
-    assert series_first_term(0.5) == 0.0
-    assert sigma_series(0.1, 3.5, 1) == rho(3.5) - 0.1 * series_first_term(3.5)
     with pytest.raises(ValueError):
         series_first_term(math.nan)
 
@@ -421,7 +420,7 @@ def test_series_envelope_spot():
     for delta in (0.01, 0.1):
         sol = sigma_dde(delta, 4.0, richardson=True)
         for u in (1.5, 2.5, 3.5):
-            dev = abs(sol.value_cubic(u) - sigma_series(delta, u, 1))
+            dev = abs(sol.value_cubic(u) - (rho(u) - delta * series_first_term(u)))
             assert dev <= delta**2
 
 
