@@ -14,7 +14,7 @@ to a single running sum per unit block, which vectorizes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -88,21 +88,17 @@ class SolutionGrid:
         """Four-point Lagrange interpolation with the stencil kept inside
         one unit interval (the solutions have derivative kinks at integers).
 
-        A scalar u is evaluated in plain floats, an array in numpy; both
-        take the stencil from _stencil_start, the weights from
-        _lagrange_weights and sum in the same order, so a scalar gives the
-        same double as the same u inside an array.
+        A scalar u is evaluated in plain floats (scalar_cubic), an array
+        in numpy; both take the stencil from _stencil_start, the weights
+        from _lagrange_weights and sum in the same order, so a scalar gives
+        the same double as the same u inside an array.
         """
-        n_last = len(self.values) - 1
         if np.ndim(u) == 0:
             u = float(u)
             if not -1e-12 <= u <= self.u_max + 1e-12:
                 raise ValueError(f"u must be finite and lie in [0, {self.u_max}], got {u}")
-            pos = min(max(u / self.h, 0.0), float(n_last))
-            start = _stencil_start(int(pos), self.m, n_last, min, max)
-            w0, w1, w2, w3 = _lagrange_weights(pos - start)
-            v0, v1, v2, v3 = self.values[start : start + 4].tolist()
-            return w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3
+            return self.scalar_cubic()(u)
+        n_last = len(self.values) - 1
         u = np.asarray(u, dtype=float)
         if u.size and not (u.min() >= -1e-12 and u.max() <= self.u_max + 1e-12):
             bad = u[~((u >= -1e-12) & (u <= self.u_max + 1e-12))][0]
@@ -112,6 +108,32 @@ class SolutionGrid:
         w0, w1, w2, w3 = _lagrange_weights(pos - start)
         v = self.values
         return w0 * v[start] + w1 * v[start + 1] + w2 * v[start + 2] + w3 * v[start + 3]
+
+    def scalar_cubic(self) -> Callable[[float], float]:
+        """value_cubic's scalar path as a function of a float u in [0, u_max].
+
+        It gives value_cubic(u)'s double with no range check, and looks up
+        the grid's fields once and each cell's stencil start and four
+        values once per evaluator, so a bisection that evaluates the
+        interpolant many times (extremal.locate_first_zero) takes one.
+        """
+        h, m, values = self.h, self.m, self.values
+        n_last = len(values) - 1
+        top = float(n_last)
+        stencils: dict[int, tuple] = {}
+
+        def at(u: float) -> float:
+            pos = min(max(u / h, 0.0), top)
+            base = int(pos)
+            stencil = stencils.get(base)
+            if stencil is None:
+                start = _stencil_start(base, m, n_last, min, max)
+                stencil = stencils[base] = (start, *values[start : start + 4].tolist())
+            start, v0, v1, v2, v3 = stencil
+            w0, w1, w2, w3 = _lagrange_weights(pos - start)
+            return w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3
+
+        return at
 
 
 def _stencil_start(base, m, n_last, minimum, maximum):

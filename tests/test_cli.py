@@ -148,6 +148,29 @@ def test_udelta_both_directions(capsys):
     assert abs(float(out) - 0.2) < 1e-8
 
 
+# the stored benchmark outputs of the commands whose numbers come from the
+# zero searches (find_U, delta_for_U), read only
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("table-u", ["table", "--grid", "u"]),
+        ("table-k", ["table", "--grid", "k"]),
+        ("table-k40", ["table", "--grid", "k", "--kmax", "40"]),
+        ("udelta-u4", ["udelta", "--u", "4"]),
+        ("udelta-u5", ["udelta", "--u", "5"]),
+        ("udelta-u8", ["udelta", "--u", "8"]),
+        ("udelta-d0.05", ["udelta", "--delta", "0.05"]),
+    ],
+)
+def test_zero_search_outputs_match_the_benchmark_references(name, args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and err == ""
+    assert out.encode() == (BENCH_REFERENCE / f"{name}.out").read_bytes()
+
+
 def test_sigma_grid_output(capsys):
     code, out, _ = run_cli(
         ["sigma", "--delta", "0.2", "--u-max", "1.5", "--step", "0.5", "--digits", "9"],

@@ -36,7 +36,7 @@ from extremal_means.oracle import (
     transforms,
 )
 from extremal_means.piecewise import integrate_callable
-from extremal_means.sigma import closed_tail_integral, sigma_dde, solve_volterra
+from extremal_means.sigma import closed_tail_dilog, closed_tail_integral, sigma_dde, solve_volterra
 
 STEP_USERS = {
     "SolutionGrid": lambda h: SolutionGrid(h=h, values=np.ones(3)),
@@ -103,6 +103,7 @@ BOTH_INFINITIES = [
     pytest.param("a", lambda x: integrate_callable(np.exp, x, 1.0), id="a-integrate_callable"),
     pytest.param("b", lambda x: integrate_callable(np.exp, 0.0, x), id="b-integrate_callable"),
     pytest.param("u", closed_tail_integral, id="u-closed_tail_integral"),
+    pytest.param("u", closed_tail_dilog, id="u-closed_tail_dilog"),
     pytest.param("t", lambda x: chi_delta(0.3).eval(x), id="t-PiecewiseFunction.eval"),
     pytest.param("t", lambda x: chi_delta(0.3).eval_left(x), id="t-PiecewiseFunction.eval_left"),
     pytest.param("u", lambda x: UNIT_STEPS.value(x), id="u-StepProfile.value"),

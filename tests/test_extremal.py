@@ -27,8 +27,8 @@ from extremal_means.extremal import (
     table_by_first_zero,
     table_by_order,
 )
-from extremal_means.piecewise import integrate_callable
-from extremal_means.sigma import sigma_closed, sigma_dde
+from extremal_means.piecewise import bisect, integrate_callable
+from extremal_means.sigma import sigma_closed, sigma_dde, sigma_dde_to_first_zero
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "extremal_means" / "data"
 
@@ -207,6 +207,122 @@ def test_delta_for_U_past_3_takes_no_T_quadrature(u, monkeypatch):
     # the bisection still asks find_U below DELTA_AT_3, many times a solve
     assert len(zero_calls) > 1
     assert all(a[0] < extremal.DELTA_AT_3 for a in zero_calls)
+
+
+# ------------------------------------------------- screened zero searches
+
+
+def unscreened_closed_bisection(delta: float, lo: float, hi: float) -> float:
+    """The bisection of sigma_closed alone, with no screen."""
+    return bisect(lambda u: sigma_closed(delta, u) > 0.0, lo, hi, extremal._BISECT_TOL_U)
+
+
+def test_screened_find_U_is_the_bisection_on_sigma_closed():
+    d3 = extremal.DELTA_AT_3
+    deltas = np.linspace(d3, CLOSED_FORM_DELTA, 400, endpoint=False).tolist()
+    deltas += [math.nextafter(d3, 1.0), math.nextafter(CLOSED_FORM_DELTA, 0.0)]
+    for d in deltas:
+        U = unscreened_closed_bisection(d, 2.0, 3.0)
+        assert find_U(d) == find_U(d, use_closed_form=False) == U, d
+    # the (1, 2] bisection, chosen under use_closed_form=False
+    for d in [CLOSED_FORM_DELTA, math.nextafter(CLOSED_FORM_DELTA, 1.0), 0.5, 0.8, 1.0]:
+        assert find_U(d, use_closed_form=False) == unscreened_closed_bisection(d, 1.0, 2.0), d
+    # one ulp below DELTA_AT_3 the march takes over
+    below = math.nextafter(d3, 0.0)
+    assert find_U(below) == locate_first_zero(sigma_dde_to_first_zero(below, U_CAP))
+
+
+def unscreened_delta_for_U(u: float) -> float:
+    """delta_for_U on (3, U_CAP] with every step asking find_U: bracket
+    from above, then bisect on find_U(d) >= u."""
+
+    def zero_at_or_past_u(d: float) -> bool:
+        if d >= extremal.DELTA_AT_3:
+            return False
+        try:
+            return find_U(d) >= u
+        except RootNotFoundError:
+            return True
+
+    lo = 0.03
+    while not zero_at_or_past_u(lo):
+        lo *= 0.25
+        assert lo >= 1e-15
+    return bisect(zero_at_or_past_u, lo, CLOSED_FORM_DELTA, extremal._BISECT_TOL_DELTA)
+
+
+def test_screened_delta_for_U_is_the_bisection_on_find_U(monkeypatch):
+    us = np.linspace(3.0, 12.0, 37)[1:].tolist()
+    us += [math.nextafter(3.0, 4.0), 4.0, 5.0, 6.5, 8.0, 11.99, 12.0]
+    exact = []
+    original = extremal.find_U
+
+    def count_exact(*args, **kwargs):
+        exact.append(args)
+        return original(*args, **kwargs)
+
+    for u in us:
+        expected = unscreened_delta_for_U(u)
+        monkeypatch.setattr(extremal, "find_U", count_exact)
+        exact.clear()
+        assert delta_for_U(u) == expected, u
+        monkeypatch.setattr(extremal, "find_U", original)
+        # the screen leaves find_U a handful of the 40 or more steps
+        assert 1 <= len(exact) <= 12, (u, len(exact))
+
+
+def test_dilog_T_matches_40_digits_on_the_second_band():
+    # against T's definition, int_1^{u-1} log(u - t) / t dt, at 40 digits
+    mp = pytest.importorskip("mpmath")
+    from extremal_means.sigma import closed_tail_dilog
+
+    us = np.linspace(2.0, 3.0, 201)[1:].tolist() + [2.0 + 1e-9, math.nextafter(2.0, 3.0)]
+    with mp.workdps(40):
+        for u in us:
+            x = mp.mpf(u)
+            exact = mp.quad(lambda t: mp.log(x - t) / t, [1, x - 1])
+            assert abs(closed_tail_dilog(u) - exact) <= 1e-15, u
+    assert closed_tail_dilog(2.0) == closed_tail_dilog(1.5) == 0.0
+
+
+def test_dilog_closed_mean_is_within_a_hundredth_of_the_margin():
+    # the screen of find_U's bisection on [2, 3], at its drifts (on (1, 2],
+    # where T = 0, the screen is sigma_closed's own expression)
+    from extremal_means.sigma import closed_tail_dilog
+
+    rng = np.random.default_rng(5)
+    deltas = rng.uniform(extremal.DELTA_AT_3, CLOSED_FORM_DELTA, 1001)
+    us = np.concatenate([rng.uniform(2.0, 3.0, 1000), [3.0]])
+    worst = 0.0
+    for d, u in zip(deltas.tolist(), us.tolist()):
+        x = 1.0 + d
+        cheap = 1.0 - x * math.log(u) + 0.5 * x * x * closed_tail_dilog(u)
+        worst = max(worst, abs(cheap - sigma_closed(d, u)))
+    assert worst <= extremal._SCREEN_MARGIN / 100.0
+    for d, u in zip(rng.uniform(CLOSED_FORM_DELTA, 1.0, 50).tolist(), rng.uniform(1.0, 2.0, 50)):
+        x = 1.0 + d
+        assert 1.0 - x * math.log(u) + 0.5 * x * x * closed_tail_dilog(u) == sigma_closed(d, u)
+
+
+def test_coarse_zero_scaled_by_the_slope_is_within_a_hundredth_of_the_margin():
+    # the screen of delta_for_U's bisection, at the drifts it asks about
+    from extremal_means.grid import march_to_first_nonpositive
+
+    worst, compared = 0.0, 0
+    for d in np.geomspace(1e-14, extremal.DELTA_AT_3, 300, endpoint=False).tolist():
+        grid = march_to_first_nonpositive(1.0 + d, U_CAP, extremal._SCREEN_STEP, richardson=True)
+        coarse = locate_first_zero(grid)
+        try:
+            U = find_U(d)
+        except RootNotFoundError:
+            assert coarse is None, d
+            continue
+        assert coarse is not None, d
+        slope = (1.0 + d) * grid.value_cubic(coarse - 1.0) / coarse
+        worst = max(worst, abs(coarse - U) * slope)
+        compared += 1
+    assert compared > 250
+    assert worst <= extremal._SCREEN_MARGIN / 100.0
 
 
 def test_compute_I_second_band_mpmath():

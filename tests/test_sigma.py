@@ -253,6 +253,22 @@ def test_scalar_value_cubic_is_the_array_path_bit_for_bit(richardson):
         assert type(grid.value_cubic(np.array(us[0]))) is float
 
 
+def test_one_scalar_cubic_over_many_points_is_value_cubic_bit_for_bit():
+    # one evaluator keeps each cell's stencil; reused across cells, block
+    # seams and the last node it still gives value_cubic's doubles
+    h = 1e-4
+    rng = np.random.default_rng(12)
+    for u_max in (7.0, 6.0 + 2 * h):
+        grid = sigma_dde(0.3, u_max)
+        at = grid.scalar_cubic()
+        us = rng.uniform(0.0, grid.u_max, 2000).tolist() + [grid.u_max, 0.0]
+        for j in range(1, int(u_max) + 1):
+            us += [math.nextafter(float(j), -math.inf), float(j), math.nextafter(float(j), math.inf)]
+        us = [u for u in us if u <= grid.u_max]
+        us += us[::-1]  # every cell met again, from the other side
+        assert [at(u) for u in us] == grid.value_cubic(np.array(us)).tolist()
+
+
 def bisect_on_value_cubic(grid):
     """The first zero by bisection on value_cubic itself, in the cell that
     ends at the first non-positive node; the reference for locate_first_zero."""
