@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .extremal import find_U, mean_grid
+from .extremal import _zero_and_mean_grid
 from .grid import steps_per_unit
 from .piecewise import (
     ConstantSegment,
@@ -175,10 +175,11 @@ def _renewal_kernel(delta: float):
     interpolant, and the renewal kernel k(v) = (1+delta) s(v-1) / v.
 
     The mean is exact on [0, 2] and marched to ~1e-10 beyond, far below
-    the O(h^2) renewal quadrature.
+    the O(h^2) renewal quadrature.  It is mean_grid(delta, U), taken from
+    find_U's march on a marched drift, so U and s come from one march.
     """
-    U = find_U(delta)
-    mean_at = mean_grid(delta, U).value_cubic
+    U, grid = _zero_and_mean_grid(delta)
+    mean_at = grid.value_cubic
 
     def kernel(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

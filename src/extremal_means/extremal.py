@@ -119,31 +119,42 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
     The march (sigma_dde_to_first_zero) stops at the first whole unit that
     holds a non-positive node, not at U_CAP.  A shorter march is the start
     of a longer one with the same stencils (grid._march_step_profile), so
-    the zero is the one the U_CAP grid gives, bit for bit.
+    the zero is the one the U_CAP grid gives, bit for bit.  The table rows
+    and the renewal and tracking readers take that grid too, through
+    _zero_and_march, as their mean grid (see _mean_grid_from).
     """
+    return _zero_and_march(delta, use_closed_form)[0]
+
+
+def _zero_and_march(
+    delta: float, use_closed_form: bool = True
+) -> tuple[float, SolutionGrid | None]:
+    """find_U(delta, use_closed_form) and the grid its zero was read from:
+    the march on the marched branch, None on the closed and bisection ones."""
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if use_closed_form and delta >= CLOSED_FORM_DELTA:
-        return math.exp(1.0 / (1.0 + delta))
+        return math.exp(1.0 / (1.0 + delta)), None
 
     if delta >= CLOSED_FORM_DELTA:
         lo, hi = 1.0, 2.0
     elif delta >= DELTA_AT_3:
         lo, hi = 2.0, 3.0
     else:
-        zero = locate_first_zero(sigma_dde_to_first_zero(delta, U_CAP))
+        march = sigma_dde_to_first_zero(delta, U_CAP)
+        zero = locate_first_zero(march)
         if zero is None:
             raise RootNotFoundError(
                 f"mean stays positive up to u = {U_CAP}; delta = {delta} is too small"
             )
-        return zero
+        return zero, march
     x = 1.0 + delta
     below = _screened(
         lambda u: 1.0 - x * math.log(u) + 0.5 * x * x * closed_tail_dilog(u),
         lambda u: sigma_closed(delta, u) > 0.0,
     )
-    return bisect(below, lo, hi, _BISECT_TOL_U)
+    return bisect(below, lo, hi, _BISECT_TOL_U), None
 
 
 def chi_delta(delta: float) -> PiecewiseFunction:
@@ -228,11 +239,39 @@ def _check_zero(U: float) -> None:
 def mean_grid(delta: float, U: float) -> SolutionGrid:
     """The pre-cutoff mean for delta, marched on [0, max(2, ceil U)].
 
-    Every reader of the mean past 3 takes it from this grid; its values
-    on [0, U] are those of any longer march (grid._march_step_profile).
+    Every reader of the mean past 3 takes it from this grid or from one
+    equal to it node for node: on a marched drift, find_U's march to the
+    first whole unit holding a non-positive node, when it ends on the same
+    horizon (_mean_grid_from).  Its values on [0, U] are those of any
+    longer march (grid._march_step_profile).
     """
     _check_zero(U)
-    return sigma_dde(delta, float(max(2, math.ceil(U + 1e-12))), richardson=True)
+    return sigma_dde(delta, float(_mean_horizon(U)), richardson=True)
+
+
+def _mean_horizon(U: float) -> int:
+    return max(2, math.ceil(U + 1e-12))
+
+
+def _mean_grid_from(delta: float, U: float, march: SolutionGrid | None) -> SolutionGrid:
+    """mean_grid(delta, U), taken from find_U's march when it ends on the
+    same horizon, else marched again.
+
+    Both march sigma_dde's step profile at its step with Richardson, and a
+    shorter march is the start of a longer one (grid._march_step_profile),
+    so on one horizon they hold the same nodes and end stencils.  The
+    horizons differ when U lands on a whole number n: the march stops at
+    n, mean_grid goes on to n + 1.
+    """
+    if march is not None and march.u_max == _mean_horizon(U):
+        return march
+    return mean_grid(delta, U)
+
+
+def _zero_and_mean_grid(delta: float) -> tuple[float, SolutionGrid]:
+    """(find_U(delta), mean_grid(delta, U)), with one march on a marched drift."""
+    U, march = _zero_and_march(delta)
+    return U, _mean_grid_from(delta, U, march)
 
 
 def compute_I(delta: float, U: float) -> float:
@@ -242,13 +281,20 @@ def compute_I(delta: float, U: float) -> float:
     d/du[u*s] = s(u) - x*s(u-1), x = 1 + delta, over [1, w] gives
     F(w) = w*s(w) + x*F(w-1) for F(w) = int_0^w s, with F(w) = w on
     [0, 1].  So F(U) needs s only at U, U-1, ..., U-floor(U)+1, read
-    from sigma_closed up to 3 and from mean_grid past 3.
+    from sigma_closed up to 3 and past 3 from its own mean_grid march,
+    the route that verify and the tests hold table_by_order against.
     """
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     _check_zero(U)
-    grid = mean_grid(delta, U) if U > 3.0 else None
+    return _mean_to_zero(delta, U, None)
+
+
+def _mean_to_zero(delta: float, U: float, march: SolutionGrid | None) -> float:
+    """compute_I(delta, U) for a checked drift and zero, reading the mean
+    past 3 off `march` when _mean_grid_from takes it."""
+    grid = _mean_grid_from(delta, U, march) if U > 3.0 else None
     n = math.floor(U)
     total = U - n
     for j in range(n - 1, -1, -1):
@@ -300,13 +346,19 @@ def table_by_first_zero() -> tuple[TableRow, ...]:
 
 
 def table_by_order(k_max: int = 17) -> tuple[TableRow, ...]:
-    """Rows keyed by the order k = 4, ..., k_max of the value set, with drift 1/(k-1)."""
+    """Rows keyed by the order k = 4, ..., k_max of the value set, with drift 1/(k-1).
+
+    Each row is find_U(d) and compute_I(d, U) for d = 1/(k-1), field for
+    field.  Past k = 17 the drift is below DELTA_AT_3 and the zero is
+    marched; I then reads the mean off that march when it ends on
+    mean_grid's horizon (_mean_grid_from), so the row marches once.
+    """
     if not (isinstance(k_max, int) and FIRST_TABLE_ORDER <= k_max <= 64):
         raise ValueError(f"k_max must be an integer in [{FIRST_TABLE_ORDER}, 64], got {k_max}")
     rows = []
     for k in range(FIRST_TABLE_ORDER, k_max + 1):
         d = 1.0 / (k - 1)
-        u = find_U(d)
+        u, march = _zero_and_march(d)
         g = gamma_odd_order(k) if k % 2 == 1 else None
-        rows.append(TableRow(key=k, delta=d, U=u, I=compute_I(d, U=u), gamma_Sk=g))
+        rows.append(TableRow(key=k, delta=d, U=u, I=_mean_to_zero(d, u, march), gamma_Sk=g))
     return tuple(rows)

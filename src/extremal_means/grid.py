@@ -295,9 +295,19 @@ def march_to_first_nonpositive(
     Only each unit's new nodes are scanned.  The grid ends on that unit,
     or on the full horizon when every node stays positive, and is the
     start of the full grid, node for node.
+
+    The values array is shrunk in place to the grid's nodes, so the grid
+    keeps no memory of the full horizon.  Copying the nodes out instead
+    made the allocator return the march's pages to the system after each
+    row of table_by_order, and the next row faulted them in again.
     """
     m, n = _check_horizon(u_max, h)
-    for top, values in _march_step_profile(rate, m, n, h, richardson):
+    march = _march_step_profile(rate, m, n, h, richardson)
+    for top, values in march:
         if top == n or np.any(values[top - m + 1 : top + 1] <= 0.0):
             break
-    return SolutionGrid(h=h, values=values[: top + 1])
+    # closing the march drops its views of values, so no view outlives the
+    # shrink and skipping numpy's reference check is safe
+    march.close()
+    values.resize(top + 1, refcheck=False)
+    return SolutionGrid(h=h, values=values)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chi_renewal import extend_chi
-from .extremal import find_U, mean_grid
+from .extremal import _zero_and_mean_grid, find_U
 
 # Largest sieve length: `oracle --n 2e7` peaks at about 170 MB resident,
 # set by the sieve's int32 smallest-prime-factor table (80 MB) next to the
@@ -568,8 +568,8 @@ def _tracking_rows(block, u_values: list[float], xs: list[float], delta: float) 
     whose values on [lo, hi) are block(lo, hi)."""
     if not u_values:
         return []
-    U = find_U(delta)
-    target_at = mean_grid(delta, U).value_cubic
+    U, grid = _zero_and_mean_grid(delta)
+    target_at = grid.value_cubic
     # running sums from one cutoff to the next, in ascending order and in
     # chunks of at most _BLOCK, each read from block() once: the carry
     # added to each chunk's first element keeps each sum sequential, so it

@@ -203,6 +203,8 @@ def test_shorter_march_is_a_prefix_of_the_longer(delta, richardson):
     early = march_to_first_nonpositive(1.0 + delta, 12.0, 1e-4, richardson)
     assert early.u_max == max(2, math.ceil(i / m))
     assert np.array_equal(early.values, full.values[: len(early.values)])
+    # it owns its nodes alone and keeps no 12-unit array alive
+    assert early.values.base is None
     # a zero past the horizon, here one off the integers, gets the full grid
     far = march_to_first_nonpositive(1.0 + 1e-9, 6.5, 1e-4, richardson)
     assert far.u_max == 6.5
