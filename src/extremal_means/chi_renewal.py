@@ -175,8 +175,8 @@ def _renewal_kernel(delta: float):
     interpolant, and the renewal kernel k(v) = (1+delta) s(v-1) / v.
 
     The mean is exact on [0, 2] and marched to ~1e-10 beyond, far below
-    the O(h^2) renewal quadrature.  It is mean_grid(delta, U), taken from
-    find_U's march on a marched drift, so U and s come from one march.
+    the O(h^2) renewal quadrature.  It reads as mean_grid(delta, U) does,
+    off find_U's march on a marched drift, so U and s come from one march.
     """
     U, grid = _zero_and_mean_grid(delta)
     mean_at = grid.value_cubic

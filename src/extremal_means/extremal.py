@@ -120,8 +120,8 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
     holds a non-positive node, not at U_CAP.  A shorter march is the start
     of a longer one with the same stencils (grid._march_step_profile), so
     the zero is the one the U_CAP grid gives, bit for bit.  The table rows
-    and the renewal and tracking readers take that grid too, through
-    _zero_and_march, as their mean grid (see _mean_grid_from).
+    and the renewal and tracking readers take that march as their mean
+    grid (see mean_grid).
     """
     return _zero_and_march(delta, use_closed_form)[0]
 
@@ -239,39 +239,22 @@ def _check_zero(U: float) -> None:
 def mean_grid(delta: float, U: float) -> SolutionGrid:
     """The pre-cutoff mean for delta, marched on [0, max(2, ceil U)].
 
-    Every reader of the mean past 3 takes it from this grid or from one
-    equal to it node for node: on a marched drift, find_U's march to the
-    first whole unit holding a non-positive node, when it ends on the same
-    horizon (_mean_grid_from).  Its values on [0, U] are those of any
-    longer march (grid._march_step_profile).
+    compute_I reads the mean past 3 off this grid; on a marched drift the
+    table rows and the renewal and tracking readers read find_U's march
+    instead.  That march ends on the whole unit that holds U, and it is a
+    node-for-node prefix of this grid with the same stencils below its
+    last node (grid._march_step_profile, grid._stencil_start), so every
+    value on [0, U] is the same double.
     """
     _check_zero(U)
-    return sigma_dde(delta, float(_mean_horizon(U)), richardson=True)
-
-
-def _mean_horizon(U: float) -> int:
-    return max(2, math.ceil(U + 1e-12))
-
-
-def _mean_grid_from(delta: float, U: float, march: SolutionGrid | None) -> SolutionGrid:
-    """mean_grid(delta, U), taken from find_U's march when it ends on the
-    same horizon, else marched again.
-
-    Both march sigma_dde's step profile at its step with Richardson, and a
-    shorter march is the start of a longer one (grid._march_step_profile),
-    so on one horizon they hold the same nodes and end stencils.  The
-    horizons differ when U lands on a whole number n: the march stops at
-    n, mean_grid goes on to n + 1.
-    """
-    if march is not None and march.u_max == _mean_horizon(U):
-        return march
-    return mean_grid(delta, U)
+    return sigma_dde(delta, float(max(2, math.ceil(U + 1e-12))), richardson=True)
 
 
 def _zero_and_mean_grid(delta: float) -> tuple[float, SolutionGrid]:
-    """(find_U(delta), mean_grid(delta, U)), with one march on a marched drift."""
+    """find_U(delta) and a grid that reads the mean on [0, U] as
+    mean_grid(delta, U) does: find_U's march on a marched drift."""
     U, march = _zero_and_march(delta)
-    return U, _mean_grid_from(delta, U, march)
+    return U, mean_grid(delta, U) if march is None else march
 
 
 def compute_I(delta: float, U: float) -> float:
@@ -288,13 +271,12 @@ def compute_I(delta: float, U: float) -> float:
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     _check_zero(U)
-    return _mean_to_zero(delta, U, None)
+    return _mean_to_zero(delta, U, mean_grid(delta, U) if U > 3.0 else None)
 
 
-def _mean_to_zero(delta: float, U: float, march: SolutionGrid | None) -> float:
+def _mean_to_zero(delta: float, U: float, grid: SolutionGrid | None) -> float:
     """compute_I(delta, U) for a checked drift and zero, reading the mean
-    past 3 off `march` when _mean_grid_from takes it."""
-    grid = _mean_grid_from(delta, U, march) if U > 3.0 else None
+    past 3 off `grid`."""
     n = math.floor(U)
     total = U - n
     for j in range(n - 1, -1, -1):
@@ -350,8 +332,8 @@ def table_by_order(k_max: int = 17) -> tuple[TableRow, ...]:
 
     Each row is find_U(d) and compute_I(d, U) for d = 1/(k-1), field for
     field.  Past k = 17 the drift is below DELTA_AT_3 and the zero is
-    marched; I then reads the mean off that march when it ends on
-    mean_grid's horizon (_mean_grid_from), so the row marches once.
+    marched; I then reads the mean off that march (see mean_grid), so the
+    row marches once.
     """
     if not (isinstance(k_max, int) and FIRST_TABLE_ORDER <= k_max <= 64):
         raise ValueError(f"k_max must be an integer in [{FIRST_TABLE_ORDER}, 64], got {k_max}")

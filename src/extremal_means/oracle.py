@@ -389,10 +389,9 @@ def empirical_chi(f: np.ndarray, y: float, u: float) -> complex:
 
 @dataclass(frozen=True)
 class MeanValueReport:
-    """Partial-sum and log means of f^j at one cutoff."""
+    """Partial-sum and log means of f at one cutoff."""
 
     x: float
-    j: int
     partial_sum_over_x: complex
     log_mean: complex
 
@@ -404,18 +403,16 @@ class MeanValueReport:
         )
 
 
-def mean_values(f: np.ndarray, x: float, j: int = 1) -> MeanValueReport:
-    """Exact finite means of f^j over n <= x."""
+def mean_values(f: np.ndarray, x: float) -> MeanValueReport:
+    """Exact finite means of f over n <= x."""
     N = len(f) - 1
     if not 2.0 <= x <= N:
         raise ValueError(f"cutoff must lie in [2, {N}], got {x}")
-    if not (math.isfinite(j) and int(j) == j and j >= 1):
-        raise ValueError(f"exponent must be an integer >= 1, got {j}")
-    j, n = int(j), int(x)
-    vals = f[1 : n + 1] if j == 1 else f[1 : n + 1] ** j
+    n = int(x)
+    vals = f[1 : n + 1]
     partial = complex(np.sum(vals) / x)
     log_mean = complex(np.sum(vals / np.arange(1, n + 1)) / math.log(x))
-    return MeanValueReport(x=float(x), j=j, partial_sum_over_x=partial, log_mean=log_mean)
+    return MeanValueReport(x=float(x), partial_sum_over_x=partial, log_mean=log_mean)
 
 
 def construct_tracking_spec(

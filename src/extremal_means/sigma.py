@@ -109,17 +109,6 @@ def sigma_closed(delta: float, u: float) -> float:
     return float(1.0 - x * math.log(u) + 0.5 * x**2 * closed_tail_integral(u))
 
 
-def sigma_closed_band(delta: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized closed form on [0, 2], the reference for verify and the tests."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x > 2.0 + 1e-12):
-        raise ValueError("vectorized closed form stops at u = 2")
-    out = np.ones_like(x)
-    mask = x > 1.0
-    out[mask] = 1.0 - (1.0 + delta) * np.log(x[mask])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # general Volterra solver
 

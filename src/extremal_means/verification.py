@@ -69,12 +69,7 @@ def _check_dickman_residual() -> CheckResult:
 
 
 def _closed_reference(delta: float, us: np.ndarray) -> np.ndarray:
-    out = np.empty_like(us)
-    low = us <= 2.0
-    out[low] = sigma.sigma_closed_band(delta, us[low])
-    for i in np.flatnonzero(~low):
-        out[i] = sigma.sigma_closed(delta, float(us[i]))
-    return out
+    return np.array([sigma.sigma_closed(delta, float(u)) for u in us])
 
 
 def _check_sigma_closed_vs_marched() -> CheckResult:

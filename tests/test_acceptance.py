@@ -52,7 +52,7 @@ from extremal_means.oracle import (
     tracking_rows,
 )
 from extremal_means.piecewise import integrate_callable
-from extremal_means.sigma import sigma_closed, sigma_closed_band, sigma_dde, solve_volterra
+from extremal_means.sigma import sigma_closed, sigma_dde, solve_volterra
 from extremal_means.verification import DATA_DIR
 
 FIVE_DELTAS = (0.05, 0.1, 0.3, 0.5, 1.0)
@@ -275,7 +275,7 @@ def test_criterion_5_solver_cross_validation():
         h, vals = sol.h, sol.values
         us_a = np.round(np.arange(1.0, 2.0 + 1e-12, 0.002), 10)
         ia = np.rint(us_a / h).astype(int)
-        err = float(np.max(np.abs(vals[ia] - sigma_closed_band(delta, us_a))))
+        err = max(abs(vals[i] - sigma_closed(delta, u)) for i, u in zip(ia, us_a.tolist()))
         for u in np.round(np.arange(2.02, 3.0 + 1e-12, 0.02), 10):
             err = max(err, abs(vals[round(u / h)] - sigma_closed(delta, float(u))))
         worst = max(worst, err)
@@ -285,10 +285,9 @@ def test_criterion_5_solver_cross_validation():
     delta = 0.3
     U = find_U(delta)
     vol = solve_volterra(chi_delta(delta), 3.0, h=1e-4)
-    verr = 0.0
     us = np.round(np.arange(1.0, min(U, 2.0) - 1e-9, 0.01), 10)
     iv = np.rint(us / vol.h).astype(int)
-    verr = float(np.max(np.abs(vol.values[iv] - sigma_closed_band(delta, us))))
+    verr = max(abs(vol.values[i] - sigma_closed(delta, u)) for i, u in zip(iv, us.tolist()))
     for u in np.round(np.arange(2.01, U - 1e-9, 0.01), 10):
         verr = max(verr, abs(vol.values[round(u / vol.h)] - sigma_closed(delta, float(u))))
     if verr > 1e-6:

@@ -19,7 +19,7 @@ from extremal_means.chi_renewal import (
     verify_sigma_vanishes,
 )
 from extremal_means.extremal import find_U, mean_grid
-from extremal_means.sigma import sigma_closed_band, sigma_dde
+from extremal_means.sigma import sigma_closed, sigma_dde
 
 THREE_DELTAS = (0.1, 0.2, 0.44)
 
@@ -33,7 +33,8 @@ def brute_renewal_value(delta: float, t: float, panels: int = 200_000) -> float:
 
     def piece(lo: float, hi: float, window_value: float) -> float:
         v = lo + (np.arange(panels) + 0.5) * (hi - lo) / panels
-        kern = (1.0 + delta) * sigma_closed_band(delta, v - 1.0) / v
+        mean = np.array([sigma_closed(delta, w) for w in (v - 1.0).tolist()])
+        kern = (1.0 + delta) * mean / v
         return window_value * float(np.sum(kern)) * (hi - lo) / panels
 
     return piece(1.0, t - 1.0, -delta) + piece(t - 1.0, U, 1.0)
@@ -54,7 +55,7 @@ def test_first_extension_value_closed_form():
     # window solution (sigma(U) = 0 by definition of U)
     delta = 0.2
     U = find_U(delta)
-    expect = (1.0 + delta) * float(sigma_closed_band(delta, np.array([U - 1.0]))[0]) - delta
+    expect = (1.0 + delta) * sigma_closed(delta, U - 1.0) - delta
     ext = extend_chi(delta)
     assert abs(ext.samples[0] - expect) < 1e-9
     assert abs(ext.samples[0] - 0.5334503419085725) < 1e-9  # frozen

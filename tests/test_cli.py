@@ -149,7 +149,8 @@ def test_udelta_both_directions(capsys):
 
 
 # the stored benchmark outputs of the commands whose numbers come from the
-# zero searches (find_U, delta_for_U), read only
+# zero searches (find_U, delta_for_U) and the mean grids read with them
+# (table rows, the renewal kernel, the tracking targets), read only
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
@@ -163,6 +164,10 @@ BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference
         ("udelta-u5", ["udelta", "--u", "5"]),
         ("udelta-u8", ["udelta", "--u", "8"]),
         ("udelta-d0.05", ["udelta", "--delta", "0.05"]),
+        ("chi-extend-1.0", ["chi-extend", "--delta", "1.0"]),
+        ("chi-extend-0.44", ["chi-extend", "--delta", "0.44"]),
+        ("chi-extend-0.2", ["chi-extend", "--delta", "0.2"]),
+        ("oracle-k3", ["oracle", "--k", "3", "--delta", "0.5", "--y", "1e3", "--n", "1000000"]),
     ],
 )
 def test_zero_search_outputs_match_the_benchmark_references(name, args, capsys):

@@ -418,7 +418,7 @@ def test_compute_I_closed_case():
 
 def test_table_by_order_rows_are_find_U_then_compute_I():
     # the rows past k = 17 read I off find_U's march; compute_I marches its
-    # own mean_grid, and the two grids are equal node for node
+    # own mean_grid, and the two give the same doubles on [0, U]
     for row in table_by_order(64):
         d = 1.0 / (row.key - 1)
         U = find_U(d)
@@ -464,20 +464,46 @@ def test_zero_and_mean_grid_is_find_U_and_mean_grid(delta):
     assert np.array_equal(grid.values, expected.values)
 
 
-def test_march_one_unit_short_of_mean_grid_falls_back(monkeypatch):
+@pytest.mark.parametrize(
+    "delta, U",
+    [
+        (0.007973717171114838, 3.9999999999999534),
+        (0.0007669538376281483, 4.999999999999954),
+        (5.380943409749595e-05, 5.99999999999986),
+    ],
+)
+def test_march_a_unit_short_of_mean_grid_reads_its_values(delta, U, monkeypatch):
+    # U just below a whole number n: find_U's march ends on n, mean_grid
+    # goes on to n + 1, and every reader gets mean_grid's doubles
+    from extremal_means import chi_renewal
+    from extremal_means.chi_renewal import extend_chi, kernel_mass
+
+    full = mean_grid(delta, U)
+    counts = count_marches(monkeypatch)
+    got_U, march = extremal._zero_and_mean_grid(delta)
+    assert counts == {"sigma_dde": 0, "sigma_dde_to_first_zero": 1}
+    monkeypatch.undo()
+    assert got_U == U and march.u_max == math.ceil(U) == full.u_max - 1.0
+
+    assert extremal._mean_to_zero(delta, U, march) == compute_I(delta, U)
+    us = [float(u) for u in np.arange(1.0, U, 0.05)] + [U]
+    assert [march.value_cubic(u) for u in us] == [full.value_cubic(u) for u in us]
+    assert np.array_equal(march.value_cubic(np.array(us)), full.value_cubic(np.array(us)))
+    mass, samples = kernel_mass(delta), extend_chi(delta, h=1e-3).samples
+    monkeypatch.setattr(chi_renewal, "_zero_and_mean_grid", lambda d: (U, mean_grid(d, U)))
+    assert kernel_mass(delta) == mass
+    assert np.array_equal(extend_chi(delta, h=1e-3).samples, samples)
+
+
+def test_march_ending_on_a_whole_number_zero_reads_mean_grid_values(monkeypatch):
     d = 1.0 / 39
-    U, march = extremal._zero_and_march(d)
-    horizon = int(march.u_max)
-    assert horizon == math.ceil(U) and 3.0 < U < horizon
-    short = sigma_dde(d, horizon - 1.0)
+    march = extremal._zero_and_march(d)[1]
+    u = march.u_max
     # U on a whole number: the march stops there, mean_grid goes one unit on
-    cases = [(U, short), (float(horizon), march)]
-    for u, grid in cases:
-        expected = compute_I(d, U=u)
-        counts = count_marches(monkeypatch)
-        assert extremal._mean_to_zero(d, u, grid) == expected
-        assert counts == {"sigma_dde": 1, "sigma_dde_to_first_zero": 0}
-        monkeypatch.undo()
+    expected = compute_I(d, U=u)
+    counts = count_marches(monkeypatch)
+    assert extremal._mean_to_zero(d, u, march) == expected
+    assert counts == {"sigma_dde": 0, "sigma_dde_to_first_zero": 0}
 
 
 # U rises by about 2e-13 as delta rises by one ulp through DELTA_AT_3: the

@@ -457,16 +457,10 @@ def test_mean_values_and_report():
     harmonic = float(np.sum(1.0 / np.arange(1, 101)))
     assert abs(rep.log_mean - harmonic / math.log(100.0)) < 1e-12
     assert rep.check()
-    rep2 = mean_values(ones, 100.0, j=2)
-    assert rep2.j == 2 and abs(rep2.partial_sum_over_x - 1.0) < 1e-12
     with pytest.raises(ValueError):
         mean_values(ones, 1.5)
     with pytest.raises(ValueError):
         mean_values(ones, 500.0)
-    with pytest.raises(ValueError):
-        mean_values(ones, 100.0, j=0)
-    with pytest.raises(ValueError, match="^exponent must be an integer >= 1, got 1.5$"):
-        mean_values(ones, 100.0, j=1.5)
 
 
 def test_desk_tracking_and_log_mean(desk_f):
