@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .extremal import _zero_and_mean_grid
 from .grid import steps_per_unit
@@ -27,8 +26,9 @@ from .piecewise import (
     PiecewiseFunction,
     SampledSegment,
     integrate_callable,
+    linear_at,
 )
-from .sigma import solve_volterra
+from .sigma import lagged_sum, solve_volterra
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,9 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     extension use a trapezoid over kernel nodes, and contributions from the
     constant head/dip windows use the kernel's exact antiderivative
     1 - s(x), so no quadrature error enters from those regions at all.
+    Every kernel node lags at least one unit, m = 1/h steps, so the march
+    fills m rows at a time from one lagged FFT sum of the earlier rows
+    (sigma.lagged_sum, as solve_volterra does) and makes no BLAS call.
     """
     delta = float(delta)
     U, mean_at, kernel = _renewal_kernel(delta)
@@ -100,53 +103,36 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
 
     L = int(math.ceil((t_max - U) / h - 1e-9))
     ext = np.empty(L + 1)
-    extrev = np.empty(L + 1)  # extrev[L - l] = ext[l], so each window is contiguous
-
-    def put(l0: int, val: np.ndarray) -> None:
-        ext[l0 : l0 + len(val)] = val
-        extrev[L - l0 - len(val) + 1 : L - l0 + 1] = val[::-1]
 
     # chi at U from the right: both constant windows, no sampled region
-    ext[0] = extrev[L] = (1.0 - s_at_U) - (1.0 + delta) * (1.0 - float(mean_at(U - 1.0)))
+    ext[0] = (1.0 - s_at_U) - (1.0 + delta) * (1.0 - float(mean_at(U - 1.0)))
 
     # rows l <= m: every window argument is below U, fully explicit
     x = U - 1.0 + np.arange(1, min(m, L) + 1) * h
-    put(1, -delta - s_at_U + (1.0 + delta) * mean_at(x))
+    ext[1 : len(x) + 1] = -delta - s_at_U + (1.0 + delta) * mean_at(x)
 
-    # Row l reads ext only at l - m and below, so a block of m rows reads
-    # values fixed before the block and is filled at once.  Each row's dot
-    # is the same ddot over the same operands as one np.dot per row, and
-    # the corrections are the per-row expressions elementwise, so the
-    # samples do not depend on the blocking.
-    #
-    # growing windows, m < l <= M: kernel nodes m..l against ext[l - m..0],
-    # plus the dip window [l*h, U], whose kernel mass the antiderivative
-    # identity gives exactly
-    for l0 in range(m + 1, min(L, M) + 1, m):
-        ls = np.arange(l0, min(l0 + m, M + 1, L + 1))
-        dot = np.array([np.dot(K_nodes[m : l + 1], extrev[L - l + m :]) for l in ls])
-        dot -= 0.5 * (K_nodes[m] * ext[ls - m] + K_nodes[ls] * ext[0])
-        val = h * dot
-        val += -delta * (mean_at(ls * h) - s_at_U)
-        put(l0, val)
-
-    # full windows, l > M: every row's window is K_nodes[m:] against the
-    # M - m + 1 values ending m nodes back, one reversed view with no copy,
-    # plus the stub cell [M*h, U], whose inner endpoint argument lands at
-    # l*h past U, generally off the extension grid
-    for l0 in range(M + 1, L + 1, m):
-        l1 = min(l0 + m, L + 1)
-        ls = np.arange(l0, l1)
-        rows = sliding_window_view(extrev, M - m + 1)[L - l1 + 1 + m : L - l0 + 1 + m]
-        dot = np.vecdot(rows[::-1], K_nodes[m:])
-        dot -= 0.5 * (K_nodes[m] * ext[ls - m] + K_nodes[M] * ext[ls - M])
-        val = h * dot
-        pos = ls - U / h
-        i0 = np.minimum(pos.astype(np.int64), ls - 1)
-        frac = pos - i0
-        chi_at = ext[i0] * (1.0 - frac) + ext[i0 + 1] * frac
-        val += 0.5 * stub * (K_nodes[M] * ext[ls - M] + K_end * chi_at)
-        put(l0, val)
+    # Row l > m is the trapezoid over kernel nodes m..min(l, M) against ext
+    # at l - m and below, so a block of m rows is one lagged sum of earlier
+    # rows (over the whole block, so it does not depend on t_max) less the
+    # half end weights.  A growing row (l <= M) adds the half node ext[0]
+    # and the dip window [l*h, U], whose mass the antiderivative gives
+    # exactly; a full row adds the stub cell [M*h, U], which reads chi at
+    # l*h - U, off the grid.  Built in place, a block keeps no temporary past
+    # its statement, so the next block's FFT buffers reuse the same memory.
+    for b in range(m + 1, L + 1, m):
+        n = min(m, L + 1 - b)  # the rows of this block
+        k = min(n, max(0, M + 1 - b))  # the growing ones lead it
+        val = ext[b : b + n]
+        val[:] = lagged_sum(ext, K_nodes, b, b + m, m)[:n]
+        val -= 0.5 * K_nodes[m] * ext[b - m : b - m + n]
+        val[:k] += 0.5 * K_nodes[b : b + k] * ext[0]
+        val[k:] -= 0.5 * K_nodes[M] * ext[b + k - M : b + n - M]
+        val *= h
+        val[:k] += -delta * (mean_at(np.arange(b, b + k) * h) - s_at_U)
+        val[k:] += 0.5 * stub * (
+            K_nodes[M] * ext[b + k - M : b + n - M]
+            + K_end * linear_at(ext, np.arange(b + k, b + n) - U / h)
+        )
 
     top = ext.max()
     bot = ext.min()

@@ -22,6 +22,7 @@ __all__ = [
     "QuadratureError",
     "integrate_callable",
     "bisect",
+    "linear_at",
 ]
 
 
@@ -34,6 +35,13 @@ class QuadratureResult:
     value: float
     est_error: float
     evaluations: int
+
+
+def linear_at(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """x at fractional node positions pos in [0, len(x) - 1], linearly."""
+    i0 = np.minimum(pos.astype(np.int64), len(x) - 2)
+    frac = pos - i0
+    return x[i0] * (1.0 - frac) + x[i0 + 1] * frac
 
 
 @dataclass(frozen=True)
@@ -61,13 +69,8 @@ class SampledSegment:
 
     def values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        pos = (t - self.start) / self.h
-        pos = np.clip(pos, 0.0, len(self.samples) - 1.0)
-        idx = np.minimum(pos.astype(np.int64), len(self.samples) - 2)
-        idx = np.maximum(idx, 0)
-        frac = pos - idx
-        samp = self.samples
-        return samp[idx] * (1.0 - frac) + samp[idx + 1] * frac
+        pos = np.clip((t - self.start) / self.h, 0.0, len(self.samples) - 1.0)
+        return linear_at(self.samples, pos)
 
 
 Segment = ConstantSegment | SampledSegment

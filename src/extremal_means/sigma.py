@@ -31,7 +31,7 @@ import numpy as np
 
 from .dickman import rho
 from .grid import SolutionGrid, march_to_first_nonpositive, solve_step_profile, steps_per_unit
-from .piecewise import ConstantSegment, PiecewiseFunction, integrate_callable
+from .piecewise import ConstantSegment, PiecewiseFunction, integrate_callable, linear_at
 
 __all__ = [
     "solve_volterra",
@@ -123,15 +123,16 @@ def _cell_values(chi: PiecewiseFunction, n_cells: int, h: float):
     the stepper can integrate the two sub-cells exactly.
     """
     t_left = np.arange(n_cells) * h
-    mid = t_left + 0.5 * h
-    seg_idx = np.asarray(chi.segment_index(mid))
+    # a segment owns the cells whose midpoints lie in its piece, one run each
+    cuts = [0, *np.searchsorted(t_left + 0.5 * h, chi.breakpoints[1:]), n_cells]
     L = np.empty(n_cells)
     R = np.empty(n_cells)
-    for i, seg in enumerate(chi.segments):
-        mask = seg_idx == i
-        if np.any(mask):
-            L[mask] = seg.values(t_left[mask])
-            R[mask] = seg.values(t_left[mask] + h)
+    m = round(1.0 / h)
+    for seg, lo, hi in zip(chi.segments, cuts[:-1], cuts[1:]):
+        for a in range(lo, hi, m):  # a unit of cells at a time: small temporaries
+            z = min(a + m, hi)
+            L[a:z] = seg.values(t_left[a:z])
+            R[a:z] = seg.values(t_left[a:z] + h)
     records = []
     for i, bp in enumerate(chi.breakpoints):
         if i == 0:
@@ -163,6 +164,23 @@ def _cell_values(chi: PiecewiseFunction, n_cells: int, h: float):
     return L, R, records
 
 
+def lagged_sum(x: np.ndarray, w: np.ndarray, b: int, e: int, m: int) -> np.ndarray:
+    """sum_{i=1}^{b-1} w[n-i] x[i] for n in [b, e), b = 1 (mod m), e <= b + m.
+
+    The history comes in chunks [c, c + m) whose FFT products all land on
+    output slots [m - 1, m - 1 + e - b), so every transform has a size set
+    by m alone; a chunk whose lags all lie past the end of w is skipped.
+    """
+    nfft = 1 << (2 * m).bit_length()  # >= the longest weight segment, 2m - 1
+    spec = np.zeros(nfft // 2 + 1, dtype=complex)
+    for c in range(1, b, m):
+        if b - c - m + 1 < len(w):
+            p = np.fft.rfft(x[c : c + m], nfft)
+            p *= np.fft.rfft(w[b - c - m + 1 : e - c], nfft)
+            spec += p
+    return np.fft.irfft(spec, nfft)[m - 1 : m - 1 + e - b]
+
+
 def _volterra_values(chi: PiecewiseFunction, u_max: float, h: float) -> np.ndarray:
     """Trapezoid nodes of u*s(u) = int_0^u chi(t) s(u-t) dt, one unit block at a time.
 
@@ -173,29 +191,24 @@ def _volterra_values(chi: PiecewiseFunction, u_max: float, h: float) -> np.ndarr
     weight differences dw_j = w_j - w_{j-1} (j >= m), the half-tail and the
     split-cell records.  Those read s only at indices <= n - m, so a block
     of m nodes needs only earlier blocks: g comes from FFT convolutions of
-    the history, m nodes at a time, and the block from one cumulative sum.
+    the history (lagged_sum), and the block from one cumulative sum.
     """
     m = round(1.0 / h)
     n_total = round(u_max / h)
     L, R, records = _cell_values(chi, n_total, h)
     if max(np.max(np.abs(L)), np.max(np.abs(R))) > 1.0 + 1e-9:
         raise ValueError("chi must stay in [-1, 1]")
-    dw = np.zeros(n_total)  # dw[j] multiplies sigma_{n-j}; zero for j < m
-    dw[m:] = np.diff(0.5 * h * (L[m - 1 :] + R[m - 2 : -1]))
-    d_tail = np.diff(0.5 * h * R)  # d_tail[n - 2]: half-tail of row n minus row n-1
     denom_shift = 0.5 * h * L[0]
-    nfft = 1 << (2 * m).bit_length()  # >= the longest weight segment, 2m - 1
+    L[m - 1 :] += R[m - 2 : -1]  # L[j] + R[j-1] in place; L is not read again
+    dw = np.zeros(n_total)  # dw[j] multiplies sigma_{n-j}; zero for j < m
+    dw[m:] = np.diff(0.5 * h * L[m - 1 :])
+    d_tail = np.diff(0.5 * h * R)  # d_tail[n - 2]: half-tail of row n minus row n-1
+    del L, R  # the march holds only the differences
     sigma = np.empty(n_total + 1)
     sigma[: m + 1] = 1.0
     for b in range(m + 1, n_total + 1, m):
         e = min(b + m, n_total + 1)
-        # sum_j dw_j sigma_{n-j} over history chunks [c, c + m): every chunk's
-        # product lands on the same output slots [m - 1, m - 1 + e - b)
-        spec = np.zeros(nfft // 2 + 1, dtype=complex)
-        for c in range(1, b, m):
-            seg = dw[b - c - m + 1 : e - c]
-            spec += np.fft.rfft(sigma[c : c + m], nfft) * np.fft.rfft(seg, nfft)
-        g = np.fft.irfft(spec, nfft)[m - 1 : m - 1 + e - b]
+        g = lagged_sum(sigma, dw, b, e, m)
         g += d_tail[b - 2 : e - 2]
         ns = np.arange(b - 1, e)
         for rec in records:
@@ -211,10 +224,7 @@ def _split_cell_terms(rec: dict, sigma: np.ndarray, ns: np.ndarray, h: float) ->
     out = np.zeros(len(ns))
     live = ns > k0
     n = ns[live]
-    pos = (n * h - bp) / h  # sigma argument at the interior breakpoint, in steps
-    i0 = np.minimum(pos.astype(np.int64), n - 1)
-    frac = pos - i0
-    s_bp = sigma[i0] * (1.0 - frac) + sigma[i0 + 1] * frac
+    s_bp = linear_at(sigma, (n * h - bp) / h)  # sigma at the interior breakpoint
     ha = bp - k0 * h
     hb = (k0 + 1) * h - bp
     out[live] = 0.5 * ha * (rec["left_at_node"] * sigma[n - k0] + rec["left_at_bp"] * s_bp)

@@ -168,6 +168,7 @@ BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference
         ("chi-extend-0.44", ["chi-extend", "--delta", "0.44"]),
         ("chi-extend-0.2", ["chi-extend", "--delta", "0.2"]),
         ("oracle-k3", ["oracle", "--k", "3", "--delta", "0.5", "--y", "1e3", "--n", "1000000"]),
+        ("chi-extend-0.1", ["chi-extend", "--delta", "0.1"]),
     ],
 )
 def test_zero_search_outputs_match_the_benchmark_references(name, args, capsys):

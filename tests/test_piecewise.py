@@ -15,6 +15,7 @@ from extremal_means.piecewise import (
     SampledSegment,
     bisect,
     integrate_callable,
+    linear_at,
 )
 
 
@@ -202,3 +203,10 @@ def test_sampled_segment_linear_exact():
     probe = np.array([1.0, 1.1, 2.03, 2.999])
     assert np.allclose(seg.values(probe), 3.0 * probe - 1.0, atol=1e-13)
 
+
+
+def test_linear_at_reaches_both_ends():
+    # the last node is read with weight 1 on it, not one past the end
+    x = np.array([0.0, 2.0, 4.0])
+    got = linear_at(x, np.array([0.0, 0.5, 1.75, 2.0]))
+    assert np.array_equal(got, [0.0, 1.0, 3.5, 4.0])

@@ -25,6 +25,7 @@ from extremal_means.piecewise import (
 )
 from extremal_means.sigma import (
     _cell_values,
+    lagged_sum,
     sigma_closed,
     sigma_dde,
     sigma_dde_to_first_zero,
@@ -352,6 +353,20 @@ def looped_volterra(chi, u_max, h):
     return sigma
 
 
+def test_lagged_sum_matches_the_double_loop():
+    # m = 5 over 40 history values against 17 weights: the early chunks of
+    # the late blocks lie past the end of w and are skipped, block 1 has no
+    # history, and the last block is partial
+    rng = np.random.default_rng(5)
+    m, x, w = 5, rng.standard_normal(40), rng.standard_normal(17)
+    for b in range(1, 40, m):
+        e = min(b + m, 38)
+        direct = [
+            sum(w[n - i] * x[i] for i in range(1, b) if n - i < len(w)) for n in range(b, e)
+        ]
+        assert np.max(np.abs(lagged_sum(x, w, b, e, m) - direct), initial=0.0) <= 1e-13
+
+
 def _two_jump_profile():
     # off-grid jumps at 1.23456 and 2.34567 (cells 1234 and 2345 at h = 1e-3),
     # then a sampled ramp
@@ -360,6 +375,33 @@ def _two_jump_profile():
         breakpoints=(0.0, 1.0, 1.23456, 2.34567),
         segments=(ConstantSegment(1.0), ConstantSegment(-0.5), ConstantSegment(0.75), ramp),
     )
+
+
+def _profile(case, h):
+    if case == "chi_delta":
+        return chi_delta(0.3)
+    if case == "extended":
+        return extend_chi(1.0, h=min(h, 1e-4)).profile
+    return _two_jump_profile()
+
+
+@pytest.mark.parametrize("case", ["chi_delta", "extended", "two_jumps"])
+def test_cell_values_read_the_segment_owning_each_cell(case):
+    # each cell's one-sided values come from the segment that owns its
+    # midpoint (zeroed where an off-grid jump splits the cell), bit for bit
+    h, n_cells = 1e-3, 4300
+    chi = _profile(case, h)
+    L, R, records = _cell_values(chi, n_cells, h)
+    t_left = np.arange(n_cells) * h
+    owner = chi.segment_index(t_left + 0.5 * h)
+    want_L, want_R = np.empty(n_cells), np.empty(n_cells)
+    for i, seg in enumerate(chi.segments):
+        mask = owner == i
+        want_L[mask] = seg.values(t_left[mask])
+        want_R[mask] = seg.values(t_left[mask] + h)
+    for rec in records:
+        want_L[rec["k0"]] = want_R[rec["k0"]] = 0.0
+    assert np.array_equal(L, want_L) and np.array_equal(R, want_R)
 
 
 @pytest.mark.parametrize(
@@ -373,12 +415,7 @@ def _two_jump_profile():
     ],
 )
 def test_blocked_volterra_matches_the_looped_one(case, u_max, h):
-    if case == "chi_delta":
-        chi = chi_delta(0.3)
-    elif case == "extended":
-        chi = extend_chi(1.0, h=min(h, 1e-4)).profile
-    else:
-        chi = _two_jump_profile()
+    chi = _profile(case, h)
     assert len(_cell_values(chi, round(u_max / h), h)[2]) == (2 if case == "two_jumps" else 1)
     coarse = looped_volterra(chi, u_max, h)
     got = solve_volterra(chi, u_max, h=h, richardson=False).values
