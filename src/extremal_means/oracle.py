@@ -17,25 +17,27 @@ into sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chi_renewal import extend_chi
 from .extremal import _zero_and_mean_grid, find_U
 
-# Largest sieve length: `oracle --n 2e7` peaks at about 170 MB resident,
-# set by the sieve's int32 smallest-prime-factor table (80 MB) next to the
-# int16 angle indices (40 MB); f is never materialized whole there.
+# Largest sieve length: `oracle --y 26800 --n 20000000` peaks at about
+# 141 MB resident, set by the int16 angle indices (40 MB) next to the
+# spec's 1.27 million primes and the builder's scatter indices (10 MB per
+# int64 copy); f is never materialized whole there.
 SIEVE_CAP = 2 * 10**7
 
-# Most nodes per block of the in-place multiplicative builder and of the
-# streamed running sums: their temporaries stay near 2 MB at any N, so at
-# the desk N the sums, next to the 2-byte angle indices, stay below the
-# build's peak (sieve table and angles, 6 bytes per n).
+# Most nodes per chunk of the streamed running sums: their temporaries
+# stay near 2 MB at any N, so at the desk N the sums, next to the 2-byte
+# angle indices, stay below the build's peak (the angles and the
+# builder's copies of the spec's primes).
 _BLOCK = 2**16
 
-# Largest order k: build_f adds two angle indices below k in int16.
+# Largest order k: build_angles adds two angle indices below k, so each sum
+# stays below 2^15 and the int16 angle array holds every index.
 MAX_ORDER = 2**14
 
 # default desk scale: y^sqrt(e) for the order-2 construction just fits
@@ -76,22 +78,37 @@ def _cutoff(y: float, t: float, N: int, name: str, exponent: str) -> float:
     return x
 
 
+def _odd_prime_mask(N: int) -> np.ndarray:
+    """mask[i] tells whether 2i + 1 is prime, for odd 2i + 1 <= N (odd-only Eratosthenes)."""
+    mask = np.ones((N + 1) // 2, dtype=bool)
+    mask[0] = False
+    for i in range(1, (math.isqrt(N) - 1) // 2 + 1):
+        if mask[i]:
+            p = 2 * i + 1
+            mask[p * p // 2 :: p] = False
+    return mask
+
+
 def sieve_primes(N: int) -> np.ndarray:
     """All primes <= N, ascending."""
     N = _integer_in(N, 2, SIEVE_CAP, "N")
-    composite = np.zeros(N + 1, dtype=bool)
-    composite[:2] = True
-    for p in range(2, math.isqrt(N) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    return np.flatnonzero(~composite)
+    mask = _odd_prime_mask(N)
+    mask[0] = True  # the slot of 1 holds 2
+    primes = np.flatnonzero(mask)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def smallest_prime_factors(N: int) -> np.ndarray:
     """spf[n] for n <= N (spf[1] = 1); primes satisfy spf[p] = p.
 
     Each prime p <= sqrt(N) writes itself over its multiples from p^2 on,
-    the largest first, so the smallest prime factor writes last.
+    the largest first, so the smallest prime factor writes last.  No
+    builder reads this table; it stays a tested public function (the
+    recursion reference of the builder tests), and perfbench's tracer
+    wraps it by name.
     """
     N = _integer_in(N, 2, SIEVE_CAP, "N")
     spf = np.arange(N + 1, dtype=np.int32)
@@ -115,6 +132,8 @@ class MultiplicativeSpec:
     primes: np.ndarray
     assignment: tuple[int, ...]
     N: int
+    # the validated assignment as a uint16 array, which build_angles slices
+    _ells: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _integer_in(self.k, 2, MAX_ORDER, "order k")
@@ -131,6 +150,7 @@ class MultiplicativeSpec:
             raise ValueError(f"primes must be integers that strictly increase in ({lo}, {self.N}]")
         if ells.size and (ells.dtype.kind not in "iu" or ells.min() < 0 or ells.max() > self.k):
             raise ValueError(f"angle indices must be integers in [0, {self.k}] for order {self.k}")
+        object.__setattr__(self, "_ells", ells.astype(np.uint16))
 
 
 def random_spec(
@@ -149,24 +169,32 @@ def random_spec(
     return MultiplicativeSpec(k=k, y=float(y), primes=sel, assignment=assignment, N=int(N))
 
 
-def _completely_multiplicative(out: np.ndarray, spf: np.ndarray, first, combine) -> np.ndarray:
-    """out[n] = combine(out[n // spf(n)], out[spf(n)]) for n >= 2, out[:2] = first, in place.
+def _completely_multiplicative(
+    out: np.ndarray, primes: np.ndarray, values: np.ndarray, scale
+) -> np.ndarray:
+    """out[n] for n >= 1 from its values at primes, in place, by prime-power slices.
 
-    On entry out holds the value at each prime (other entries are
-    overwritten).  Blocks [lo, hi) have at most _BLOCK nodes and
-    hi <= 2 lo, so a composite n has spf(n) < lo and n // spf(n) < lo:
-    both lookups land in filled territory.  A prime p reads out[1] and its
-    own entry before the block is written, and combine(first[1], x) == x,
-    so its value stays as given.
+    On entry out holds the identity at every n >= 1.  `primes` ascend and
+    `values[i]` is the value at primes[i]; a prime left out keeps the
+    identity.  A prime P > sqrt(N) divides n at most once and is then its
+    largest prime factor, so each m <= sqrt(N) writes out[m P] = value(P)
+    in one scatter.  The primes p <= sqrt(N) then follow in descending
+    order, each calling scale(view, value(p)) on the slice of every power
+    p^j <= N.  So each n takes in its prime factors from the largest down
+    to the smallest, with multiplicity: the order of the recursion
+    out[n] = out[n / spf(n)] * value(spf(n)) on the smallest prime factor.
     """
     N = len(out) - 1
-    out[:2] = first
-    lo = 2
-    while lo <= N:
-        hi = min(2 * lo, lo + _BLOCK, N + 1)
-        p = spf[lo:hi]
-        out[lo:hi] = combine(out[np.arange(lo, hi, dtype=spf.dtype) // p], out[p])
-        lo = hi
+    split = np.searchsorted(primes, math.isqrt(N), side="right")
+    large, at_large = primes[split:], values[split:]
+    for m in range(1, N // large[0] + 1 if large.size else 1):
+        n = np.searchsorted(large, N // m, side="right")
+        out[m * large[:n]] = at_large[:n]
+    for p, v in zip(primes[:split][::-1].tolist(), values[:split][::-1].tolist()):
+        q = p
+        while q <= N:
+            scale(out[q::q], v)
+            q *= p
     return out
 
 
@@ -178,27 +206,36 @@ def _roots(k: int) -> np.ndarray:
 def build_angles(spec: MultiplicativeSpec, N: int) -> np.ndarray:
     """The angle index of f(n) for n <= N as an int16 array (index k at n = 0).
 
-    Angle indices add modulo k along the smallest-prime-factor recursion;
-    the value 0 is the absorbing index k, so the array is f exactly, at 2
-    bytes per n.  The sieve table is freed on return.
+    Angle indices add modulo k along factorizations; the value 0 is the
+    absorbing index k, so the array is f exactly, at 2 bytes per n.  The
+    spec's primes up to N are checked against an odd-only sieve mask,
+    which is freed on return.
     """
     N = _integer_in(N, 2, spec.N, "N")
     k = spec.k
-    spf = smallest_prime_factors(N)
     n_keep = np.searchsorted(spec.primes, N, side="right")
-    primes = spec.primes[:n_keep]
-    composite = primes[spf[primes] != primes]
-    if composite.size:
-        raise ValueError(f"spec entry {composite[0]} is not a prime")
-    ell_at = np.zeros(N + 1, dtype=np.int16)
-    ell_at[primes] = spec.assignment[:n_keep]
+    primes, ells = spec.primes[:n_keep], spec._ells[:n_keep]
+    slot = primes - 1
+    slot >>= 1  # the mask slot of an odd p
+    is_prime = _odd_prime_mask(N)[slot]
+    is_prime &= np.bitwise_and(primes, 1, out=slot) == 1
+    is_prime |= primes == 2
+    if not is_prime.all():
+        raise ValueError(f"spec entry {primes[np.argmin(is_prime)]} is not a prime")
+    turned = ells != 0
 
-    def add_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        s = (a + b) % k
-        s[(a == k) | (b == k)] = k
-        return s
+    def add_angle(a: np.ndarray, ell: int) -> None:
+        if ell == k:
+            a[...] = k
+            return
+        s = a + np.uint16(ell)
+        np.minimum(s, s - np.uint16(k), out=s)  # s - k wraps above s while s < k
+        np.copyto(a, s, where=a != k)
 
-    return _completely_multiplicative(ell_at, spf, (k, 0), add_angles)
+    out = np.zeros(N + 1, dtype=np.int16)
+    out[0] = k
+    _completely_multiplicative(out.view(np.uint16), primes[turned], ells[turned], add_angle)
+    return out
 
 
 def build_f(spec: MultiplicativeSpec, N: int) -> np.ndarray:
@@ -216,12 +253,23 @@ def build_g(f: np.ndarray) -> np.ndarray:
 
 
 def _primes_and_g(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes <= n and g = build_g(f[: n + 1]) from one spf scan; spf is freed on return."""
-    spf = smallest_prime_factors(n)
-    primes = np.flatnonzero(spf[2:] == np.arange(2, n + 1, dtype=spf.dtype)) + 2
-    g = np.zeros(n + 1)
-    g[primes] = np.abs(1.0 + f[primes]) - 1.0
-    return primes, _completely_multiplicative(g, spf, (0.0, 1.0), np.multiply)
+    """The primes <= n and g = build_g(f[: n + 1]) on them by prime-power slices.
+
+    Primes with g(p) = 1 are skipped (x * 1.0 == x), so at the desk only
+    the primes past y, where f(p) != 1, are scattered or sliced.
+    """
+    primes = sieve_primes(n)
+    at_prime = f[primes]
+    at_prime += 1.0  # in place: one complex temporary, not two
+    at_prime = np.abs(at_prime)
+    at_prime -= 1.0
+    moved = at_prime != 1.0
+    g = np.ones(n + 1)
+    g[0] = 0.0
+    _completely_multiplicative(
+        g, primes[moved], at_prime[moved], lambda a, v: np.multiply(a, v, out=a)
+    )
+    return primes, g
 
 
 def _clamp_n_max(n_max: int, f: np.ndarray, lo: int = 1) -> int:
@@ -319,7 +367,8 @@ class TransformBundle:
 def transforms(f: np.ndarray, N: int, h_max: int | None = None) -> TransformBundle:
     """All companion quantities of f in one pass.
 
-    The primes and g come from one sieve scan (the g of build_g(f[: N + 1])).
+    The primes come from one sieve and g (the g of build_g(f[: N + 1]))
+    from their prime-power slices.
     h is the divisor correlation (cost n log n, so cap it with h_max when
     only small n matter); the deficiency profile jumps at primes, the
     partial-sum profile at every integer, and it keeps only its running

@@ -258,7 +258,7 @@ def test_tracking_spec_checks_y_and_A(y, A, message):
 
 
 SIEVE_LAB_REJECTS = {
-    # build_f adds angle indices in int16: past 2^14 the sums wrap
+    # build_angles adds two indices below k for an int16 array: 2^14 keeps sums below 2^15
     "k-above-cap": (lambda: random_spec(20000, 1.0, 10**5, 1), r"^order k .*16384\], got 20000$"),
     "k-past-int16": (lambda: random_spec(40000, 1.0, 10**5, 1), r"^order k .*got 40000$"),
     "k-fraction-spec": (lambda: small_spec(k=2.5), r"^order k must be an integer .*got 2.5$"),

@@ -65,8 +65,9 @@ MILLION = 10**6
 
 @pytest.fixture(scope="module")
 def million_spec() -> MultiplicativeSpec:
-    """Order 3 with the value 0 at some primes, long enough for the
-    builder to run blocks capped below twice their start."""
+    """Order 3 with the value 0 at some primes, which lie past y = 10 both
+    below and above sqrt(N): the builder slices the ones and scatters the
+    others."""
     return random_spec(3, 10.0, MILLION, seed=1, zero_probability=0.2)
 
 
@@ -208,6 +209,38 @@ def test_in_place_builders_equal_the_doubling_block_reference(million_spec):
     assert np.array_equal(bits(f), bits(_roots(k)[angles]))
     g = doubling_block_builder(np.abs(1.0 + f) - 1.0, spf, (0.0, 1.0), np.multiply)
     assert np.array_equal(bits(build_g(f)), bits(g))
+
+
+# N = p^2 and p^3 put a prime power on the last entry and sqrt(N) on a prime
+SLICE_SIZES = tuple(range(2, 201)) + tuple(p**j for p in (2, 3, 13, 47) for j in (2, 3)) + (10**5,)
+
+
+def test_prime_power_slices_equal_the_spf_recursion_bit_for_bit():
+    # The spf recursion multiplies each n's prime factors from the largest
+    # down to the smallest.  Distinct float values at the primes below
+    # sqrt(N) (a non-unimodular f, with some f(p) = 1, 0 and -1) make that
+    # order visible in g's bits; the angles carry zeros (index k) there.
+    rng = np.random.default_rng(0)
+    for n in SLICE_SIZES:
+        spf = smallest_prime_factors(n)
+        spec = random_spec(5, 1.0, n, seed=n, zero_probability=0.2)
+        ell_at = np.zeros(n + 1, dtype=np.int16)
+        ell_at[spec.primes] = spec.assignment
+
+        def add_angles(a, b):
+            s = (a + b) % 5
+            s[(a == 5) | (b == 5)] = 5
+            return s
+
+        ell = doubling_block_builder(ell_at, spf, (5, 0), add_angles)
+        assert np.array_equal(build_angles(spec, n), ell), f"N={n}"
+        f = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        f[rng.integers(0, n + 1, size=n // 10 + 1)] = rng.choice([1.0, 0.0, -1.0], size=n // 10 + 1)
+        g = doubling_block_builder(np.abs(1.0 + f) - 1.0, spf, (0.0, 1.0), np.multiply)
+        assert np.array_equal(bits(build_g(f)), bits(g)), f"N={n}"
+    square = MultiplicativeSpec(k=3, y=1.0, primes=np.array([2, 3, 25]), assignment=(1, 2, 1), N=25)
+    with pytest.raises(ValueError, match="^spec entry 25 is not a prime$"):
+        build_angles(square, 25)
 
 
 def test_build_f_validation():
@@ -538,26 +571,31 @@ def test_oracle_command_takes_a_cutoff_on_N_up_to_rounding(capsys):
 def test_oracle_command_sieves_only_to_the_largest_cutoff(monkeypatch):
     # f(n) depends only on the factorization of n, so neither the spec
     # nor the angle array reads n past floor(y^(A U)), about 7.0e5 here
-    sizes = []
-    for name in ("sieve_primes", "smallest_prime_factors"):
-        real = getattr(oracle, name)
-        monkeypatch.setattr(oracle, name, lambda n, real=real: sizes.append(n) or real(n))
+    # (the spec's prime sieve, and the sieve mask build_angles checks the
+    # spec against; no builder calls smallest_prime_factors)
+    sizes = {}
+    for name in ("sieve_primes", "smallest_prime_factors", "_odd_prime_mask"):
+        real, seen = getattr(oracle, name), sizes.setdefault(name, [])
+        monkeypatch.setattr(oracle, name, lambda n, real=real, seen=seen: seen.append(n) or real(n))
     render_oracle_csv(3, 0.5, 1e3, MILLION, 1.0, 0.05, "csv")
-    assert max(sizes) == int(1e3 ** find_U(0.5)) < 0.71 * MILLION
+    top = int(1e3 ** find_U(0.5))
+    assert top < 0.71 * MILLION
+    assert sizes["smallest_prime_factors"] == []
+    assert max(sizes["sieve_primes"]) == max(sizes["_odd_prime_mask"]) == top
 
 
 def test_oracle_command_keeps_f_as_angle_indices():
-    # the angle indices (2 bytes per n) next to the sieve table (4) while
-    # they are built, then a few MB of complex values per chunk; a complex
-    # f alone is 16 bytes per n
+    # the angle indices (2 bytes per n) next to the odd-only sieve mask
+    # (half a byte) while they are built, then a few MB of complex values
+    # per chunk; a complex f alone is 16 bytes per n
     _, peak = traced_peak(lambda: render_oracle_csv(3, 0.5, 1e3, MILLION, 1.0, 0.05, "csv"))
     assert peak <= 9 * MILLION
 
 
 def test_build_f_keeps_only_f_and_the_angle_indices(million_spec):
-    # f is 16 bytes per n and the int16 angles 2; the smallest-prime-factor
-    # table (4) is freed before f is built, and the builder's temporaries
-    # are bounded by its block size
+    # f is 16 bytes per n and the int16 angles 2; the sieve mask (half a
+    # byte) is freed before f is built, and the builder's temporaries are
+    # index slices of the spec's primes
     f, peak = traced_peak(lambda: build_f(million_spec, MILLION))
     assert peak <= 19 * MILLION
     assert len(f) == MILLION + 1
@@ -565,7 +603,8 @@ def test_build_f_keeps_only_f_and_the_angle_indices(million_spec):
 
 def test_transforms_free_the_sieve_before_the_sums(million_spec):
     # kept: g and the partial sums' running sums (8 bytes per n each, no
-    # stored points) and the prime profile; spf is freed before the sums
+    # stored points) and the prime profile; the sieve mask is freed before
+    # the sums
     f = build_f(million_spec, MILLION)
     _, peak = traced_peak(lambda: transforms(f, MILLION, h_max=16))
     assert peak <= 19 * MILLION
