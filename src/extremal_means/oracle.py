@@ -474,7 +474,10 @@ def construct_tracking_spec(
     weight alpha(t) = (1 - chi(t))/k, where chi is the dip profile up to
     its first zero U and the mean-preserving extension beyond.  Greedy
     largest-deficit-first assignment on log-prime weight keeps every
-    class's running sum within one prime gap of its target.
+    class's running sum within one prime gap of its target.  Where class
+    0 never leads, as at the table drifts delta = 1/(k-1) up to U, that
+    greedy is a rotation of classes 1..k-1, checked in one numpy pass;
+    the per-prime loop runs only from the first step the check rejects.
     """
     k = _integer_in(k, 2, MAX_ORDER, "order k")
     N = _integer_in(N, 2, SIEVE_CAP, "N")
@@ -525,13 +528,32 @@ def _greedy_classes(logs: np.ndarray, alpha: np.ndarray, k: int) -> list[int]:
     least weight a (a weight b > 2t has a gap of at most -t < t - a).  Outside
     that range, if the next entry's gap ties too, every entry is read and
     the lowest tied index wins.  A prime costs O(log k), not k gaps.
+
+    Where class 0 never leads, the loop is list scheduling in rotation:
+    with r = k-1, prime i goes to c_i = 1 + (i mod r).  `_rotation_prefix`
+    checks that schedule step by step on the loop's own doubles and the
+    loop resumes at the first step s it rejects, with both targets after
+    step s-1, class 0 at weight 0.0, and in the heap the last r weights
+    (s >= r) or classes 1..s plus the fresh class s+1 at 0.0 (s < r).
+    The loop reads the heap's top, its second entry and, on a tie, every
+    entry, so any heap order of those entries resumes it exactly.  At the
+    table drifts delta = 1/(k-1) the check accepts every prime (277,651
+    for `oracle`'s default, in 0.006 s against the loop's 0.07 s); past U,
+    where alpha moves, the loop takes over.
     """
     import heapq  # deferred: every command imports this module, one uses heapq
 
-    target0 = target1 = assigned0 = 0.0
-    heap, fresh = [(0.0, 1)], 1
-    classes = []
-    for w, a in zip(memoryview(logs), memoryview(alpha)):
+    r = k - 1
+    s, target0, target1, loads = _rotation_prefix(logs, alpha, k)
+    classes = list(range(1, k)) * (s // r) + list(range(1, s % r + 1))
+    if s == len(logs):
+        return classes
+    # loads[j] is class 1 + (s+j) mod r's weight, 0.0 if not yet picked;
+    # of those, the loop's heap holds only the fresh one (j = 0)
+    heap = [(float(loads[j]), 1 + (s + j) % r) for j in range(r) if j == 0 or j >= r - s]
+    heapq.heapify(heap)
+    fresh, assigned0 = min(s + 1, r), 0.0
+    for w, a in zip(memoryview(logs[s:]), memoryview(alpha[s:])):
         target0 += (1.0 - (k - 1) * a) * w
         target1 += a * w
         low, ell = heap[0]
@@ -553,6 +575,61 @@ def _greedy_classes(logs: np.ndarray, alpha: np.ndarray, k: int) -> list[int]:
             heapq.heappush(heap, (0.0, fresh))
         classes.append(ell)
     return classes
+
+
+def _rotation_prefix(
+    logs: np.ndarray, alpha: np.ndarray, k: int
+) -> tuple[int, float, float, np.ndarray]:
+    """How many leading steps of `_greedy_classes`' loop are the rotation.
+
+    Returns that count s, the loop's two targets after step s-1 and the
+    weights of the classes picked at steps s-r..s-1 (0.0 before step 0).
+    Step i of the rotation gives class c_i = 1 + (i mod r), r = k-1, the
+    weight after_i = after_{i-r} + w_i, so c_i's weight before it is
+    low_i = after_{i-r} (0.0 for i < r).  Step i is accepted when all
+    earlier ones are and
+      (a) t1_i - low_i > t0_i: class 0, still at weight 0.0, loses;
+      (b) for k >= 3, after_i > after_{i-1} (after_{-1} = 0.0): the
+          weights of the last r picks increase strictly along the
+          rotation, so its next class is the unique least-weighted one;
+      (c) for k >= 3, t1_i/2 <= low_i < 2 t1_i or t1_i - second_i <
+          t1_i - low_i, second_i = after_{max(i+1-r, 0)} (+inf at i = 0)
+          being the heap's second entry: the loop takes its heap-top
+          branch, not the tie scan.
+    Every sum is the loop's own double: the targets t0, t1 and the
+    weights are `np.cumsum`s (add.accumulate adds in order) of the loop's
+    increments, the weights down columns of a (rows, r) grid, one class
+    per column.  Chunks of at most _BLOCK steps carry the sums between
+    them, so a rejection at step s costs O(min(s, _BLOCK)).
+    """
+    r = k - 1
+    target0 = target1 = 0.0
+    loads = np.zeros(r)
+    for lo in range(0, len(logs), _BLOCK):
+        w, a = logs[lo : lo + _BLOCK], alpha[lo : lo + _BLOCK]
+        m = len(w)
+        c0 = np.cumsum(np.concatenate(([target0], (1.0 - r * a) * w)))
+        c1 = np.cumsum(np.concatenate(([target1], a * w)))
+        t0, t1 = c0[1:], c1[1:]
+        # row 0 carries the weights; column j holds steps lo+j, lo+j+r, ...
+        grid = np.zeros((-(-m // r) + 1, r))
+        grid[0] = loads
+        grid[1:].reshape(-1)[:m] = w
+        flat = np.cumsum(grid, axis=0, out=grid).reshape(-1)  # after_i at r + i - lo
+        low = flat[:m]
+        ok = t1 - low > t0
+        if r > 1:
+            second = flat[1 : m + 1].copy()
+            if lo == 0:
+                second[:r] = flat[r]
+                second[0] = np.inf
+            ok &= flat[r : r + m] > flat[r - 1 : r - 1 + m]
+            ok &= ((0.5 * t1 <= low) & (low < 2.0 * t1)) | (t1 - second < t1 - low)
+        s = int(np.argmin(ok))
+        if not ok[s]:
+            return lo + s, float(c0[s]), float(c1[s]), flat[s : s + r]
+        target0, target1, loads = float(c0[m]), float(c1[m]), flat[m : m + r]
+    return len(logs), target0, target1, loads
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,10 @@ from extremal_means.oracle import (
     _dirichlet,
     _greedy_classes,
     _roots,
+    _rotation_prefix,
 )
 
-from conftest import DESK_DELTA, DESK_N, DESK_Y
+from conftest import DESK_DELTA, DESK_K, DESK_N, DESK_Y
 
 SEEDED_SPECS = ((2, 11, 0.0), (3, 12, 0.3), (4, 13, 0.2))
 # (k, delta, y, A, N): each runs past U into the extended profile
@@ -60,6 +61,11 @@ GREEDY_SPECS = (
     (3, 0.45, 30.0, 1.5, 10**5),
     (4, 0.3, 30.0, 1.5, 10**5),
 )
+# (k, delta, y, N) at A = 1: the table drifts delta = 1/(k-1), where class
+# 0's target never grows and the greedy is a rotation of classes 1..k-1,
+# then drifts where class 0 soon leads
+TABLE_DRIFTS = tuple((k, 1.0 / (k - 1), 100.0, 2 * 10**5) for k in range(2, 9))
+GENERAL_DRIFTS = ((2, 0.62, 100.0, 10**5), (3, 0.47, 100.0, 10**5), (4, 0.2, 30.0, 10**5))
 MILLION = 10**6
 
 
@@ -654,6 +660,18 @@ def numpy_greedy(logs: np.ndarray, alpha: np.ndarray, k: int) -> list[int]:
     return classes
 
 
+def tracking_inputs(primes, k, delta, y, A):
+    """The prime logs and class weights construct_tracking_spec gives the greedy."""
+    U = find_U(delta)
+    logs = np.log(primes)
+    t = logs / math.log(y)
+    chi = np.full(len(primes), -delta)
+    beyond = t > U
+    if beyond.any():
+        chi[beyond] = extend_chi(delta, t_max=A * U).value(t[beyond])
+    return logs, np.clip((1.0 - chi) / k, 0.0, 1.0 / (k - 1))
+
+
 @pytest.mark.parametrize(("k", "delta", "y", "A", "N"), GREEDY_SPECS)
 def test_tracking_assignment_matches_numpy_greedy(k, delta, y, A, N):
     spec = construct_tracking_spec(k, delta, y, A, N)
@@ -661,14 +679,54 @@ def test_tracking_assignment_matches_numpy_greedy(k, delta, y, A, N):
     primes = sieve_primes(N)
     sel = primes[(primes > y) & (primes <= y ** (A * U))]
     assert spec.primes.tolist() == sel.tolist()
-    logs = np.log(sel)
-    t = logs / math.log(y)
-    chi = np.full(len(sel), -delta)
-    beyond = t > U
-    assert beyond.any()
-    chi[beyond] = extend_chi(delta, t_max=A * U).value(t[beyond])
-    alpha = np.clip((1.0 - chi) / k, 0.0, 1.0 / (k - 1))
+    assert (np.log(sel) / math.log(y) > U).any()
+    logs, alpha = tracking_inputs(sel, k, delta, y, A)
     assert list(spec.assignment) == numpy_greedy(logs, alpha, k)
+    # the rotation covers the start and the loop resumes mid-array
+    assert 0 < _rotation_prefix(logs, alpha, k)[0] < len(logs)
+
+
+@pytest.mark.parametrize(("k", "delta", "y", "N"), TABLE_DRIFTS + GENERAL_DRIFTS)
+def test_rotation_prefix_gives_the_loop_classes(k, delta, y, N):
+    spec = construct_tracking_spec(k, delta, y, 1.0, N)
+    logs, alpha = tracking_inputs(spec.primes, k, delta, y, 1.0)
+    assert list(spec.assignment) == numpy_greedy(logs, alpha, k)
+    s = _rotation_prefix(logs, alpha, k)[0]
+    assert s == len(logs) if delta == 1.0 / (k - 1) else s < len(logs)
+
+
+@pytest.mark.parametrize(
+    ("k", "s"),
+    [(k, s) for k in (2, 3, 4) for s in sorted({0, 1, k - 2, k - 1, k, oracle._BLOCK})]
+    + [(4, oracle._BLOCK + 4)],
+)
+def test_rotation_prefix_hands_the_loop_its_state(k, s):
+    # at alpha = 1/(k-1) the whole input is a rotation; alpha = 0 at step
+    # s gives class 0 the lead there, so the loop resumes at s, past one
+    # chunk of carried sums for s >= _BLOCK
+    primes = sieve_primes(10**6)
+    logs = np.log(primes[primes > 1000][: s + 40])
+    alpha = np.full(len(logs), 1.0 / (k - 1))
+    assert _rotation_prefix(logs, alpha, k)[0] == len(logs)
+    alpha[s] = 0.0
+    assert _rotation_prefix(logs, alpha, k)[0] == s
+    assert _greedy_classes(logs, alpha, k) == numpy_greedy(logs, alpha, k)
+
+
+def test_table_drift_constructions_skip_the_loop(monkeypatch):
+    # the desk spec and oracle-k3's are rotations end to end, so a check
+    # that falls back to the loop fails here, not only in a timing
+    real, seen = _rotation_prefix, []
+
+    def spy(logs, alpha, k):
+        out = real(logs, alpha, k)
+        seen.append((out[0], len(logs)))
+        return out
+
+    monkeypatch.setattr(oracle, "_rotation_prefix", spy)
+    construct_tracking_spec(DESK_K, DESK_DELTA, DESK_Y, 1.0, DESK_N)
+    construct_tracking_spec(3, 0.5, 1e3, 1.0, 10**6)
+    assert seen == [(277_651, 277_651), (56_159, 56_159)]
 
 
 def test_greedy_ties_go_to_the_lowest_class():
@@ -682,6 +740,15 @@ def test_greedy_ties_go_to_the_lowest_class():
     # 2^52: the lower index wins, not the lighter class
     logs = np.array([2.0**-52, 2.0**53])
     assert _greedy_classes(logs, alpha, 3) == numpy_greedy(logs, alpha, 3) == [1, 1]
+
+
+def test_rotation_stops_where_a_class_falls_behind():
+    # class 2 takes less than class 1 did, so at the fourth prime the
+    # lightest class is 2, not the rotation's class 1, though class 1's
+    # gap is still positive
+    logs, alpha = np.array([3.0, 1.0, 2.0, 6.0]), np.full(4, 1.0 / 3.0)
+    assert _rotation_prefix(logs, alpha, 4)[0] == 1
+    assert _greedy_classes(logs, alpha, 4) == numpy_greedy(logs, alpha, 4) == [1, 2, 3, 2]
 
 
 def test_greedy_heap_gives_the_loop_classes_on_spread_weights():
