@@ -305,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="sieve construction tracking report")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--y", type=float, default=1e4)
-    p.add_argument("--n", type=int, default=4_000_000)
+    p.add_argument("--y", type=float, default=float(oracle.DESK_Y))
+    p.add_argument("--n", type=int, default=oracle.DESK_N)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--u-step", dest="u_step", type=float, default=0.05)
     p.add_argument("--format", choices=FORMATS, default="csv")

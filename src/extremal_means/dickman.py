@@ -78,13 +78,11 @@ def rho(u: float | np.ndarray) -> float | np.ndarray:
     u_arr = np.asarray(u, dtype=float)
     scalar = u_arr.ndim == 0
     u_arr = np.atleast_1d(u_arr)
-    if not np.all(np.isfinite(u_arr)):
-        raise ValueError("argument must be finite")
+    # written so that NaN fails it too
+    inside = (u_arr >= 0.0) & (u_arr <= U_MAX + 1e-12)
+    if not inside.all():
+        raise ValueError(f"u must be finite and lie in [0, {U_MAX}], got {u_arr[~inside][0]}")
     out = np.zeros_like(u_arr)
-    if np.any(u_arr < 0.0):
-        raise ValueError("argument must be nonnegative")
-    if np.any(u_arr > U_MAX + 1e-12):
-        raise ValueError("argument beyond tabulated range")
     low = u_arr <= 1.0
     out[low] = 1.0
     mid = (u_arr > 1.0) & (u_arr <= 2.0)

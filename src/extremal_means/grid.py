@@ -55,7 +55,7 @@ def steps_per_unit(h: float, span: float = 1.0) -> int:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionGrid:
     """Values of a delay-equation solution on u = 0, h, 2h, ..., u_max.
 
@@ -80,9 +80,6 @@ class SolutionGrid:
     @property
     def u_max(self) -> float:
         return (len(self.values) - 1) / self.m
-
-    def grid_u(self) -> np.ndarray:
-        return np.arange(len(self.values)) * self.h
 
     def value_cubic(self, u: float | np.ndarray) -> np.ndarray | float:
         """Four-point Lagrange interpolation with the stencil kept inside

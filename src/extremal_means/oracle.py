@@ -118,7 +118,7 @@ def smallest_prime_factors(N: int) -> np.ndarray:
     return spf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplicativeSpec:
     """Recipe for a completely multiplicative f with k-th root values.
 
@@ -133,7 +133,7 @@ class MultiplicativeSpec:
     assignment: tuple[int, ...]
     N: int
     # the validated assignment as a uint16 array, which build_angles slices
-    _ells: np.ndarray = field(init=False, compare=False, repr=False)
+    _ells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _integer_in(self.k, 2, MAX_ORDER, "order k")
@@ -151,6 +151,16 @@ class MultiplicativeSpec:
         if ells.size and (ells.dtype.kind not in "iu" or ells.min() < 0 or ells.max() > self.k):
             raise ValueError(f"angle indices must be integers in [0, {self.k}] for order {self.k}")
         object.__setattr__(self, "_ells", ells.astype(np.uint16))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MultiplicativeSpec):
+            return NotImplemented
+        fields = (other.k, other.y, other.N, other.assignment)
+        same = (self.k, self.y, self.N, self.assignment) == fields
+        return same and np.array_equal(self.primes, other.primes)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.y, self.N, self.assignment))
 
 
 def random_spec(
@@ -324,7 +334,7 @@ def _step_value(cum: np.ndarray, count, u: float | np.ndarray) -> float | np.nda
     return float(out) if np.ndim(u) == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepProfile:
     """Right-continuous step function: cum[j] holds the value from points[j] on.
 
@@ -339,7 +349,7 @@ class StepProfile:
         return _step_value(self.cum, lambda v: np.searchsorted(self.points, v, side="right"), u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegerStepProfile:
     """StepProfile on the points 1, ..., len(cum), which it does not store.
 
@@ -354,7 +364,7 @@ class IntegerStepProfile:
         return _step_value(self.cum, lambda v: np.clip(np.floor(v), 0, n).astype(np.intp), u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformBundle:
     """g, h, and the two running profiles derived from one f array."""
 

@@ -54,7 +54,7 @@ class ConstantSegment:
         return np.full_like(np.asarray(t, dtype=float), self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSegment:
     """Segment stored as equally spaced samples, interpolated linearly.
 
@@ -143,8 +143,6 @@ def _adaptive_simpson(
     by np.add.reduce, the reduction that np.sum wraps, so the pairwise sum
     and its bits are those of np.sum without the wrapper's cost.
     """
-    if b <= a:
-        return QuadratureResult(0.0, 0.0, 0)
     fa, fb = float(fn(np.array([a]))[0]), float(fn(np.array([b]))[0])
     evals = 2
     trap = 0.5 * (b - a) * (fa + fb)
@@ -184,6 +182,8 @@ def integrate_callable(
         raise ValueError(f"a must be finite, got {a}")
     if not a <= b < np.inf:
         raise ValueError(f"b must be finite and >= a = {a}, got {b}")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     pts = sorted({a, b} | {p for p in breakpoints if a < p < b})
     value = 0.0
     err = 0.0

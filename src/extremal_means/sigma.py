@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .dickman import rho
-from .grid import SolutionGrid, march_to_first_nonpositive, solve_step_profile, steps_per_unit
+from .grid import SolutionGrid, _check_horizon, march_to_first_nonpositive, solve_step_profile
 from .piecewise import ConstantSegment, PiecewiseFunction, integrate_callable, linear_at
 
 __all__ = [
@@ -100,9 +100,9 @@ def sigma_closed(delta: float, u: float) -> float:
     zero U.
     """
     if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
     if not 0.0 <= u <= 3.0 + 1e-12:
-        raise ValueError("closed forms cover u in [0, 3] only")
+        raise ValueError(f"u must lie in [0, 3], where the closed forms hold, got {u}")
     if u <= 1.0:
         return 1.0
     x = 1.0 + delta
@@ -181,7 +181,7 @@ def lagged_sum(x: np.ndarray, w: np.ndarray, b: int, e: int, m: int) -> np.ndarr
     return np.fft.irfft(spec, nfft)[m - 1 : m - 1 + e - b]
 
 
-def _volterra_values(chi: PiecewiseFunction, u_max: float, h: float) -> np.ndarray:
+def _volterra_values(chi: PiecewiseFunction, m: int, n_total: int, h: float) -> np.ndarray:
     """Trapezoid nodes of u*s(u) = int_0^u chi(t) s(u-t) dt, one unit block at a time.
 
     Node n solves (u_n - h/2) s_n = sum_{j=1}^{n-1} w_j s_{n-j} + (h/2) R[n-1]
@@ -193,8 +193,6 @@ def _volterra_values(chi: PiecewiseFunction, u_max: float, h: float) -> np.ndarr
     of m nodes needs only earlier blocks: g comes from FFT convolutions of
     the history (lagged_sum), and the block from one cumulative sum.
     """
-    m = round(1.0 / h)
-    n_total = round(u_max / h)
     L, R, records = _cell_values(chi, n_total, h)
     if max(np.max(np.abs(L)), np.max(np.abs(R))) > 1.0 + 1e-9:
         raise ValueError("chi must stay in [-1, 1]")
@@ -243,25 +241,23 @@ def solve_volterra(
     The diagonal (t -> 0 end, where chi = 1) is moved to the left-hand
     side, making the marching explicit.  Off-grid jump points of chi get
     exact split-cell treatment, so the discrete residual stays O(h^2)
-    even for cutoff profiles.
+    even for cutoff profiles.  The grid ends on sigma_dde's last node, the
+    first at or past u_max; the Richardson leg runs twice as many at h/2.
     """
     if not 1.0 <= u_max < math.inf:
         raise ValueError(f"u_max must be finite and >= 1, got {u_max}")
-    m = steps_per_unit(h, u_max)
+    m, n = _check_horizon(u_max, h)
     if h > 1e-3:
-        raise ValueError("step must satisfy h <= 1e-3")
+        raise ValueError(f"h must be at most 1e-3, got {h}")
     if chi.domain_end < u_max:
-        raise ValueError("chi not defined up to u_max")
+        raise ValueError(f"u_max must be at most chi's domain end {chi.domain_end}, got {u_max}")
     first = chi.segments[0]
-    if not (isinstance(first, ConstantSegment) and first.value == 1.0):
+    no_jump_below_one = len(chi.breakpoints) == 1 or chi.breakpoints[1] >= 1.0
+    if not (isinstance(first, ConstantSegment) and first.value == 1.0 and no_jump_below_one):
         raise ValueError("chi must be identically 1 on [0, 1)")
-    if len(chi.breakpoints) > 1 and chi.breakpoints[1] < 1.0 - 1e-12:
-        raise ValueError("chi must be identically 1 on [0, 1)")
-    if abs(chi.eval_left(1.0) - 1.0) > 1e-12:
-        raise ValueError("chi must be identically 1 on [0, 1)")
-    values = _volterra_values(chi, u_max, h)
+    values = _volterra_values(chi, m, n, h)
     if richardson:
-        fine = _volterra_values(chi, u_max, h / 2.0)
+        fine = _volterra_values(chi, 2 * m, 2 * n, h / 2.0)
         values = (4.0 * fine[::2] - values) / 3.0
         values[: m + 1] = 1.0
     return SolutionGrid(h=h, values=values)
@@ -276,9 +272,9 @@ _DDE_STEP = 1e-4  # the step of sigma_dde and sigma_dde_to_first_zero
 
 def _check_step_profile(delta: float, u_max: float) -> None:
     if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
-    if u_max < 2.0:
-        raise ValueError("u_max must be >= 2")
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    if not 2.0 <= u_max < math.inf:
+        raise ValueError(f"u_max must be finite and >= 2, got {u_max}")
 
 
 def sigma_dde(

@@ -330,7 +330,7 @@ def _check_oracle_small() -> CheckResult:
 
 
 def _check_oracle_desk() -> CheckResult:
-    k, delta, y, N = 2, 1.0, 10**4, 4_000_000
+    k, delta, y, N = 2, 1.0, oracle.DESK_Y, oracle.DESK_N
     spec = oracle.construct_tracking_spec(k, delta, y, 1.0, N)
     f = oracle.build_f(spec, N)
     U = extremal.find_U(delta)

@@ -21,7 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extremal_means import extremal, verification
-from extremal_means.cli import fmt_sig, fmt_table, main, render_table
+from extremal_means.cli import (
+    _render_rows,
+    fmt_sig,
+    fmt_table,
+    main,
+    render_constants,
+    render_table,
+)
 from extremal_means.verification import DATA_DIR
 
 U_ROW = "2.0,0.442695041,0.721347520"
@@ -404,3 +411,36 @@ def test_verify_gates_k_table_mean_column(tmp_path, capsys):
     assert code == 1
     assert "FAIL  golden-table-k" in out
     assert "row k=13" in out and "column I " in out
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: render_table("x"), r"^grid must be 'u' or 'k', got 'x'$"),
+        (lambda: render_constants("c5"), r"^unknown constant group 'c5'$"),
+        (lambda: _render_rows(["a"], [["1"]], "xml"), r"^unknown format 'xml'$"),
+        (lambda: verification.run_checks("all"), r"^suite must be 'fast' or 'full', got 'all'$"),
+    ],
+)
+def test_library_renderers_reject_unknown_names(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_check_that_raises_is_a_failed_row(monkeypatch):
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verification, "_check_dickman_total", broken)
+    rows = {r.name: r for r in verification.run_checks("fast")}
+    assert not rows["dickman-total-integral"].ok
+    assert rows["dickman-total-integral"].detail == "raised RuntimeError: boom"
+    assert sum(not r.ok for r in rows.values()) == 1
+
+
+def test_golden_check_counts_the_rows(tmp_path):
+    lines = (DATA_DIR / "table_u.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "table_u.csv").write_text("".join(lines[:-1]))
+    got = verification._check_golden(tmp_path, "u")
+    assert not got.ok
+    assert got.detail == f"table_u.csv: {len(lines) - 2} rows, expected {len(lines) - 1}"

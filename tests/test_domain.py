@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from extremal_means.chi_renewal import extend_chi
+from extremal_means.chi_renewal import extend_chi, verify_sigma_vanishes
 from extremal_means.cli import main
 from extremal_means.constants import (
     average_bound_objective,
@@ -16,7 +16,7 @@ from extremal_means.constants import (
     order4_bound,
     order_constant,
 )
-from extremal_means.dickman import dde_residual_max, rho_total_integral
+from extremal_means.dickman import dde_residual_max, rho, rho_total_integral
 from extremal_means.extremal import chi_delta, compute_I, delta_for_U, gamma_odd_order, mean_grid
 from extremal_means.grid import SolutionGrid
 from extremal_means.oracle import (
@@ -35,8 +35,14 @@ from extremal_means.oracle import (
     tracking_rows,
     transforms,
 )
-from extremal_means.piecewise import integrate_callable
-from extremal_means.sigma import closed_tail_dilog, closed_tail_integral, sigma_dde, solve_volterra
+from extremal_means.piecewise import ConstantSegment, PiecewiseFunction, integrate_callable
+from extremal_means.sigma import (
+    closed_tail_dilog,
+    closed_tail_integral,
+    sigma_closed,
+    sigma_dde,
+    solve_volterra,
+)
 
 STEP_USERS = {
     "SolutionGrid": lambda h: SolutionGrid(h=h, values=np.ones(3)),
@@ -104,6 +110,20 @@ BOTH_INFINITIES = [
     pytest.param("b", lambda x: integrate_callable(np.exp, 0.0, x), id="b-integrate_callable"),
     pytest.param("u", closed_tail_integral, id="u-closed_tail_integral"),
     pytest.param("u", closed_tail_dilog, id="u-closed_tail_dilog"),
+    pytest.param(
+        "tol", lambda x: integrate_callable(np.sin, 0.0, 1.0, tol=x), id="tol-integrate_callable"
+    ),
+    pytest.param("u", rho, id="u-rho"),
+    pytest.param("delta", lambda x: sigma_closed(x, 2.5), id="delta-sigma_closed"),
+    pytest.param("u", lambda x: sigma_closed(0.2, x), id="u-sigma_closed"),
+    pytest.param("delta", lambda x: sigma_dde(x, 3.0), id="delta-sigma_dde"),
+    pytest.param("u_max", lambda x: sigma_dde(0.2, x), id="u_max-sigma_dde"),
+    pytest.param("u_max", lambda x: solve_volterra(chi_delta(0.3), x), id="u_max-solve_volterra"),
+    pytest.param(
+        "u_max",
+        lambda x: verify_sigma_vanishes(extend_chi(0.2), x),
+        id="u_max-verify_sigma_vanishes",
+    ),
     pytest.param("t", lambda x: chi_delta(0.3).eval(x), id="t-PiecewiseFunction.eval"),
     pytest.param("t", lambda x: chi_delta(0.3).eval_left(x), id="t-PiecewiseFunction.eval_left"),
     pytest.param("u", lambda x: UNIT_STEPS.value(x), id="u-StepProfile.value"),
@@ -380,3 +400,63 @@ def test_oracle_command_rejects_a_huge_integer(flag, name, capsys):
     cap = capsys.readouterr()
     assert code == 2 and cap.out == ""
     assert cap.err.startswith(f"error: {name} must be an integer in ")
+
+
+SHORT_PROFILE = PiecewiseFunction(
+    (0.0, 1.0), (ConstantSegment(1.0), ConstantSegment(-0.3)), domain_end=2.0
+)
+GUARDS_NAME_THEIR_VALUE = {
+    "rho-negative": (lambda: rho(-1.0), r"^u must be finite and lie in \[0, 40.0\], got -1.0$"),
+    "rho-past-table": (lambda: rho(np.array([3.0, 41.0])), r"^u must .*, got 41.0$"),
+    "sigma_closed-delta": (
+        lambda: sigma_closed(1.5, 2.0),
+        r"^delta must lie in \[0, 1\], got 1.5$",
+    ),
+    "sigma_closed-u": (lambda: sigma_closed(0.2, 3.5), r"^u must lie in \[0, 3\], .*got 3.5$"),
+    "sigma_dde-delta": (lambda: sigma_dde(-0.1, 3.0), r"^delta must lie in \[0, 1\], got -0.1$"),
+    "sigma_dde-u_max": (lambda: sigma_dde(0.2, 1.5), r"^u_max must be finite and >= 2, got 1.5$"),
+    "solve_volterra-u_max": (
+        lambda: solve_volterra(chi_delta(0.3), 0.5),
+        r"^u_max must be finite and >= 1, got 0.5$",
+    ),
+    "solve_volterra-h": (
+        lambda: solve_volterra(chi_delta(0.3), 3.0, h=2e-3),
+        r"^h must be at most 1e-3, got 0.002$",
+    ),
+    "solve_volterra-domain": (
+        lambda: solve_volterra(SHORT_PROFILE, 3.0),
+        r"^u_max must be at most chi's domain end 2.0, got 3.0$",
+    ),
+    "integrate_callable-tol": (
+        lambda: integrate_callable(np.sin, 0.0, 1.0, tol=-1.0),
+        r"^tol must be finite and >= 0, got -1.0$",
+    ),
+    "compute_I-delta": (lambda: compute_I(0.0, 2.0), r"^delta must lie in \(0, 1\], got 0.0$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS_NAME_THEIR_VALUE))
+def test_guard_names_its_value(case):
+    call, message = GUARDS_NAME_THEIR_VALUE[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_vanishing_check_stays_in_the_extension():
+    ext = extend_chi(0.2)
+    for bad in (ext.U, 1.0, ext.t_max + 1e-6):
+        with pytest.raises(ValueError, match=rf"^u_max must lie in \(U, t_max\] .*got {bad}$"):
+            verify_sigma_vanishes(ext, bad)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_quadrature_rejects_a_bad_tolerance_before_evaluating(tol):
+    calls = []
+
+    def fn(t):
+        calls.append(len(t))
+        return np.sin(t)
+
+    with pytest.raises(ValueError, match=rf"^tol must be finite and >= 0, got {tol}$"):
+        integrate_callable(fn, 0.0, 1.0, tol=tol)
+    assert calls == []

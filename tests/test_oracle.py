@@ -270,6 +270,19 @@ def test_random_spec_draw_is_frozen():
     assert complex(np.sum(build_f(spec, 20000)[1:])) == (3961.999999999998 - 1176.0624983392663j)
 
 
+def test_specs_compare_by_value():
+    spec = random_spec(3, 50.0, 2000, seed=1)
+    same = random_spec(3, 50.0, 2000, seed=1)
+    assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+    assert spec != random_spec(3, 50.0, 2000, seed=2)
+    wider = MultiplicativeSpec(3, 50.0, spec.primes, spec.assignment, N=2001)
+    assert spec != wider and spec != "spec"
+    # the other array holders compare by identity, so == stays a bool
+    bundle = transforms(build_f(spec, 2000), 2000, h_max=1)
+    again = transforms(build_f(same, 2000), 2000, h_max=1)
+    assert bundle == bundle and bundle.deficiency != again.deficiency
+
+
 def test_companion_g_for_order_three_is_indicator():
     # |1 + e(1/3)| = |1 + e(2/3)| = 1, so g(p) is 1 on f(p) = 1 and 0 else;
     # multiplicativity then keeps g(n) in {0, 1} everywhere

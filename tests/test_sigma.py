@@ -25,6 +25,8 @@ from extremal_means.piecewise import (
 )
 from extremal_means.sigma import (
     _cell_values,
+    closed_tail_dilog,
+    closed_tail_integral,
     lagged_sum,
     sigma_closed,
     sigma_dde,
@@ -318,11 +320,11 @@ def test_volterra_matches_closed_up_to_first_zero():
     assert dev <= 1e-6
 
 
-def looped_volterra(chi, u_max, h):
-    """The Volterra march with one np.dot over the whole history per node,
-    as solve_volterra ran before it filled unit blocks; the reference."""
+def looped_volterra(chi, n_total, h):
+    """The Volterra march over n_total cells with one np.dot over the whole
+    history per node, as solve_volterra ran before it filled unit blocks;
+    the reference."""
     m = round(1.0 / h)
-    n_total = round(u_max / h)
     L, R, records = _cell_values(chi, n_total, h)
     w = np.empty(n_total)
     w[0] = 0.0
@@ -416,15 +418,62 @@ def test_cell_values_read_the_segment_owning_each_cell(case):
 )
 def test_blocked_volterra_matches_the_looped_one(case, u_max, h):
     chi = _profile(case, h)
-    assert len(_cell_values(chi, round(u_max / h), h)[2]) == (2 if case == "two_jumps" else 1)
-    coarse = looped_volterra(chi, u_max, h)
+    n = math.ceil(u_max / h - 1e-9)  # the grids' horizon rule; the half step runs 2n
+    assert len(_cell_values(chi, n, h)[2]) == (2 if case == "two_jumps" else 1)
+    coarse = looped_volterra(chi, n, h)
     got = solve_volterra(chi, u_max, h=h, richardson=False).values
     assert np.max(np.abs(got - coarse)) <= 1e-13
     if h == 1e-3:
-        expected = (4.0 * looped_volterra(chi, u_max, h / 2.0)[::2] - coarse) / 3.0
+        expected = (4.0 * looped_volterra(chi, 2 * n, h / 2.0)[::2] - coarse) / 3.0
         expected[: round(1.0 / h) + 1] = 1.0
         got = solve_volterra(chi, u_max, h=h, richardson=True).values
         assert np.max(np.abs(got - expected)) <= 1e-13
+
+
+def _steps(*pairs):
+    """The step function taking value v from breakpoint b on, for each (b, v)."""
+    breakpoints, values = zip(*pairs)
+    return PiecewiseFunction(breakpoints, tuple(ConstantSegment(v) for v in values))
+
+
+@pytest.mark.parametrize(
+    "u_max, h",
+    [(4.2503, 1e-3), (4.2505, 1e-3), (4.2507, 1e-3), (3.00075, 1e-3), (3.00004, 1e-4)],
+)
+@pytest.mark.parametrize("richardson", [False, True])
+def test_volterra_grid_ends_where_the_march_does(u_max, h, richardson):
+    # off the grid both solvers take ceil(u_max / h - 1e-9) steps (the half
+    # step twice as many), so the Volterra grid holds u_max, node for node
+    # with the march of the same profile
+    march = sigma_dde(0.3, u_max, h=h, richardson=richardson)
+    cut = solve_volterra(chi_delta(0.3), u_max, h=h, richardson=richardson)
+    step = solve_volterra(_steps((0.0, 1.0), (1.0, -0.3)), u_max, h=h, richardson=richardson)
+    for got in (cut, step):
+        assert len(got.values) == len(march.values) == math.ceil(u_max / h - 1e-9) + 1
+        assert got.u_max == march.u_max >= u_max
+        assert math.isfinite(got.value_cubic(u_max))
+    # the step profile, not the cutoff one, is the march's
+    assert np.max(np.abs(step.values - march.values)) <= 1e-7
+    assert abs(step.value_cubic(u_max) - march.value_cubic(u_max)) <= 1e-7
+
+
+def test_tail_term_through_rho():
+    # at zero drift the closed mean is rho, so T(u) = 2 (rho(u) - 1 + log u)
+    # on [2, 3]: rho's series, the dilogarithm and the quadrature agree
+    for u in np.linspace(2.0, 3.0, 202)[1:].tolist():
+        t = 2.0 * (rho(u) - 1.0 + math.log(u))
+        assert abs(t - closed_tail_dilog(u)) <= 1e-15, u
+        assert abs(t - closed_tail_integral(u)) <= 1e-13, u
+
+
+def test_solutions_compare_by_identity():
+    # value equality would compare arrays and raise; == and hash stay usable
+    grids = (sigma_dde(0.2, 3.0), sigma_dde(0.2, 3.0))
+    extensions = (extend_chi(0.2), extend_chi(0.2))
+    profiles = tuple(e.profile for e in extensions)
+    for a, b in (grids, extensions, profiles):
+        assert (a == a) is True and (a == b) is False
+        assert len({a, b}) == 2
 
 
 def test_vanishing_defect_digits():
@@ -436,6 +485,49 @@ def test_volterra_rejects_oversized_profile():
     bad = PiecewiseFunction((0.0,), (ConstantSegment(1.5),))
     with pytest.raises(ValueError):
         solve_volterra(bad, 2.0, h=1e-3)
+    past_one = PiecewiseFunction((0.0, 1.0), (ConstantSegment(1.0), ConstantSegment(-1.5)))
+    with pytest.raises(ValueError, match=r"^chi must stay in \[-1, 1\]$"):
+        solve_volterra(past_one, 2.0, h=1e-3)
+
+
+@pytest.mark.parametrize(
+    "chi",
+    [
+        _steps((0.0, 0.5)),  # not 1 at the origin
+        _steps((0.0, 1.0), (0.5, -0.3)),  # a jump below 1
+        _steps((0.0, 1.0), (1.0 - 1e-13, -0.3)),  # a jump just below 1
+    ],
+)
+def test_volterra_needs_chi_one_below_one(chi):
+    with pytest.raises(ValueError, match=r"^chi must be identically 1 on \[0, 1\)$"):
+        solve_volterra(chi, 2.0, h=1e-3)
+
+
+def test_cell_values_guards_and_skips():
+    with pytest.raises(ValueError, match="^off-grid breakpoints below 1 are not supported$"):
+        _cell_values(_steps((0.0, 1.0), (0.5005, -0.3)), 2000, 1e-3)
+    two_in_one = _steps((0.0, 1.0), (1.0, -0.3), (2.0004, 0.0), (2.0006, -0.1))
+    with pytest.raises(ValueError, match="^two off-grid breakpoints share one grid cell"):
+        solve_volterra(two_in_one, 3.0, h=1e-3)
+    # the cutoff U(0.3) > 2 lies past the last cell of a solve to 2, which
+    # then marches the profile with no cutoff, bit for bit
+    assert _cell_values(chi_delta(0.3), 2000, 1e-3)[2] == []
+    no_cutoff = _steps((0.0, 1.0), (1.0, -0.3))
+    assert np.array_equal(
+        solve_volterra(chi_delta(0.3), 2.0, h=1e-3).values,
+        solve_volterra(no_cutoff, 2.0, h=1e-3).values,
+    )
+
+
+def test_grids_need_the_unit_history():
+    values = np.ones(31)
+    values[5] = 0.5
+    with pytest.raises(ValueError, match=r"^solution must be identically 1 on \[0, 1\]$"):
+        grid.SolutionGrid(h=0.1, values=values)
+    with pytest.raises(ValueError, match="^need the full history u <= 1 before stepping$"):
+        grid.integrate_delay_equation(np.ones(31), 10, 10, 0.1, 1.2)
+    with pytest.raises(ValueError, match="^u_max must be finite and >= 0, got nan$"):
+        grid.solve_step_profile(1.0, math.nan, 0.1, False)
 
 
 def test_chi_delta_window_shape():
