@@ -15,16 +15,22 @@ from __future__ import annotations
 import ast
 import sys
 import threading
+from collections.abc import Iterator
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "extremal_means"
 _hits: dict[str, set[int]] = {}
+# (file, first line) of every package code object that was entered
+_calls: set[tuple[str, int]] = set()
 
 
 def _trace(frame, event, arg):
     if event == "call":
-        path = frame.f_code.co_filename
-        return _trace if path.startswith(str(PACKAGE)) else None
+        code = frame.f_code
+        if not code.co_filename.startswith(str(PACKAGE)):
+            return None
+        _calls.add((code.co_filename, code.co_firstlineno))
+        return _trace
     if event == "line":
         _hits.setdefault(frame.f_code.co_filename, set()).add(frame.f_lineno)
     return _trace
@@ -48,6 +54,18 @@ def _docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
+def never_executed() -> Iterator[tuple[Path, int, str]]:
+    """(path, line, source) of every package code line that never ran."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        text = source.splitlines()
+        skip = _docstring_lines(ast.parse(source))
+        code = compile(source, str(path), "exec")
+        for line in sorted(_code_lines(code) - skip - _hits.get(str(path), set())):
+            if line and text[line - 1].strip():
+                yield path, line, text[line - 1].strip()
+
+
 def pytest_load_initial_conftests(early_config, parser, args):
     # before the conftests import the package, so its module lines count
     sys.settrace(_trace)
@@ -61,13 +79,7 @@ def pytest_sessionfinish(session, exitstatus):
 
 def pytest_terminal_summary(terminalreporter):
     missed = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text()
-        text = source.splitlines()
-        skip = _docstring_lines(ast.parse(source))
-        code = compile(source, str(path), "exec")
-        for line in sorted(_code_lines(code) - skip - _hits.get(str(path), set())):
-            if line and text[line - 1].strip():
-                terminalreporter.write_line(f"{path.name}:{line}: {text[line - 1].strip()}")
-                missed += 1
+    for path, line, text in never_executed():
+        terminalreporter.write_line(f"{path.name}:{line}: {text}")
+        missed += 1
     terminalreporter.write_line(f"{missed} lines of {PACKAGE.name} never executed")

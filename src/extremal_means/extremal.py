@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SolutionGrid, march_to_first_nonpositive
+from .grid import SolutionGrid
 from .piecewise import ConstantSegment, PiecewiseFunction, bisect
 from .sigma import (
     closed_tail_dilog,
@@ -118,7 +118,7 @@ def find_U(delta: float, use_closed_form: bool = True) -> float:
 
     The march (sigma_dde_to_first_zero) stops at the first whole unit that
     holds a non-positive node, not at U_CAP.  A shorter march is the start
-    of a longer one with the same stencils (grid._march_step_profile), so
+    of a longer one with the same stencils (sigma._march_step_profile), so
     the zero is the one the U_CAP grid gives, bit for bit.  The table rows
     and the renewal and tracking readers take that march as their mean
     grid (see mean_grid).
@@ -207,7 +207,7 @@ def delta_for_U(u: float) -> float:
     # the screen: the coarse zero's offset from u, scaled to the mean by the
     # slope |s'(U)| = (1 + d) s(U - 1) / U of the delay equation
     def coarse_offset(d: float) -> float | None:
-        grid = march_to_first_nonpositive(1.0 + d, U_CAP, _SCREEN_STEP, richardson=True)
+        grid = sigma_dde_to_first_zero(d, U_CAP, _SCREEN_STEP)
         zero = locate_first_zero(grid)
         if zero is None:
             return None
@@ -243,7 +243,7 @@ def mean_grid(delta: float, U: float) -> SolutionGrid:
     table rows and the renewal and tracking readers read find_U's march
     instead.  That march ends on the whole unit that holds U, and it is a
     node-for-node prefix of this grid with the same stencils below its
-    last node (grid._march_step_profile, grid._stencil_start), so every
+    last node (sigma._march_step_profile, grid._stencil_start), so every
     value on [0, U] is the same double.
     """
     _check_zero(U)

@@ -14,9 +14,8 @@ to a single running sum per unit block, which vectorizes.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,8 +23,6 @@ __all__ = [
     "MAX_NODES",
     "SolutionGrid",
     "integrate_delay_equation",
-    "march_to_first_nonpositive",
-    "solve_step_profile",
     "steps_per_unit",
 ]
 
@@ -197,114 +194,9 @@ def integrate_delay_equation(
         i = stop
 
 
-@lru_cache(maxsize=4)
-def _log_band(m: int, h: float) -> np.ndarray:
-    """log u at the nodes u = (m + 1) h, ..., 2 m h of (1, 2], read-only.
-
-    It does not depend on the rate, so every march at step h shares it.
-    """
-    band = np.log(np.arange(m + 1, 2 * m + 1) * h)
-    band.flags.writeable = False
-    return band
-
-
-def _seed_step_profile(values: np.ndarray, m: int, h: float, rate: float) -> None:
-    """Write the closed form on [0, 2]: 1 on [0, 1], 1 - rate*log u on [1, 2].
-
-    log u comes from the cached band of step h (np.log works element by
-    element, so a prefix of the band is the log of the shorter range) and
-    1 - rate*log u is formed in place by the same two operations.
-    """
-    top = min(2 * m, len(values) - 1)
-    values[: m + 1] = 1.0
-    seg = values[m + 1 : top + 1]
-    np.multiply(_log_band(m, h)[: max(top - m, 0)], rate, out=seg)
-    np.subtract(1.0, seg, out=seg)
-
-
-def _march_step_profile(
-    rate: float, m: int, n: int, h: float, richardson: bool
-) -> Iterator[tuple[int, np.ndarray]]:
-    """March the step profile to node n one unit block at a time.
-
-    Yields (top, values) once the closed form is seeded on [0, 2] and again
-    after each block: values[: top + 1] is then final.  The blocks are the
-    ones a single call of integrate_delay_equation over [0, n*h] would
-    fill, and the Richardson combine (4 fine - coarse) / 3 works node by
-    node, so stopping early leaves the start of the full solve, bit for bit.
-    On a start that ends on a whole unit, _stencil_start picks the stencil
-    of the full grid everywhere short of its last node.
-    """
-    coarse = np.empty(n + 1)
-    _seed_step_profile(coarse, m, h, rate)
-    top = min(2 * m, n)
-    values = coarse
-    if richardson:
-        fine = np.empty(2 * n + 1)
-        _seed_step_profile(fine, 2 * m, h / 2.0, rate)
-        # [0, 2] keeps the closed form; extrapolation only helps past u = 2
-        values = np.empty(n + 1)
-        values[: top + 1] = coarse[: top + 1]
-    yield top, values
-    while top < n:
-        stop = min(top + m, n)
-        integrate_delay_equation(coarse[: stop + 1], top + 1, m, h, rate)
-        if richardson:
-            integrate_delay_equation(fine[: 2 * stop + 1], 2 * top + 1, 2 * m, h / 2.0, rate)
-            # (4 fine - coarse) / 3, written in place
-            dst = values[top + 1 : stop + 1]
-            np.multiply(fine[2 * top + 2 : 2 * stop + 1 : 2], 4.0, out=dst)
-            np.subtract(dst, coarse[top + 1 : stop + 1], out=dst)
-            np.divide(dst, 3.0, out=dst)
-        top = stop
-        yield top, values
-
-
 def _check_horizon(u_max: float, h: float) -> tuple[int, int]:
     """(m, n): steps per unit and nodes past the origin of a grid that
     reaches u_max, ending on the first node at or past it."""
     if not 0.0 <= u_max < math.inf:
         raise ValueError(f"u_max must be finite and >= 0, got {u_max}")
     return steps_per_unit(h, u_max), math.ceil(u_max / h - 1e-9)
-
-
-def solve_step_profile(rate: float, u_max: float, h: float, richardson: bool) -> SolutionGrid:
-    """Solve d/du[u*w] = w(u) - rate*w(u-1) with w = 1 on [0, 1] on [0, u_max].
-
-    The closed form seeds [0, 2]; the conservative stepper marches the
-    rest.  With richardson=True a half-step solve sharpens the table and
-    the closed-form region keeps its seeded values (extrapolation only
-    helps past u = 2).  rate = 1 gives the Dickman function, rate =
-    1 + delta the no-cutoff step profile -delta past 1.
-    """
-    m, n = _check_horizon(u_max, h)
-    for _, values in _march_step_profile(rate, m, n, h, richardson):
-        pass
-    return SolutionGrid(h=h, values=values)
-
-
-def march_to_first_nonpositive(
-    rate: float, u_max: float, h: float, richardson: bool
-) -> SolutionGrid:
-    """solve_step_profile(rate, u_max, h, richardson), stopped at the first
-    whole unit that holds a node <= 0 past u = 1.
-
-    Only each unit's new nodes are scanned.  The grid ends on that unit,
-    or on the full horizon when every node stays positive, and is the
-    start of the full grid, node for node.
-
-    The values array is shrunk in place to the grid's nodes, so the grid
-    keeps no memory of the full horizon.  Copying the nodes out instead
-    made the allocator return the march's pages to the system after each
-    row of table_by_order, and the next row faulted them in again.
-    """
-    m, n = _check_horizon(u_max, h)
-    march = _march_step_profile(rate, m, n, h, richardson)
-    for top, values in march:
-        if top == n or np.any(values[top - m + 1 : top + 1] <= 0.0):
-            break
-    # closing the march drops its views of values, so no view outlives the
-    # shrink and skipping numpy's reference check is safe
-    march.close()
-    values.resize(top + 1, refcheck=False)
-    return SolutionGrid(h=h, values=values)

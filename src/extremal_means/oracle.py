@@ -25,7 +25,7 @@ from .chi_renewal import extend_chi
 from .extremal import _zero_and_mean_grid, find_U
 
 # Largest sieve length: `oracle --y 26800 --n 20000000` peaks at about
-# 141 MB resident, set by the int16 angle indices (40 MB) next to the
+# 130 MB resident, set by the int16 angle indices (40 MB) next to the
 # spec's 1.27 million primes and the builder's scatter indices (10 MB per
 # int64 copy); f is never materialized whole there.
 SIEVE_CAP = 2 * 10**7

@@ -26,11 +26,13 @@ only.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from functools import lru_cache
 
 import numpy as np
 
-from .dickman import rho
-from .grid import SolutionGrid, _check_horizon, march_to_first_nonpositive, solve_step_profile
+from .dickman import U_MAX, rho
+from .grid import SolutionGrid, _check_horizon, integrate_delay_equation
 from .piecewise import ConstantSegment, PiecewiseFunction, integrate_callable, linear_at
 
 __all__ = [
@@ -267,7 +269,7 @@ def solve_volterra(
 # the one-parameter step profile
 
 
-_DDE_STEP = 1e-4  # the step of sigma_dde and sigma_dde_to_first_zero
+_DDE_STEP = 1e-4  # the default step of sigma_dde and sigma_dde_to_first_zero
 
 
 def _check_step_profile(delta: float, u_max: float) -> None:
@@ -275,6 +277,70 @@ def _check_step_profile(delta: float, u_max: float) -> None:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     if not 2.0 <= u_max < math.inf:
         raise ValueError(f"u_max must be finite and >= 2, got {u_max}")
+
+
+@lru_cache(maxsize=4)
+def _log_band(m: int, h: float) -> np.ndarray:
+    """log u at the nodes u = (m + 1) h, ..., 2 m h of (1, 2], read-only.
+
+    It does not depend on the rate, so every march at step h shares it.
+    """
+    band = np.log(np.arange(m + 1, 2 * m + 1) * h)
+    band.flags.writeable = False
+    return band
+
+
+def _seed_step_profile(values: np.ndarray, m: int, h: float, rate: float) -> None:
+    """Write the closed form on [0, 2]: 1 on [0, 1], 1 - rate*log u on [1, 2].
+
+    log u comes from the cached band of step h (np.log works element by
+    element, so a prefix of the band is the log of the shorter range) and
+    1 - rate*log u is formed in place by the same two operations.
+    """
+    top = min(2 * m, len(values) - 1)
+    values[: m + 1] = 1.0
+    seg = values[m + 1 : top + 1]
+    np.multiply(_log_band(m, h)[: max(top - m, 0)], rate, out=seg)
+    np.subtract(1.0, seg, out=seg)
+
+
+def _march_step_profile(
+    rate: float, m: int, n: int, h: float, richardson: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """March d/du[u*s] = s(u) - rate*s(u-1), s = 1 on [0, 1], to node n
+    one unit block at a time.
+
+    Yields (top, values) once the closed form is seeded on [0, 2] and again
+    after each block: values[: top + 1] is then final.  The blocks are the
+    ones a single call of integrate_delay_equation over [0, n*h] would
+    fill, and the Richardson combine (4 fine - coarse) / 3 works node by
+    node, so stopping early leaves the start of the full solve, bit for bit.
+    On a start that ends on a whole unit, grid._stencil_start picks the
+    stencil of the full grid everywhere short of its last node.
+    """
+    coarse = np.empty(n + 1)
+    _seed_step_profile(coarse, m, h, rate)
+    top = min(2 * m, n)
+    values = coarse
+    if richardson:
+        fine = np.empty(2 * n + 1)
+        _seed_step_profile(fine, 2 * m, h / 2.0, rate)
+        # [0, 2] keeps the closed form; extrapolation only helps past u = 2
+        values = np.empty(n + 1)
+        values[: top + 1] = coarse[: top + 1]
+    yield top, values
+    while top < n:
+        stop = min(top + m, n)
+        integrate_delay_equation(coarse[: stop + 1], top + 1, m, h, rate)
+        if richardson:
+            integrate_delay_equation(fine[: 2 * stop + 1], 2 * top + 1, 2 * m, h / 2.0, rate)
+            # (4 fine - coarse) / 3, written in place
+            dst = values[top + 1 : stop + 1]
+            np.multiply(fine[2 * top + 2 : 2 * stop + 1 : 2], 4.0, out=dst)
+            np.subtract(dst, coarse[top + 1 : stop + 1], out=dst)
+            np.divide(dst, 3.0, out=dst)
+        top = stop
+        yield top, values
 
 
 def sigma_dde(
@@ -288,18 +354,41 @@ def sigma_dde(
     Seeds the closed form on [0, 2], then marches
     d/du[u*s] = s(u) - (1+delta)*s(u-1).  With richardson=True a
     half-step solve sharpens the table; the closed-form region keeps its
-    seeded values.  extremal.find_U reads the first zero off the start of
-    this grid that sigma_dde_to_first_zero marches.
+    seeded values (extrapolation only helps past u = 2).  delta = 0 gives
+    the Dickman function on a grid.  extremal.find_U reads the first zero
+    off the start of this grid that sigma_dde_to_first_zero marches.
     """
     _check_step_profile(delta, u_max)
-    return solve_step_profile(1.0 + delta, u_max, h, richardson)
+    m, n = _check_horizon(u_max, h)
+    for _, values in _march_step_profile(1.0 + delta, m, n, h, richardson):
+        pass
+    return SolutionGrid(h=h, values=values)
 
 
-def sigma_dde_to_first_zero(delta: float, u_max: float) -> SolutionGrid:
-    """The start of sigma_dde(delta, u_max) up to the first whole unit that
-    holds a node <= 0 past u = 1, or all of it (grid.march_to_first_nonpositive)."""
+def sigma_dde_to_first_zero(delta: float, u_max: float, h: float = _DDE_STEP) -> SolutionGrid:
+    """sigma_dde(delta, u_max, h), stopped at the first whole unit that
+    holds a node <= 0 past u = 1.
+
+    Only each unit's new nodes are scanned.  The grid ends on that unit,
+    or on the full horizon when every node stays positive, and is the
+    start of the full grid, node for node.
+
+    The values array is shrunk in place to the grid's nodes, so the grid
+    keeps no memory of the full horizon.  Copying the nodes out instead
+    made the allocator return the march's pages to the system after each
+    row of table_by_order, and the next row faulted them in again.
+    """
     _check_step_profile(delta, u_max)
-    return march_to_first_nonpositive(1.0 + delta, u_max, _DDE_STEP, richardson=True)
+    m, n = _check_horizon(u_max, h)
+    march = _march_step_profile(1.0 + delta, m, n, h, True)
+    for top, values in march:
+        if top == n or np.any(values[top - m + 1 : top + 1] <= 0.0):
+            break
+    # closing the march drops its views of values, so no view outlives the
+    # shrink and skipping numpy's reference check is safe
+    march.close()
+    values.resize(top + 1, refcheck=False)
+    return SolutionGrid(h=h, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +397,10 @@ def sigma_dde_to_first_zero(delta: float, u_max: float) -> SolutionGrid:
 
 def series_first_term(u: float) -> float:
     """T_1(u) = int_1^u rho(u-t) dt/t for u > 1 (0 for u <= 1): the
-    no-cutoff mean is rho(u) - delta*T_1(u) + O(delta^2)."""
-    if not (math.isfinite(u) and u >= 0.0):
-        raise ValueError(f"u must be finite and >= 0, got {u}")
+    no-cutoff mean is rho(u) - delta*T_1(u) + O(delta^2).  It reads rho on
+    [0, u - 1], so u may reach rho's table end plus one."""
+    if not 0.0 <= u <= U_MAX + 1.0:
+        raise ValueError(f"u must be finite and lie in [0, {U_MAX + 1.0}], got {u}")
     if u <= 1.0:
         return 0.0
     kinks = [u - i for i in range(int(math.floor(u)) + 1)]

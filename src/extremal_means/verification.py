@@ -108,7 +108,7 @@ def _check_kernel_mass() -> CheckResult:
 
 def _check_envelope() -> CheckResult:
     us = np.arange(1.0, 6.0 + 1e-12, 0.05)
-    # (rho(u), T1(u)) once per u: sigma_series(delta, u, 1) = rho - delta T1
+    # (rho(u), T1(u)) once per u: the first-order mean is rho - delta T1
     terms = [(float(dickman.rho(float(u))), sigma.series_first_term(float(u))) for u in us]
     worst_ratio = 0.0
     for delta in (0.01, 0.05, 0.1):
@@ -360,6 +360,8 @@ def run_checks(suite: str = "fast", golden_dir: str | Path | None = None) -> lis
     if suite not in ("fast", "full"):
         raise ValueError(f"suite must be 'fast' or 'full', got {suite!r}")
     gdir = Path(golden_dir) if golden_dir is not None else DATA_DIR
+    if not gdir.is_dir():
+        raise ValueError(f"golden_dir must be an existing directory, got {gdir}")
     checks: list[tuple[str, Callable[[], CheckResult]]] = [
         ("dickman-closed-values", _check_dickman_closed),
         ("dickman-total-integral", _check_dickman_total),

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from extremal_means import chi_renewal
 from extremal_means.chi_renewal import (
     extend_chi,
     kernel_mass,
@@ -225,3 +226,17 @@ def test_blocked_march_equals_the_looped_one_bit_for_bit(delta, h):
         got = extend_chi(delta, t_max=U + L * h, h=h).samples
         assert len(got) - 1 == L
         assert np.max(np.abs(got - looped_extension(delta, U + L * h, h))) <= 1e-14
+
+
+def test_an_extension_out_of_range_raises(monkeypatch):
+    # a kernel of twice the mass pushes chi above 1 (to about 1.068 at 0.3)
+    real = chi_renewal._renewal_kernel
+
+    def doubled(delta):
+        U, mean_at, kernel = real(delta)
+        return U, mean_at, lambda v: 2.0 * kernel(v)
+
+    monkeypatch.setattr(chi_renewal, "_renewal_kernel", doubled)
+    message = r"^extension escaped \[-delta, 1\]: range \[-0\.30*\d*, 1\.068\d*\]$"
+    with pytest.raises(RuntimeError, match=message):
+        extend_chi(0.3)

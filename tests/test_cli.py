@@ -398,6 +398,14 @@ def test_verify_names_corrupted_golden_row(tmp_path, capsys):
     assert "1 of" in out and "checks failed" in out
 
 
+def test_verify_on_a_missing_golden_dir_is_a_usage_error(tmp_path, capsys):
+    # a bad path is the caller's error, not a failed check: exit 2, no check run
+    missing = tmp_path / "missing"
+    code, out, err = run_cli(["verify", "--golden-dir", str(missing)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: golden_dir must be an existing directory, got {missing}\n"
+
+
 def test_verify_gates_k_table_mean_column(tmp_path, capsys):
     # the k-grid I column is gated like the others: a wrong mean cell fails
     bad = tmp_path / "golden"

@@ -39,6 +39,7 @@ from extremal_means.piecewise import ConstantSegment, PiecewiseFunction, integra
 from extremal_means.sigma import (
     closed_tail_dilog,
     closed_tail_integral,
+    series_first_term,
     sigma_closed,
     sigma_dde,
     solve_volterra,
@@ -110,6 +111,7 @@ BOTH_INFINITIES = [
     pytest.param("b", lambda x: integrate_callable(np.exp, 0.0, x), id="b-integrate_callable"),
     pytest.param("u", closed_tail_integral, id="u-closed_tail_integral"),
     pytest.param("u", closed_tail_dilog, id="u-closed_tail_dilog"),
+    pytest.param("u", series_first_term, id="u-series_first_term"),
     pytest.param(
         "tol", lambda x: integrate_callable(np.sin, 0.0, 1.0, tol=x), id="tol-integrate_callable"
     ),
@@ -408,6 +410,11 @@ SHORT_PROFILE = PiecewiseFunction(
 GUARDS_NAME_THEIR_VALUE = {
     "rho-negative": (lambda: rho(-1.0), r"^u must be finite and lie in \[0, 40.0\], got -1.0$"),
     "rho-past-table": (lambda: rho(np.array([3.0, 41.0])), r"^u must .*, got 41.0$"),
+    # T1(u) reads rho on [0, u - 1], so its range ends one unit past rho's
+    "series_first_term-past-table": (
+        lambda: series_first_term(41.5),
+        r"^u must be finite and lie in \[0, 41.0\], got 41.5$",
+    ),
     "sigma_closed-delta": (
         lambda: sigma_closed(1.5, 2.0),
         r"^delta must lie in \[0, 1\], got 1.5$",
@@ -460,3 +467,9 @@ def test_quadrature_rejects_a_bad_tolerance_before_evaluating(tol):
     with pytest.raises(ValueError, match=rf"^tol must be finite and >= 0, got {tol}$"):
         integrate_callable(fn, 0.0, 1.0, tol=tol)
     assert calls == []
+
+
+def test_series_first_term_reaches_one_unit_past_the_rho_table():
+    # the integrand reads rho(u - t) for t >= 1 only, inside rho's table
+    assert series_first_term(40.5) == 0.04510515405252534
+    assert series_first_term(41.0) == 0.0445409752546629

@@ -27,6 +27,7 @@ from extremal_means.extremal import (
     table_by_first_zero,
     table_by_order,
 )
+from extremal_means.grid import SolutionGrid
 from extremal_means.piecewise import bisect, integrate_callable
 from extremal_means.sigma import sigma_closed, sigma_dde, sigma_dde_to_first_zero
 
@@ -306,11 +307,9 @@ def test_dilog_closed_mean_is_within_a_hundredth_of_the_margin():
 
 def test_coarse_zero_scaled_by_the_slope_is_within_a_hundredth_of_the_margin():
     # the screen of delta_for_U's bisection, at the drifts it asks about
-    from extremal_means.grid import march_to_first_nonpositive
-
     worst, compared = 0.0, 0
     for d in np.geomspace(1e-14, extremal.DELTA_AT_3, 300, endpoint=False).tolist():
-        grid = march_to_first_nonpositive(1.0 + d, U_CAP, extremal._SCREEN_STEP, richardson=True)
+        grid = sigma_dde_to_first_zero(d, U_CAP, extremal._SCREEN_STEP)
         coarse = locate_first_zero(grid)
         try:
             U = find_U(d)
@@ -323,6 +322,38 @@ def test_coarse_zero_scaled_by_the_slope_is_within_a_hundredth_of_the_margin():
         compared += 1
     assert compared > 250
     assert worst <= extremal._SCREEN_MARGIN / 100.0
+
+
+def test_both_zero_searches_march_through_sigma_dde_to_first_zero(monkeypatch):
+    # find_U marches at the solver's step, delta_for_U's screen at
+    # _SCREEN_STEP; both read the one stopped march
+    from extremal_means import sigma
+
+    steps = []
+
+    def counted(delta, u_max, h=sigma._DDE_STEP):
+        steps.append(h)
+        return sigma.sigma_dde_to_first_zero(delta, u_max, h)
+
+    monkeypatch.setattr(extremal, "sigma_dde_to_first_zero", counted)
+    delta_for_U(6.5)
+    assert set(steps) == {sigma._DDE_STEP, extremal._SCREEN_STEP}
+
+
+def test_delta_for_U_without_a_bracket_raises(monkeypatch):
+    # every march reads drift 0.3, whose zero (about 2.18) lies below any
+    # u past 3, so each screen step says the drift is too strong
+    real = sigma_dde_to_first_zero
+    monkeypatch.setattr(
+        extremal, "sigma_dde_to_first_zero", lambda d, u_max, *h: real(0.3, u_max, *h)
+    )
+    with pytest.raises(RootNotFoundError, match=r"^could not bracket delta for u = 6.5$"):
+        delta_for_U(6.5)
+
+
+def test_locate_first_zero_on_a_node_that_is_exactly_zero():
+    values = np.concatenate([np.ones(11), [0.8, 0.6, 0.4, 0.2, 0.0, -0.2]])
+    assert locate_first_zero(SolutionGrid(h=0.1, values=values)) == 1.5
 
 
 def test_compute_I_second_band_mpmath():

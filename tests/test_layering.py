@@ -59,6 +59,17 @@ def test_sigma_sits_on_grid_piecewise_dickman():
     assert _graph()["sigma"] <= {"grid", "piecewise", "dickman"}
 
 
+def test_extremal_takes_only_the_grid_type_from_grid():
+    # the step-profile march, full or stopped, is sigma's alone
+    names = {
+        alias.name
+        for node in ast.walk(ast.parse((PACKAGE / "extremal.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "grid"
+        for alias in node.names
+    }
+    assert names == {"SolutionGrid"}
+
+
 def test_constants_sits_on_piecewise_only():
     assert _graph()["constants"] == {"piecewise"}
 

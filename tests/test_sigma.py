@@ -15,7 +15,6 @@ from extremal_means import grid
 from extremal_means.chi_renewal import extend_chi, verify_sigma_vanishes
 from extremal_means.dickman import rho
 from extremal_means.extremal import chi_delta, compute_I, find_U, locate_first_zero
-from extremal_means.grid import march_to_first_nonpositive, solve_step_profile
 from extremal_means.piecewise import (
     ConstantSegment,
     PiecewiseFunction,
@@ -25,6 +24,8 @@ from extremal_means.piecewise import (
 )
 from extremal_means.sigma import (
     _cell_values,
+    _log_band,
+    _march_step_profile,
     closed_tail_dilog,
     closed_tail_integral,
     lagged_sum,
@@ -81,9 +82,8 @@ def test_march_rejects_bad_step_and_span_before_allocating():
 
 def test_rho_table_is_the_zero_drift_profile():
     for h, richardson in ((2e-3, False), (1e-3, True)):
-        table = solve_step_profile(1.0, 10.0, h, richardson)
         sol = sigma_dde(0.0, 10.0, h=h, richardson=richardson)
-        assert np.array_equal(table.values, sol.values)
+        assert np.array_equal(sol.values, _reference_step_profile(1.0, 10.0, h, richardson))
 
 
 def _gathering_stepper(values, start, m, h, rate):
@@ -105,7 +105,7 @@ def _textbook_seed(values, m, h, rate):
 
 
 def _reference_step_profile(rate, u_max, h, richardson):
-    """solve_step_profile from the textbook seed, the gathering stepper and
+    """The step-profile march from the textbook seed, the gathering stepper and
     the Richardson combine written as one expression."""
     m, n = round(1.0 / h), round(u_max / h)
     coarse = np.empty(n + 1)
@@ -138,17 +138,20 @@ def test_march_equals_the_gathering_reference(h, u_max):
 @pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("u_max", [0.5, 1.0, 1.5, 2.0, 3.25])
 def test_short_horizons_keep_the_textbook_seed(u_max, richardson):
-    # below 2 the seed takes a prefix of the cached band, below 1 none of it
+    # below 2 the seed takes a prefix of the cached band, below 1 none of it;
+    # sigma_dde asks for u_max >= 2, so the march is driven directly
     for h in (1e-4, 5e-5):
-        got = solve_step_profile(1.3, u_max, h, richardson).values
+        m, n = grid._check_horizon(u_max, h)
+        for _, got in _march_step_profile(1.3, m, n, h, richardson):
+            pass
         assert np.array_equal(got, _reference_step_profile(1.3, u_max, h, richardson))
 
 
 @pytest.mark.parametrize("h", [1e-4, 5e-5])
 def test_log_band_is_cached_and_read_only(h):
     m = round(1.0 / h)
-    band = grid._log_band(m, h)
-    assert band is grid._log_band(m, h)
+    band = _log_band(m, h)
+    assert band is _log_band(m, h)
     assert np.array_equal(band, np.log(np.arange(m + 1, 2 * m + 1) * h))
     with pytest.raises(ValueError):
         band[0] = 0.0
@@ -158,10 +161,10 @@ def test_stepper_allocates_only_the_block_denominators():
     # three unit blocks at m = 10^4; per-block temporaries (the delayed
     # sum, its scaled copy, an index array, the cumsum) would be 5 * 8m,
     # and a block's denominators kept while the next are built 2 * 8m
-    m, rate = 10_000, 1.3
-    h = 1.0 / m
+    m, delta = 10_000, 0.3
+    rate, h = 1.0 + delta, 1.0 / m
     values = np.empty(5 * m + 1)
-    values[: 2 * m + 1] = solve_step_profile(rate, 2.0, h, False).values
+    values[: 2 * m + 1] = sigma_dde(delta, 2.0, h, False).values
     tracemalloc.start()
     try:
         grid.integrate_delay_equation(values, 2 * m + 1, m, h, rate)
@@ -194,18 +197,20 @@ def test_shorter_march_is_a_prefix_of_the_longer(delta, richardson):
         # the cubic stencils differ only at the top node, not inside its cell
         us = np.concatenate([np.linspace(0.0, u1 - 1e-4, 2001), u1 - 1e-4 * np.array([0.5, 1e-6])])
         assert np.array_equal(short.value_cubic(us), full.value_cubic(us))
+    if not richardson:
+        return  # every stopped march runs the Richardson pass
     # the march to the first non-positive node i ends on i's unit
     m = full.m
     i = m + 1 + int(np.nonzero(full.values[m + 1 :] <= 0.0)[0][0])
-    early = march_to_first_nonpositive(1.0 + delta, 12.0, 1e-4, richardson)
+    early = sigma_dde_to_first_zero(delta, 12.0)
     assert early.u_max == max(2, math.ceil(i / m))
     assert np.array_equal(early.values, full.values[: len(early.values)])
     # it owns its nodes alone and keeps no 12-unit array alive
     assert early.values.base is None
     # a zero past the horizon, here one off the integers, gets the full grid
-    far = march_to_first_nonpositive(1.0 + 1e-9, 6.5, 1e-4, richardson)
+    far = sigma_dde_to_first_zero(1e-9, 6.5)
     assert far.u_max == 6.5
-    assert np.array_equal(far.values, sigma_dde(1e-9, 6.5, richardson=richardson).values)
+    assert np.array_equal(far.values, sigma_dde(1e-9, 6.5).values)
 
 
 def test_cubic_on_a_horizon_off_the_integers():
@@ -527,7 +532,7 @@ def test_grids_need_the_unit_history():
     with pytest.raises(ValueError, match="^need the full history u <= 1 before stepping$"):
         grid.integrate_delay_equation(np.ones(31), 10, 10, 0.1, 1.2)
     with pytest.raises(ValueError, match="^u_max must be finite and >= 0, got nan$"):
-        grid.solve_step_profile(1.0, math.nan, 0.1, False)
+        grid._check_horizon(math.nan, 0.1)
 
 
 def test_chi_delta_window_shape():
