@@ -28,7 +28,7 @@ from .piecewise import (
     integrate_callable,
     linear_at,
 )
-from .sigma import lagged_sum, solve_volterra
+from .sigma import LaggedSum, solve_volterra
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +77,9 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     1 - s(x), so no quadrature error enters from those regions at all.
     Every kernel node lags at least one unit, m = 1/h steps, so the march
     fills m rows at a time from one lagged FFT sum of the earlier rows
-    (sigma.lagged_sum, as solve_volterra does) and makes no BLAS call.
+    (a sigma.LaggedSum, as each solve_volterra leg takes) and makes no BLAS
+    call.  The kernel spans [1, U], so the sum keeps at most ceil(U) + 1
+    kernel spectra (about 32 m bytes each), whatever t_max is.
     """
     delta = float(delta)
     U, mean_at, kernel = _renewal_kernel(delta)
@@ -119,11 +121,12 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     # exactly; a full row adds the stub cell [M*h, U], which reads chi at
     # l*h - U, off the grid.  Built in place, a block keeps no temporary past
     # its statement, so the next block's FFT buffers reuse the same memory.
+    lagged = LaggedSum(K_nodes, m)
     for b in range(m + 1, L + 1, m):
         n = min(m, L + 1 - b)  # the rows of this block
         k = min(n, max(0, M + 1 - b))  # the growing ones lead it
         val = ext[b : b + n]
-        val[:] = lagged_sum(ext, K_nodes, b, b + m, m)[:n]
+        val[:] = lagged(ext, b, b + m)[:n]
         val -= 0.5 * K_nodes[m] * ext[b - m : b - m + n]
         val[:k] += 0.5 * K_nodes[b : b + k] * ext[0]
         val[k:] -= 0.5 * K_nodes[M] * ext[b + k - M : b + n - M]

@@ -665,7 +665,7 @@ def tracking_rows(
     entries, so their working memory does not grow with N.
     """
     u_values, xs = _tracking_cutoffs(y, u_values, len(f) - 1)
-    return _tracking_rows(lambda lo, hi: f[lo:hi], u_values, xs, delta)
+    return _tracking_rows(lambda lo, hi: f[lo:hi].copy(), u_values, xs, delta)
 
 
 def spec_tracking_rows(
@@ -681,7 +681,7 @@ def spec_tracking_rows(
     u_values, xs = _tracking_cutoffs(spec.y, u_values, spec.N)
     ell = build_angles(spec, max(int(max(xs, default=0.0)), 2))
     roots = _roots(spec.k)
-    return _tracking_rows(lambda lo, hi: roots[ell[lo:hi]], u_values, xs, delta)
+    return _tracking_rows(lambda lo, hi: np.take(roots, ell[lo:hi]), u_values, xs, delta)
 
 
 def _tracking_cutoffs(y: float, u_values: list[float], N: int) -> tuple[list[float], list[float]]:
@@ -698,7 +698,8 @@ def _tracking_cutoffs(y: float, u_values: list[float], N: int) -> tuple[list[flo
 
 def _tracking_rows(block, u_values: list[float], xs: list[float], delta: float) -> list[TrackRow]:
     """The rows of tracking_rows at the checked cutoffs xs = y^u for the f
-    whose values on [lo, hi) are block(lo, hi)."""
+    whose values on [lo, hi) are block(lo, hi), a fresh array that the
+    plain running sum overwrites."""
     if not u_values:
         return []
     U, grid = _zero_and_mean_grid(delta)
@@ -713,14 +714,16 @@ def _tracking_rows(block, u_values: list[float], xs: list[float], delta: float) 
         for lo in range(n_done, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             vals = block(lo + 1, hi + 1)
-            run = vals / np.arange(lo + 1, hi + 1)
+            # f(n) times 1/n, which is how numpy divides a complex by a
+            # real n, with no complex division and no integer temporary
+            inv = np.arange(lo + 1, hi + 1, dtype=float)
+            run = vals * np.divide(1.0, inv, out=inv)
             if lo:
                 run[0] += s_div
             s_div = np.cumsum(run, out=run)[-1]
-            run[:] = vals
             if lo:
-                run[0] += s
-            s = np.cumsum(run, out=run)[-1]
+                vals[0] += s
+            s = np.cumsum(vals, out=vals)[-1]
         n_done = n
         sums[n] = s, s_div
     rows = []

@@ -166,21 +166,51 @@ def _cell_values(chi: PiecewiseFunction, n_cells: int, h: float):
     return L, R, records
 
 
-def lagged_sum(x: np.ndarray, w: np.ndarray, b: int, e: int, m: int) -> np.ndarray:
-    """sum_{i=1}^{b-1} w[n-i] x[i] for n in [b, e), b = 1 (mod m), e <= b + m.
+class LaggedSum:
+    """The lagged sums of one march on the weights w, m nodes per unit:
+    called as (x, b, e), sum_{i=1}^{b-1} w[n-i] x[i] for n in [b, e),
+    b = 1 (mod m), e <= b + m.
 
     The history comes in chunks [c, c + m) whose FFT products all land on
     output slots [m - 1, m - 1 + e - b), so every transform has a size set
     by m alone; a chunk whose lags all lie past the end of w is skipped.
+    On a full block (e = b + m) a chunk meets the weight segment
+    w[b - c - m + 1 : b - c + m], which depends only on the lag
+    j = (b - c) / m, so its spectrum is taken at its first use and kept
+    under j for the rest of the march: at most one spectrum of about 32 m
+    bytes per lag whose segment reaches into w, ceil((len(w) - 1) / m),
+    however long the march runs.  A short block transforms its cut
+    segments afresh, and chunk spectra are taken at each use, not kept.
+    The product is formed as p = rfft(chunk); p *= W, the chunks summed
+    in ascending c, so every block has the bits of a per-block transform.
     """
-    nfft = 1 << (2 * m).bit_length()  # >= the longest weight segment, 2m - 1
-    spec = np.zeros(nfft // 2 + 1, dtype=complex)
-    for c in range(1, b, m):
-        if b - c - m + 1 < len(w):
-            p = np.fft.rfft(x[c : c + m], nfft)
-            p *= np.fft.rfft(w[b - c - m + 1 : e - c], nfft)
-            spec += p
-    return np.fft.irfft(spec, nfft)[m - 1 : m - 1 + e - b]
+
+    def __init__(self, w: np.ndarray, m: int):
+        self.w = w
+        self.m = m
+        self.nfft = 1 << (2 * m).bit_length()  # >= the longest weight segment, 2m - 1
+        self._spectra: dict[int, np.ndarray] = {}
+
+    def _weight_spectrum(self, j: int) -> np.ndarray:
+        spec = self._spectra.get(j)
+        if spec is None:
+            m = self.m
+            spec = np.fft.rfft(self.w[(j - 1) * m + 1 : (j + 1) * m], self.nfft)
+            self._spectra[j] = spec
+        return spec
+
+    def __call__(self, x: np.ndarray, b: int, e: int) -> np.ndarray:
+        m, w, nfft = self.m, self.w, self.nfft
+        spec = np.zeros(nfft // 2 + 1, dtype=complex)
+        for c in range(1, b, m):
+            if b - c - m + 1 < len(w):
+                p = np.fft.rfft(x[c : c + m], nfft)
+                if e - b == m:
+                    p *= self._weight_spectrum((b - c) // m)
+                else:
+                    p *= np.fft.rfft(w[b - c - m + 1 : e - c], nfft)
+                spec += p
+        return np.fft.irfft(spec, nfft)[m - 1 : m - 1 + e - b]
 
 
 def _volterra_values(chi: PiecewiseFunction, m: int, n_total: int, h: float) -> np.ndarray:
@@ -193,7 +223,8 @@ def _volterra_values(chi: PiecewiseFunction, m: int, n_total: int, h: float) -> 
     weight differences dw_j = w_j - w_{j-1} (j >= m), the half-tail and the
     split-cell records.  Those read s only at indices <= n - m, so a block
     of m nodes needs only earlier blocks: g comes from FFT convolutions of
-    the history (lagged_sum), and the block from one cumulative sum.
+    the history (one LaggedSum per leg, which keeps at most n/m - 1 weight
+    spectra), and the block from one cumulative sum.
     """
     L, R, records = _cell_values(chi, n_total, h)
     if max(np.max(np.abs(L)), np.max(np.abs(R))) > 1.0 + 1e-9:
@@ -204,11 +235,12 @@ def _volterra_values(chi: PiecewiseFunction, m: int, n_total: int, h: float) -> 
     dw[m:] = np.diff(0.5 * h * L[m - 1 :])
     d_tail = np.diff(0.5 * h * R)  # d_tail[n - 2]: half-tail of row n minus row n-1
     del L, R  # the march holds only the differences
+    lagged = LaggedSum(dw, m)
     sigma = np.empty(n_total + 1)
     sigma[: m + 1] = 1.0
     for b in range(m + 1, n_total + 1, m):
         e = min(b + m, n_total + 1)
-        g = lagged_sum(sigma, dw, b, e, m)
+        g = lagged(sigma, b, e)
         g += d_tail[b - 2 : e - 2]
         ns = np.arange(b - 1, e)
         for rec in records:

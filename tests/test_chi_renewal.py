@@ -12,19 +12,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extremal_means import chi_renewal
+from extremal_means import chi_renewal, sigma
 from extremal_means.chi_renewal import (
     extend_chi,
     kernel_mass,
     verify_sigma_vanishes,
 )
 from extremal_means.extremal import find_U, mean_grid
-from extremal_means.sigma import sigma_closed, sigma_dde
+from extremal_means.sigma import LaggedSum, sigma_closed, sigma_dde, solve_volterra
 
 THREE_DELTAS = (0.1, 0.2, 0.44)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -226,6 +227,100 @@ def test_blocked_march_equals_the_looped_one_bit_for_bit(delta, h):
         got = extend_chi(delta, t_max=U + L * h, h=h).samples
         assert len(got) - 1 == L
         assert np.max(np.abs(got - looped_extension(delta, U + L * h, h))) <= 1e-14
+
+
+class PerBlockSum:
+    """sigma.LaggedSum with every weight segment transformed again in each
+    block, as the sums ran before the spectra were kept: the bit-for-bit
+    reference."""
+
+    def __init__(self, w, m):
+        self.w, self.m = w, m
+
+    def __call__(self, x, b, e):
+        m, w = self.m, self.w
+        nfft = 1 << (2 * m).bit_length()
+        spec = np.zeros(nfft // 2 + 1, dtype=complex)
+        for c in range(1, b, m):
+            if b - c - m + 1 < len(w):
+                p = np.fft.rfft(x[c : c + m], nfft)
+                p *= np.fft.rfft(w[b - c - m + 1 : e - c], nfft)
+                spec += p
+        return np.fft.irfft(spec, nfft)[m - 1 : m - 1 + e - b]
+
+
+def renewal_bits(delta, h):
+    """The extension samples, and the Volterra values (plain, Richardson)
+    on a horizon whose last block is short."""
+    ext = extend_chi(delta, h=h)
+    plain = solve_volterra(ext.profile, ext.U + 1.37, h=h).values
+    assert (len(plain) - 1) % round(1.0 / h) != 0
+    sharp = solve_volterra(ext.profile, ext.U + 1.37, h=h, richardson=True).values
+    return ext.samples, plain, sharp
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 5e-5])
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.6, 1.0])
+def test_kept_weight_spectra_leave_every_value_bit_for_bit(delta, h, monkeypatch):
+    # each block multiplies the same two spectra in the same order and
+    # sums in ascending chunks, so keeping the weight spectra moves no bit
+    # (a product written W * rfft(chunk) instead moves the last bits)
+    got = renewal_bits(delta, h)
+    monkeypatch.setattr(chi_renewal, "LaggedSum", PerBlockSum)
+    monkeypatch.setattr(sigma, "LaggedSum", PerBlockSum)
+    for new, old in zip(got, renewal_bits(delta, h)):
+        assert np.array_equal(new, old)
+
+
+def test_a_march_transforms_each_full_weight_segment_once(monkeypatch):
+    # the renewal march and both Volterra legs (whose last blocks are
+    # short, with cut segments of their own), one LaggedSum each
+    sums, inputs = [], []
+
+    class Recorded(LaggedSum):
+        def __init__(self, w, m):
+            super().__init__(w, m)
+            sums.append(self)
+
+        def __call__(self, x, b, e):
+            self.x = x
+            return super().__call__(x, b, e)
+
+    real = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, *args: inputs.append(a) or real(a, *args))
+    monkeypatch.setattr(chi_renewal, "LaggedSum", Recorded)
+    monkeypatch.setattr(sigma, "LaggedSum", Recorded)
+    ext = extend_chi(0.2)
+    solve_volterra(ext.profile, 2.5 * ext.U, richardson=True)
+    assert len(sums) == 3
+    for lagged in sums:
+        base = lagged.w.__array_interface__["data"][0]
+        segments = [
+            ((a.__array_interface__["data"][0] - base) // 8, len(a))
+            for a in inputs
+            if np.shares_memory(a, lagged.w)
+        ]
+        assert len(segments) >= 2 and len(set(segments)) == len(segments)
+        # every block transforms its chunks again
+        chunks = [a for a in inputs if np.shares_memory(a, lagged.x)]
+        assert len(chunks) > 1.5 * len(segments)
+    # the kernel spans [1, U]: at most one segment per unit of it
+    assert sums[0].x is ext.samples
+    assert len([a for a in inputs if np.shares_memory(a, sums[0].w)]) <= math.ceil(ext.U) + 1
+
+
+def test_kept_spectra_grow_the_march_by_the_kernel_support_at_most():
+    # the per-block sums peaked at 3.64 MB traced for this march; the kept
+    # spectra add at most ceil(U) + 1 of nfft/2 + 1 complex numbers
+    delta, h = 0.3, 5e-5
+    nfft = 1 << (2 * round(1.0 / h)).bit_length()
+    tracemalloc.start()
+    try:
+        ext = extend_chi(delta, h=h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_640_000 + (math.ceil(ext.U) + 1) * 16 * (nfft // 2 + 1)
 
 
 def test_an_extension_out_of_range_raises(monkeypatch):

@@ -573,6 +573,19 @@ def test_spec_rows_equal_the_rows_of_the_built_f(desk_spec, desk_f):
     assert any(r.partial_sum.imag != 0.0 for r in rows)  # order 3 sums complex roots
 
 
+@pytest.mark.parametrize("k", [5, 7])
+def test_tracking_sums_of_higher_orders_equal_the_full_running_sums(k):
+    # complex roots off the axes: each chunk's log-mean terms are f(n) times
+    # 1/n, the plain sums run in place on the fetched chunk
+    spec = random_spec(k, 30.0, 3 * 10**5, seed=k)
+    f = build_f(spec, 3 * 10**5)
+    us = [float(u) for u in np.arange(1.0, 3.6, 0.05)]
+    rows = spec_tracking_rows(spec, 0.3, us)
+    assert [(r.partial_sum, r.log_mean) for r in rows] == full_cumsum_means(f, 30.0, us)
+    assert rows == tracking_rows(f, 30.0, 0.3, us)
+    assert np.array_equal(f, build_f(spec, 3 * 10**5))  # the caller's f is left as it was
+
+
 def test_oracle_command_takes_a_cutoff_on_N_up_to_rounding(capsys):
     # y^(A U) lands on N up to rounding; the spec and the rows share one
     # cutoff rule, so the rows of the spec the command builds are printed

@@ -23,12 +23,12 @@ from extremal_means.piecewise import (
     integrate_callable,
 )
 from extremal_means.sigma import (
+    LaggedSum,
     _cell_values,
     _log_band,
     _march_step_profile,
     closed_tail_dilog,
     closed_tail_integral,
-    lagged_sum,
     sigma_closed,
     sigma_dde,
     sigma_dde_to_first_zero,
@@ -361,17 +361,19 @@ def looped_volterra(chi, n_total, h):
 
 
 def test_lagged_sum_matches_the_double_loop():
-    # m = 5 over 40 history values against 17 weights: the early chunks of
-    # the late blocks lie past the end of w and are skipped, block 1 has no
-    # history, and the last block is partial
+    # m = 5 over 40 history values against 17 weights, one object over all
+    # blocks, so the later blocks read the weight spectra the earlier ones
+    # kept: the early chunks of the late blocks lie past the end of w and
+    # are skipped, block 1 has no history, and the last block is partial
     rng = np.random.default_rng(5)
     m, x, w = 5, rng.standard_normal(40), rng.standard_normal(17)
+    lagged = LaggedSum(w, m)
     for b in range(1, 40, m):
         e = min(b + m, 38)
         direct = [
             sum(w[n - i] * x[i] for i in range(1, b) if n - i < len(w)) for n in range(b, e)
         ]
-        assert np.max(np.abs(lagged_sum(x, w, b, e, m) - direct), initial=0.0) <= 1e-13
+        assert np.max(np.abs(lagged(x, b, e) - direct), initial=0.0) <= 1e-13
 
 
 def _two_jump_profile():
