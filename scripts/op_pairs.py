@@ -15,8 +15,10 @@ Each side first runs one warm-up pass; the script reports whether the two
 sides printed the same bytes for every operation.  Then it runs --pairs
 pairs of passes, the parent first in odd pairs and the change first in
 even ones, so a drift of the host loads both sides alike.  It prints each
-side's per-operation and per-pass median and quartiles and the max RSS,
-and in how many pairs the change was faster, per operation and per pass.
+side's per-operation and per-pass median and quartiles, the child max
+RSS (its largest value, and its median and quartiles per side; a pass
+reads the largest of its operations), and in how many pairs the change
+was faster, per operation and per pass.
 """
 
 from __future__ import annotations
@@ -105,6 +107,11 @@ def fmt(values: list[float]) -> str:
     return f"{med:9.4f} [{q1:.4f}, {q3:.4f}]"
 
 
+def fmt_mb(values_kb: list[int]) -> str:
+    q1, med, q3 = spread([v / 1024 for v in values_kb])
+    return f"{med:.1f} [{q1:.1f}, {q3:.1f}]"
+
+
 def report(op_ids: list[str], passes: dict[str, list[dict]], warm: dict[str, dict]) -> None:
     pairs = len(passes["parent"])
     differ = [
@@ -114,20 +121,29 @@ def report(op_ids: list[str], passes: dict[str, list[dict]], warm: dict[str, dic
         or warm["parent"]["ops"][i]["sha256"] is None
     ]
     print(f"warm-up stdout: {'identical' if not differ else 'differs or failed on ' + ', '.join(differ)}")
-    print(f"{pairs} pairs; seconds as median [q1, q3]; wins: pairs where the change was faster")
-    head = f"{'operation':<24} {'parent':>29} {'change':>29} {'wins':>6} {'max RSS MB':>16}"
+    print(
+        f"{pairs} pairs; seconds and child max RSS as median [q1, q3]; "
+        "wins: pairs where the change was faster"
+    )
+    head = (
+        f"{'operation':<24} {'parent':>29} {'change':>29} {'wins':>6} {'max RSS MB':>16}"
+        f" {'parent RSS MB':>20} {'change RSS MB':>20}"
+    )
     print(head)
     rows = [(op_id, i) for i, op_id in enumerate(op_ids)] + [("pass", None)]
     for label, i in rows:
         if i is None:
             times = {s: [p["wall_s"] for p in passes[s]] for s in SIDES}
-            rss = {s: max(max(o["rss_kb"] for o in p["ops"]) for p in passes[s]) for s in SIDES}
+            rss = {s: [max(o["rss_kb"] for o in p["ops"]) for p in passes[s]] for s in SIDES}
         else:
             times = {s: [p["ops"][i]["s"] for p in passes[s]] for s in SIDES}
-            rss = {s: max(p["ops"][i]["rss_kb"] for p in passes[s]) for s in SIDES}
+            rss = {s: [p["ops"][i]["rss_kb"] for p in passes[s]] for s in SIDES}
         wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-        mb = f"{rss['parent'] / 1024:.1f} / {rss['change'] / 1024:.1f}"
-        print(f"{label:<24} {fmt(times['parent']):>29} {fmt(times['change']):>29} {wins:>6} {mb:>16}")
+        mb = f"{max(rss['parent']) / 1024:.1f} / {max(rss['change']) / 1024:.1f}"
+        print(
+            f"{label:<24} {fmt(times['parent']):>29} {fmt(times['change']):>29} {wins:>6} {mb:>16}"
+            f" {fmt_mb(rss['parent']):>20} {fmt_mb(rss['change']):>20}"
+        )
     walls = {s: [p["wall_s"] for p in passes[s]] for s in SIDES}
     q1, med, q3 = spread(walls["parent"])
     gain = med - statistics.median(walls["change"])

@@ -79,7 +79,9 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     fills m rows at a time from one lagged FFT sum of the earlier rows
     (a sigma.LaggedSum, as each solve_volterra leg takes) and makes no BLAS
     call.  The kernel spans [1, U], so the sum keeps at most ceil(U) + 1
-    kernel spectra (about 32 m bytes each), whatever t_max is.
+    kernel spectra and as many history-chunk spectra, whatever t_max is,
+    each of nfft/2 + 1 complex numbers (nfft the least 5-smooth length
+    >= 2m - 1, sigma._smooth_length).
     """
     delta = float(delta)
     U, mean_at, kernel = _renewal_kernel(delta)
@@ -121,12 +123,12 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     # exactly; a full row adds the stub cell [M*h, U], which reads chi at
     # l*h - U, off the grid.  Built in place, a block keeps no temporary past
     # its statement, so the next block's FFT buffers reuse the same memory.
-    lagged = LaggedSum(K_nodes, m)
+    lagged = LaggedSum(K_nodes, ext, m)
     for b in range(m + 1, L + 1, m):
         n = min(m, L + 1 - b)  # the rows of this block
         k = min(n, max(0, M + 1 - b))  # the growing ones lead it
         val = ext[b : b + n]
-        val[:] = lagged(ext, b, b + m)[:n]
+        val[:] = lagged(b, b + m)[:n]
         val -= 0.5 * K_nodes[m] * ext[b - m : b - m + n]
         val[:k] += 0.5 * K_nodes[b : b + k] * ext[0]
         val[k:] -= 0.5 * K_nodes[M] * ext[b + k - M : b + n - M]

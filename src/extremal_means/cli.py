@@ -156,6 +156,9 @@ def render_chi_grid(
     delta: float, t_max: float | None, h: float, step: float, fmt: str, digits: int
 ) -> str:
     _check_digits(digits)
+    if 0.0 < step < math.inf and (t_max is None or math.isfinite(t_max)):
+        # the span is at least t_max, or 4U >= 4 sqrt(e): refuse before the march
+        _check_rows(4.0 * math.sqrt(math.e) if t_max is None else t_max, step)
     ext = extend_chi(delta, t_max=t_max, h=h)
     if not 0.0 < step <= ext.t_max:
         raise ValueError(f"step must lie in (0, t_max], got {step}")

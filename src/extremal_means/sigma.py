@@ -166,30 +166,50 @@ def _cell_values(chi: PiecewiseFunction, n_cells: int, h: float):
     return L, R, records
 
 
+def _smooth_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, for n >= 1: an FFT length with no prime
+    factor above 5, 2000 for n = 1999 where a power of two would be 2048
+    and 20000 for n = 19999 where it would be 32768."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:  # p = 3^b 5^c, times the least power of two reaching n
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
 class LaggedSum:
-    """The lagged sums of one march on the weights w, m nodes per unit:
-    called as (x, b, e), sum_{i=1}^{b-1} w[n-i] x[i] for n in [b, e),
-    b = 1 (mod m), e <= b + m.
+    """The lagged sums of one march on the weights w and the history x, m
+    nodes per unit: called as (b, e), sum_{i=1}^{b-1} w[n-i] x[i] for n in
+    [b, e), b = 1 (mod m), e <= b + m, with b ascending from call to call.
 
     The history comes in chunks [c, c + m) whose FFT products all land on
-    output slots [m - 1, m - 1 + e - b), so every transform has a size set
-    by m alone; a chunk whose lags all lie past the end of w is skipped.
-    On a full block (e = b + m) a chunk meets the weight segment
-    w[b - c - m + 1 : b - c + m], which depends only on the lag
-    j = (b - c) / m, so its spectrum is taken at its first use and kept
-    under j for the rest of the march: at most one spectrum of about 32 m
-    bytes per lag whose segment reaches into w, ceil((len(w) - 1) / m),
-    however long the march runs.  A short block transforms its cut
-    segments afresh, and chunk spectra are taken at each use, not kept.
-    The product is formed as p = rfft(chunk); p *= W, the chunks summed
-    in ascending c, so every block has the bits of a per-block transform.
+    output slots [m - 1, m - 1 + e - b), so every transform has one length,
+    nfft = _smooth_length(2m - 1): it holds the longest weight segment and
+    keeps those slots clear of the circular wrap.  A chunk whose lags all
+    lie past the end of w is skipped.  On a full block (e = b + m) a chunk
+    meets the weight segment w[b - c - m + 1 : b - c + m], which depends
+    only on the lag j = (b - c) / m, so its spectrum is taken at its first
+    use and kept under j for the rest of the march.  A chunk is final by
+    the first block that reads it (c + m <= b), so its spectrum is kept
+    under c from then until the last block whose lags reach it.  Both
+    caches hold at most J = ceil((len(w) - 1) / m) spectra of nfft/2 + 1
+    complex numbers, however long the march runs.  A short block transforms
+    its cut weight segments afresh.  The product is formed as
+    rfft(chunk) * W, the chunks summed in ascending c, so every block has
+    the bits of a per-block transform.
     """
 
-    def __init__(self, w: np.ndarray, m: int):
+    def __init__(self, w: np.ndarray, x: np.ndarray, m: int):
         self.w = w
+        self.x = x
         self.m = m
-        self.nfft = 1 << (2 * m).bit_length()  # >= the longest weight segment, 2m - 1
+        self.nfft = _smooth_length(2 * m - 1)
         self._spectra: dict[int, np.ndarray] = {}
+        self._chunks: dict[int, np.ndarray] = {}
 
     def _weight_spectrum(self, j: int) -> np.ndarray:
         spec = self._spectra.get(j)
@@ -199,16 +219,21 @@ class LaggedSum:
             self._spectra[j] = spec
         return spec
 
-    def __call__(self, x: np.ndarray, b: int, e: int) -> np.ndarray:
+    def __call__(self, b: int, e: int) -> np.ndarray:
         m, w, nfft = self.m, self.w, self.nfft
         spec = np.zeros(nfft // 2 + 1, dtype=complex)
+        p = np.empty_like(spec)
         for c in range(1, b, m):
             if b - c - m + 1 < len(w):
-                p = np.fft.rfft(x[c : c + m], nfft)
+                chunk = self._chunks.get(c)
+                if chunk is None:
+                    chunk = self._chunks[c] = np.fft.rfft(self.x[c : c + m], nfft)
+                if b - c + 1 >= len(w):  # no later block reaches this chunk
+                    del self._chunks[c]
                 if e - b == m:
-                    p *= self._weight_spectrum((b - c) // m)
+                    np.multiply(chunk, self._weight_spectrum((b - c) // m), out=p)
                 else:
-                    p *= np.fft.rfft(w[b - c - m + 1 : e - c], nfft)
+                    np.multiply(chunk, np.fft.rfft(w[b - c - m + 1 : e - c], nfft), out=p)
                 spec += p
         return np.fft.irfft(spec, nfft)[m - 1 : m - 1 + e - b]
 
@@ -224,7 +249,8 @@ def _volterra_values(chi: PiecewiseFunction, m: int, n_total: int, h: float) -> 
     split-cell records.  Those read s only at indices <= n - m, so a block
     of m nodes needs only earlier blocks: g comes from FFT convolutions of
     the history (one LaggedSum per leg, which keeps at most n/m - 1 weight
-    spectra), and the block from one cumulative sum.
+    and as many chunk spectra, nfft/2 + 1 complex numbers each, nfft the
+    least 5-smooth length >= 2m - 1), and the block from one cumulative sum.
     """
     L, R, records = _cell_values(chi, n_total, h)
     if max(np.max(np.abs(L)), np.max(np.abs(R))) > 1.0 + 1e-9:
@@ -235,12 +261,12 @@ def _volterra_values(chi: PiecewiseFunction, m: int, n_total: int, h: float) -> 
     dw[m:] = np.diff(0.5 * h * L[m - 1 :])
     d_tail = np.diff(0.5 * h * R)  # d_tail[n - 2]: half-tail of row n minus row n-1
     del L, R  # the march holds only the differences
-    lagged = LaggedSum(dw, m)
     sigma = np.empty(n_total + 1)
     sigma[: m + 1] = 1.0
+    lagged = LaggedSum(dw, sigma, m)
     for b in range(m + 1, n_total + 1, m):
         e = min(b + m, n_total + 1)
-        g = lagged(sigma, b, e)
+        g = lagged(b, e)
         g += d_tail[b - 2 : e - 2]
         ns = np.arange(b - 1, e)
         for rec in records:

@@ -230,16 +230,16 @@ def test_blocked_march_equals_the_looped_one_bit_for_bit(delta, h):
 
 
 class PerBlockSum:
-    """sigma.LaggedSum with every weight segment transformed again in each
-    block, as the sums ran before the spectra were kept: the bit-for-bit
-    reference."""
+    """sigma.LaggedSum with every chunk and weight segment transformed again
+    in each block, at LaggedSum's transform length: the bit-for-bit
+    reference for the kept spectra."""
 
-    def __init__(self, w, m):
-        self.w, self.m = w, m
+    def __init__(self, w, x, m):
+        self.w, self.x, self.m = w, x, m
 
-    def __call__(self, x, b, e):
-        m, w = self.m, self.w
-        nfft = 1 << (2 * m).bit_length()
+    def __call__(self, b, e):
+        m, w, x = self.m, self.w, self.x
+        nfft = sigma._smooth_length(2 * m - 1)
         spec = np.zeros(nfft // 2 + 1, dtype=complex)
         for c in range(1, b, m):
             if b - c - m + 1 < len(w):
@@ -263,8 +263,8 @@ def renewal_bits(delta, h):
 @pytest.mark.parametrize("delta", [0.1, 0.3, 0.6, 1.0])
 def test_kept_weight_spectra_leave_every_value_bit_for_bit(delta, h, monkeypatch):
     # each block multiplies the same two spectra in the same order and
-    # sums in ascending chunks, so keeping the weight spectra moves no bit
-    # (a product written W * rfft(chunk) instead moves the last bits)
+    # sums in ascending chunks, so keeping the chunk and weight spectra moves
+    # no bit (a product written W * rfft(chunk) instead moves the last bits)
     got = renewal_bits(delta, h)
     monkeypatch.setattr(chi_renewal, "LaggedSum", PerBlockSum)
     monkeypatch.setattr(sigma, "LaggedSum", PerBlockSum)
@@ -274,17 +274,28 @@ def test_kept_weight_spectra_leave_every_value_bit_for_bit(delta, h, monkeypatch
 
 def test_a_march_transforms_each_full_weight_segment_once(monkeypatch):
     # the renewal march and both Volterra legs (whose last blocks are
-    # short, with cut segments of their own), one LaggedSum each
+    # short, with cut segments of their own), one LaggedSum each: no chunk
+    # and no weight segment is transformed twice, and every chunk up to the
+    # last block is transformed once
     sums, inputs = [], []
 
     class Recorded(LaggedSum):
-        def __init__(self, w, m):
-            super().__init__(w, m)
+        def __init__(self, w, x, m):
+            super().__init__(w, x, m)
+            self.blocks = []
             sums.append(self)
 
-        def __call__(self, x, b, e):
-            self.x = x
-            return super().__call__(x, b, e)
+        def __call__(self, b, e):
+            self.blocks.append(b)
+            return super().__call__(b, e)
+
+    def offsets(base):
+        start = base.__array_interface__["data"][0]
+        return [
+            ((a.__array_interface__["data"][0] - start) // 8, len(a))
+            for a in inputs
+            if np.shares_memory(a, base)
+        ]
 
     real = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda a, *args: inputs.append(a) or real(a, *args))
@@ -294,19 +305,13 @@ def test_a_march_transforms_each_full_weight_segment_once(monkeypatch):
     solve_volterra(ext.profile, 2.5 * ext.U, richardson=True)
     assert len(sums) == 3
     for lagged in sums:
-        base = lagged.w.__array_interface__["data"][0]
-        segments = [
-            ((a.__array_interface__["data"][0] - base) // 8, len(a))
-            for a in inputs
-            if np.shares_memory(a, lagged.w)
-        ]
+        segments = offsets(lagged.w)
         assert len(segments) >= 2 and len(set(segments)) == len(segments)
-        # every block transforms its chunks again
-        chunks = [a for a in inputs if np.shares_memory(a, lagged.x)]
-        assert len(chunks) > 1.5 * len(segments)
+        m = lagged.m
+        assert sorted(offsets(lagged.x)) == [(c, m) for c in range(1, lagged.blocks[-1], m)]
     # the kernel spans [1, U]: at most one segment per unit of it
     assert sums[0].x is ext.samples
-    assert len([a for a in inputs if np.shares_memory(a, sums[0].w)]) <= math.ceil(ext.U) + 1
+    assert len(offsets(sums[0].w)) <= math.ceil(ext.U) + 1
 
 
 def test_kept_spectra_grow_the_march_by_the_kernel_support_at_most():
@@ -321,6 +326,18 @@ def test_kept_spectra_grow_the_march_by_the_kernel_support_at_most():
     finally:
         tracemalloc.stop()
     assert peak <= 3_640_000 + (math.ceil(ext.U) + 1) * 16 * (nfft // 2 + 1)
+
+
+def test_chunk_spectra_at_smooth_lengths_stay_under_the_weight_only_peak():
+    # with the weight spectra alone, at power-of-two lengths, this march
+    # peaked at 5.32 MB traced; smooth lengths pay for the chunk spectra
+    tracemalloc.start()
+    try:
+        extend_chi(0.3, h=5e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_320_000
 
 
 def test_an_extension_out_of_range_raises(monkeypatch):

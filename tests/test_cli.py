@@ -11,6 +11,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremal_means import extremal, verification
+from extremal_means import cli, extremal, verification
 from extremal_means.cli import (
     _render_rows,
     fmt_sig,
@@ -272,6 +273,24 @@ def test_oversized_grids_exit_2_before_allocating(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, span",
+    [
+        (["--t-max", "90", "--h", "5e-5", "--step", "1e-6"], "90.0"),
+        (["--step", "1e-6"], str(4.0 * math.sqrt(math.e))),
+    ],
+)
+def test_chi_extend_refuses_an_oversized_grid_before_the_march(args, span, capsys, monkeypatch):
+    # the span is at least t_max, or 4U >= 4 sqrt(e) by default
+    def no_march(*a, **kw):
+        raise AssertionError("extend_chi marched")
+
+    monkeypatch.setattr(cli, "extend_chi", no_march)
+    code, out, err = run_cli(["chi-extend", "--delta", "0.3", *args], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: step 1e-06 over a span of {span} gives more than 100000 rows\n"
 
 
 @pytest.mark.parametrize("u_max", ["nan", "-1", "inf"])

@@ -27,6 +27,7 @@ from extremal_means.sigma import (
     _cell_values,
     _log_band,
     _march_step_profile,
+    _smooth_length,
     closed_tail_dilog,
     closed_tail_integral,
     sigma_closed,
@@ -362,18 +363,49 @@ def looped_volterra(chi, n_total, h):
 
 def test_lagged_sum_matches_the_double_loop():
     # m = 5 over 40 history values against 17 weights, one object over all
-    # blocks, so the later blocks read the weight spectra the earlier ones
-    # kept: the early chunks of the late blocks lie past the end of w and
-    # are skipped, block 1 has no history, and the last block is partial
+    # blocks, so the later blocks read the chunk and weight spectra the
+    # earlier ones kept: the early chunks of the late blocks lie past the end
+    # of w and are skipped, block 1 has no history, and the last block is
+    # partial
     rng = np.random.default_rng(5)
     m, x, w = 5, rng.standard_normal(40), rng.standard_normal(17)
-    lagged = LaggedSum(w, m)
+    lagged = LaggedSum(w, x, m)
     for b in range(1, 40, m):
         e = min(b + m, 38)
-        direct = [
-            sum(w[n - i] * x[i] for i in range(1, b) if n - i < len(w)) for n in range(b, e)
-        ]
-        assert np.max(np.abs(lagged(x, b, e) - direct), initial=0.0) <= 1e-13
+        assert np.max(np.abs(lagged(b, e) - double_loop(w, x, b, e)), initial=0.0) <= 1e-13
+
+
+def double_loop(w, x, b, e):
+    """sum_{i=1}^{b-1} w[n-i] x[i] for n in [b, e), term by term."""
+    return [sum(w[n - i] * x[i] for i in range(1, b) if n - i < len(w)) for n in range(b, e)]
+
+
+def test_smooth_length_is_the_least_5_smooth_length_reaching_n():
+    def is_5_smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    smooth = [k for k in range(1, 5001) if is_5_smooth(k)]
+    for n in range(1, 5001):
+        assert _smooth_length(n) == min(k for k in smooth if k >= n)
+
+
+@pytest.mark.parametrize("m, nfft", [(5, 9), (7, 15), (11, 24), (13, 25), (24, 48)])
+def test_lagged_sum_matches_the_double_loop_at_odd_and_smooth_lengths(m, nfft):
+    # transforms of odd and of non-power-of-two lengths; w reaches 3 lags
+    # past the first, so the late blocks skip their early chunks and each
+    # cache keeps at most 4 spectra; the last block is short
+    rng = np.random.default_rng(m)
+    x, w = rng.standard_normal(8 * m + 3), rng.standard_normal(3 * m + 2)
+    lagged = LaggedSum(w, x, m)
+    assert lagged.nfft == nfft
+    for b in range(1, len(x) - 1, m):
+        e = min(b + m, len(x) - 1)
+        assert np.max(np.abs(lagged(b, e) - double_loop(w, x, b, e)), initial=0.0) <= 1e-13
+        assert len(lagged._chunks) <= 4 and len(lagged._spectra) <= 4
+    assert e - b < m and b - 1 - m + 1 >= len(w)  # a short last block, chunk 1 skipped
 
 
 def _two_jump_profile():
