@@ -11,19 +11,22 @@ repository root:
 
 It prints every package function that was never called, then every code
 line that never ran inside the functions that were (blank, comment and
-docstring lines skipped).  Unlike the forked benchmark, caches persist
-here from one operation to the next, so a cached body counts once it
-has run anywhere.  Subprocesses (verify's cli-deterministic check) are
-not traced.
+docstring lines skipped).  Lines of `raise` statements, the input guards
+that no valid operation reaches, are not listed but counted per file.
+Unlike the forked benchmark, caches persist here from one operation to
+the next, so a cached body counts once it has run anywhere.
+Subprocesses (verify's cli-deterministic check) are not traced.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,6 +42,16 @@ def _functions(code):
             if not const.co_name.startswith("<"):  # lambdas, comprehensions
                 yield const
             yield from _functions(const)
+
+
+def _raise_lines(path: Path) -> set[int]:
+    """Every line that a `raise` statement spans in one source file."""
+    return {
+        line
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
 
 
 def main() -> int:
@@ -75,13 +88,19 @@ def main() -> int:
     print(f"{len(uncalled)} functions never called:")
     for name in uncalled:
         print(f"  {name}")
-    missed = [
-        f"  {path.name}:{line}: {text}"
-        for path, line, text in line_trace.never_executed()
-        if (path, line) not in skipped
-    ]
-    print(f"{len(missed)} lines never run in the functions that were called:")
+    raises = {path: _raise_lines(path) for path in line_trace.PACKAGE.glob("*.py")}
+    missed, guards = [], Counter()
+    for path, line, text in line_trace.never_executed():
+        if (path, line) in skipped:
+            continue
+        if line in raises[path]:
+            guards[path.name] += 1
+        else:
+            missed.append(f"  {path.name}:{line}: {text}")
+    print(f"{len(missed)} lines never run in the functions that were called, raise lines aside:")
     print("\n".join(missed))
+    counts = ", ".join(f"{name} {n}" for name, n in sorted(guards.items()))
+    print(f"{sum(guards.values())} raise lines never run: {counts or 'none'}")
     return 0
 
 

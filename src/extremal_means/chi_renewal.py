@@ -36,8 +36,8 @@ class ExtendedChi:
     """Cutoff profile with its mean-preserving extension past U.
 
     `value` treats the dip window as the closed interval [1, U]; the
-    underlying piecewise profile is right-continuous, so profile.eval(U)
-    returns the first extension value instead (the jump is genuine).
+    right-continuous `profile`, whose cells solve_volterra reads, opens
+    its extension cell at U instead (the jump is genuine).
     """
 
     delta: float

@@ -152,16 +152,6 @@ class MultiplicativeSpec:
             raise ValueError(f"angle indices must be integers in [0, {self.k}] for order {self.k}")
         object.__setattr__(self, "_ells", ells.astype(np.uint16))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiplicativeSpec):
-            return NotImplemented
-        fields = (other.k, other.y, other.N, other.assignment)
-        same = (self.k, self.y, self.N, self.assignment) == fields
-        return same and np.array_equal(self.primes, other.primes)
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.y, self.N, self.assignment))
-
 
 def random_spec(
     k: int, y: float, N: int, seed: int, zero_probability: float = 0.0
@@ -437,15 +427,6 @@ def sandwich_check(g: np.ndarray, n_max: int) -> float:
     return float(max(0.0, np.max(worst)))
 
 
-def empirical_chi(f: np.ndarray, y: float, u: float) -> complex:
-    """Log-weighted prime average of f up to y^u."""
-    if not (math.isfinite(u) and u > 0.0):
-        raise ValueError(f"u must be finite and positive, got {u}")
-    primes = sieve_primes(int(_cutoff(y, float(u), len(f) - 1, "y^u", f"u = {u}")))
-    logs = np.log(primes)
-    return complex(np.sum(f[primes] * logs) / np.sum(logs))
-
-
 @dataclass(frozen=True)
 class MeanValueReport:
     """Partial-sum and log means of f at one cutoff."""
@@ -487,7 +468,7 @@ def construct_tracking_spec(
     class's running sum within one prime gap of its target.  Where class
     0 never leads, as at the table drifts delta = 1/(k-1) up to U, that
     greedy is a rotation of classes 1..k-1, checked in one numpy pass;
-    the per-prime loop runs only from the first step the check rejects.
+    otherwise the per-prime loop runs from the first prime.
     """
     k = _integer_in(k, 2, MAX_ORDER, "order k")
     N = _integer_in(N, 2, SIEVE_CAP, "N")
@@ -540,30 +521,21 @@ def _greedy_classes(logs: np.ndarray, alpha: np.ndarray, k: int) -> list[int]:
     the lowest tied index wins.  A prime costs O(log k), not k gaps.
 
     Where class 0 never leads, the loop is list scheduling in rotation:
-    with r = k-1, prime i goes to c_i = 1 + (i mod r).  `_rotation_prefix`
-    checks that schedule step by step on the loop's own doubles and the
-    loop resumes at the first step s it rejects, with both targets after
-    step s-1, class 0 at weight 0.0, and in the heap the last r weights
-    (s >= r) or classes 1..s plus the fresh class s+1 at 0.0 (s < r).
-    The loop reads the heap's top, its second entry and, on a tie, every
-    entry, so any heap order of those entries resumes it exactly.  At the
-    table drifts delta = 1/(k-1) the check accepts every prime (277,651
-    for `oracle`'s default, in 0.006 s against the loop's 0.07 s); past U,
-    where alpha moves, the loop takes over.
+    with r = k-1, prime i goes to c_i = 1 + (i mod r).  `_is_rotation`
+    checks that schedule on the loop's own doubles, and the loop runs,
+    from the first prime, only where it fails.  At the table drifts delta
+    = 1/(k-1) it holds (277,651 primes for `oracle`'s default, in 0.006 s
+    against the loop's 0.07 s); elsewhere it fails early, or past U.
     """
     import heapq  # deferred: every command imports this module, one uses heapq
 
     r = k - 1
-    s, target0, target1, loads = _rotation_prefix(logs, alpha, k)
-    classes = list(range(1, k)) * (s // r) + list(range(1, s % r + 1))
-    if s == len(logs):
-        return classes
-    # loads[j] is class 1 + (s+j) mod r's weight, 0.0 if not yet picked;
-    # of those, the loop's heap holds only the fresh one (j = 0)
-    heap = [(float(loads[j]), 1 + (s + j) % r) for j in range(r) if j == 0 or j >= r - s]
-    heapq.heapify(heap)
-    fresh, assigned0 = min(s + 1, r), 0.0
-    for w, a in zip(memoryview(logs[s:]), memoryview(alpha[s:])):
+    if _is_rotation(logs, alpha, k):
+        return list(range(1, k)) * (len(logs) // r) + list(range(1, len(logs) % r + 1))
+    heap, fresh = [(0.0, 1)], 1
+    target0 = target1 = assigned0 = 0.0
+    classes = []
+    for w, a in zip(memoryview(logs), memoryview(alpha)):
         target0 += (1.0 - (k - 1) * a) * w
         target1 += a * w
         low, ell = heap[0]
@@ -587,13 +559,9 @@ def _greedy_classes(logs: np.ndarray, alpha: np.ndarray, k: int) -> list[int]:
     return classes
 
 
-def _rotation_prefix(
-    logs: np.ndarray, alpha: np.ndarray, k: int
-) -> tuple[int, float, float, np.ndarray]:
-    """How many leading steps of `_greedy_classes`' loop are the rotation.
+def _is_rotation(logs: np.ndarray, alpha: np.ndarray, k: int) -> bool:
+    """Whether every step of `_greedy_classes`' loop is the rotation.
 
-    Returns that count s, the loop's two targets after step s-1 and the
-    weights of the classes picked at steps s-r..s-1 (0.0 before step 0).
     Step i of the rotation gives class c_i = 1 + (i mod r), r = k-1, the
     weight after_i = after_{i-r} + w_i, so c_i's weight before it is
     low_i = after_{i-r} (0.0 for i < r).  Step i is accepted when all
@@ -610,7 +578,7 @@ def _rotation_prefix(
     weights are `np.cumsum`s (add.accumulate adds in order) of the loop's
     increments, the weights down columns of a (rows, r) grid, one class
     per column.  Chunks of at most _BLOCK steps carry the sums between
-    them, so a rejection at step s costs O(min(s, _BLOCK)).
+    them, which bounds the temporaries at any input length.
     """
     r = k - 1
     target0 = target1 = 0.0
@@ -635,11 +603,10 @@ def _rotation_prefix(
                 second[0] = np.inf
             ok &= flat[r : r + m] > flat[r - 1 : r - 1 + m]
             ok &= ((0.5 * t1 <= low) & (low < 2.0 * t1)) | (t1 - second < t1 - low)
-        s = int(np.argmin(ok))
-        if not ok[s]:
-            return lo + s, float(c0[s]), float(c1[s]), flat[s : s + r]
+        if not ok.all():
+            return False
         target0, target1, loads = float(c0[m]), float(c1[m]), flat[m : m + r]
-    return len(logs), target0, target1, loads
+    return True
 
 
 @dataclass(frozen=True)

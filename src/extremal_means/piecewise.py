@@ -80,10 +80,10 @@ Segment = ConstantSegment | SampledSegment
 class PiecewiseFunction:
     """Right-continuous piecewise function on [0, domain_end).
 
-    breakpoints[i] opens the cell owned by segments[i]; the first
-    breakpoint must be 0.  eval() takes the right limit at breakpoints,
-    eval_left() the left limit, so jump locations carry both one-sided
-    values.
+    breakpoints[i] opens the cell [breakpoints[i], breakpoints[i+1]) owned
+    by segments[i]; the first breakpoint must be 0.  A validated container:
+    solve_volterra reads its cells, and ExtendedChi.value evaluates a
+    profile.
     """
 
     breakpoints: tuple[float, ...]
@@ -93,40 +93,17 @@ class PiecewiseFunction:
     def __post_init__(self) -> None:
         if len(self.breakpoints) != len(self.segments):
             raise ValueError("need one segment per breakpoint")
-        if self.breakpoints[0] != 0.0:
+        bp = np.asarray(self.breakpoints, dtype=float)
+        if not np.isfinite(bp).all():
+            raise ValueError(f"breakpoints must be finite, got {bp[~np.isfinite(bp)][0]}")
+        if bp[0] != 0.0:
             raise ValueError("domain must start at 0")
-        bp = np.asarray(self.breakpoints)
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-
-    def segment_index(self, t: np.ndarray) -> np.ndarray:
-        """Index of the cell containing t (right-continuous convention)."""
-        bp = np.asarray(self.breakpoints)
-        return np.clip(np.searchsorted(bp, t, side="right") - 1, 0, len(bp) - 1)
-
-    def eval_array(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        inside = (t >= 0.0) & (t < self.domain_end)
-        if not np.all(inside):
-            raise ValueError(f"t must lie in [0, {self.domain_end}), got {t[~inside][0]}")
-        out = np.empty_like(t)
-        idx = self.segment_index(t)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = seg.values(t[mask])
-        return out
-
-    def eval(self, t: float) -> float:
-        return float(self.eval_array(np.array([t]))[0])
-
-    def eval_left(self, t: float) -> float:
-        """Left limit at t; differs from eval(t) exactly at jump breakpoints."""
-        if not (0.0 <= t < np.inf and t <= self.domain_end):
-            raise ValueError(f"t must be finite and lie in [0, {self.domain_end}], got {t}")
-        bp = np.asarray(self.breakpoints)
-        i = int(np.clip(np.searchsorted(bp, t, side="left") - 1, 0, len(bp) - 1))
-        return float(self.segments[i].values(np.array([t]))[0])
+        if not bp[-1] < self.domain_end:  # written so that NaN fails it too
+            raise ValueError(
+                f"domain_end must exceed the last breakpoint {bp[-1]}, got {self.domain_end}"
+            )
 
 
 def _adaptive_simpson(

@@ -253,7 +253,7 @@ def _volterra_values(chi: PiecewiseFunction, m: int, n_total: int, h: float) -> 
     least 5-smooth length >= 2m - 1), and the block from one cumulative sum.
     """
     L, R, records = _cell_values(chi, n_total, h)
-    if max(np.max(np.abs(L)), np.max(np.abs(R))) > 1.0 + 1e-9:
+    if not (np.max(np.abs(L)) <= 1.0 + 1e-9 and np.max(np.abs(R)) <= 1.0 + 1e-9):  # NaN fails
         raise ValueError("chi must stay in [-1, 1]")
     denom_shift = 0.5 * h * L[0]
     L[m - 1 :] += R[m - 2 : -1]  # L[j] + R[j-1] in place; L is not read again

@@ -207,12 +207,12 @@ def looped_extension(delta: float, t_max: float, h: float) -> np.ndarray:
 
 @pytest.mark.parametrize("h", [1e-3, 1e-4, 5e-5])
 @pytest.mark.parametrize("delta", [0.1, 0.3, 0.6, 1.0])
-def test_blocked_march_equals_the_looped_one_bit_for_bit(delta, h):
+def test_blocked_march_matches_the_looped_one(delta, h):
     # L extension steps against m = 1/h and the last whole kernel node M:
     # early values only (L <= m), growing windows (m < L <= M), and full
     # windows over whole and partial blocks (L > M); 1.5 U is oracle's horizon.
     # The FFT sums round in another order than one np.dot per row, so the
-    # samples agree to a few ulps (6.7e-16 at worst here), not bit for bit.
+    # samples agree to a few ulps (7.8e-16 at worst here), not bit for bit.
     U = find_U(delta)
     m, M = round(1.0 / h), int(math.floor(U / h - 1e-12))
     regimes = set()

@@ -27,7 +27,6 @@ from extremal_means.oracle import (
     coprime_power_sum,
     divisor_correlation,
     divisor_domination_check,
-    empirical_chi,
     mobius,
     random_spec,
     sandwich_check,
@@ -98,6 +97,17 @@ def small_spec(k=3, y=1.0, primes=(11,), assignment=(1,), N=100):
 def build_small_f(N):
     return build_f(random_spec(3, 10.0, 1000, seed=1), N)
 
+
+STEPS = (ConstantSegment(1.0), ConstantSegment(-0.3))
+
+
+def profile_breaking_at(b):
+    return PiecewiseFunction((0.0, b), STEPS)
+
+
+def profile_ending_at(end):
+    return PiecewiseFunction((0.0, 1.0), STEPS, domain_end=end)
+
 # arguments for which +inf is as invalid as nan and -inf
 BOTH_INFINITIES = [
     pytest.param("A", lambda x: order4_bound(x, 0.1), id="A-order4_bound"),
@@ -126,8 +136,7 @@ BOTH_INFINITIES = [
         lambda x: verify_sigma_vanishes(extend_chi(0.2), x),
         id="u_max-verify_sigma_vanishes",
     ),
-    pytest.param("t", lambda x: chi_delta(0.3).eval(x), id="t-PiecewiseFunction.eval"),
-    pytest.param("t", lambda x: chi_delta(0.3).eval_left(x), id="t-PiecewiseFunction.eval_left"),
+    pytest.param("breakpoints", profile_breaking_at, id="breakpoints-PiecewiseFunction"),
     pytest.param("u", lambda x: UNIT_STEPS.value(x), id="u-StepProfile.value"),
     pytest.param("n_max", lambda x: divisor_correlation(UNIT_F, x), id="n_max-divisor_correlation"),
     pytest.param(
@@ -166,7 +175,7 @@ BOTH_INFINITIES = [
     [
         ("u_cut", rho_total_integral),
         ("t_max", lambda x: extend_chi(0.2, t_max=x)),
-        ("u", lambda x: empirical_chi(np.ones(101), 10.0, x)),
+        ("domain_end", profile_ending_at),
         ("order k", order_constant),
         ("U", lambda x: compute_I(0.2, U=x)),
         ("u", tracking_cutoff),
@@ -341,10 +350,6 @@ SIEVE_LAB_REJECTS = {
         lambda: tracking_rows(UNIT_F, 1e300, 1.0, [5.0]),
         r"^y\^u overflows a float for y = 1e\+300, u = 5.0$",
     ),
-    "empirical-chi-overflow": (
-        lambda: empirical_chi(UNIT_F, 1e300, 5.0),
-        r"^y\^u overflows a float for y = 1e\+300, u = 5.0$",
-    ),
     "domination-n_max-one": (
         lambda: divisor_domination_check(UNIT_F, 1),
         r"^n_max must be at least 2 in the f range 100, got 1$",
@@ -404,9 +409,7 @@ def test_oracle_command_rejects_a_huge_integer(flag, name, capsys):
     assert cap.err.startswith(f"error: {name} must be an integer in ")
 
 
-SHORT_PROFILE = PiecewiseFunction(
-    (0.0, 1.0), (ConstantSegment(1.0), ConstantSegment(-0.3)), domain_end=2.0
-)
+SHORT_PROFILE = profile_ending_at(2.0)
 GUARDS_NAME_THEIR_VALUE = {
     "rho-negative": (lambda: rho(-1.0), r"^u must be finite and lie in \[0, 40.0\], got -1.0$"),
     "rho-past-table": (lambda: rho(np.array([3.0, 41.0])), r"^u must .*, got 41.0$"),
@@ -433,6 +436,15 @@ GUARDS_NAME_THEIR_VALUE = {
     "solve_volterra-domain": (
         lambda: solve_volterra(SHORT_PROFILE, 3.0),
         r"^u_max must be at most chi's domain end 2.0, got 3.0$",
+    ),
+    # a NaN value fails the range test as it would fail its bound
+    "solve_volterra-nan-chi": (
+        lambda: solve_volterra(
+            PiecewiseFunction((0.0, 1.0), (ConstantSegment(1.0), ConstantSegment(math.nan))),
+            3.0,
+            h=1e-3,
+        ),
+        r"^chi must stay in \[-1, 1\]$",
     ),
     "integrate_callable-tol": (
         lambda: integrate_callable(np.sin, 0.0, 1.0, tol=-1.0),

@@ -35,7 +35,6 @@ from extremal_means.oracle import (
     coprime_power_sum,
     divisor_correlation,
     divisor_domination_check,
-    empirical_chi,
     mean_values,
     mobius,
     random_spec,
@@ -49,7 +48,7 @@ from extremal_means.oracle import (
     _dirichlet,
     _greedy_classes,
     _roots,
-    _rotation_prefix,
+    _is_rotation,
 )
 
 from conftest import DESK_DELTA, DESK_K, DESK_N, DESK_Y
@@ -270,14 +269,13 @@ def test_random_spec_draw_is_frozen():
     assert complex(np.sum(build_f(spec, 20000)[1:])) == (3961.999999999998 - 1176.0624983392663j)
 
 
-def test_specs_compare_by_value():
+def test_specs_compare_by_identity():
+    # like every array holder, two equal-valued specs are two objects, and
+    # == stays a bool
     spec = random_spec(3, 50.0, 2000, seed=1)
     same = random_spec(3, 50.0, 2000, seed=1)
-    assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
-    assert spec != random_spec(3, 50.0, 2000, seed=2)
-    wider = MultiplicativeSpec(3, 50.0, spec.primes, spec.assignment, N=2001)
-    assert spec != wider and spec != "spec"
-    # the other array holders compare by identity, so == stays a bool
+    assert spec.assignment == same.assignment and np.array_equal(spec.primes, same.primes)
+    assert (spec == spec) is True and (spec == same) is False and spec != "spec"
     bundle = transforms(build_f(spec, 2000), 2000, h_max=1)
     again = transforms(build_f(same, 2000), 2000, h_max=1)
     assert bundle == bundle and bundle.deficiency != again.deficiency
@@ -485,18 +483,14 @@ def test_transforms_bundle_and_running_bound(desk_f):
         transforms(desk_f, DESK_N + 1)
 
 
-def test_empirical_chi_conventions(desk_f):
-    # below the threshold every prime carries the value 1
-    assert abs(empirical_chi(desk_f, DESK_Y, 0.9) - 1.0) < 1e-12
-    ones = np.ones(10**4 + 1, dtype=complex)
-    ones[0] = 0.0
-    assert abs(empirical_chi(ones, 100.0, 2.0) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        empirical_chi(desk_f, DESK_Y, 1.8)  # y^u past the array
+def prime_average(f: np.ndarray, y: float, u: float) -> complex:
+    """Log-weighted prime average of f up to y^u: the construction's chi at u."""
+    logs = np.log(primes := sieve_primes(int(y**u)))
+    return complex(np.sum(f[primes] * logs) / np.sum(logs))
 
 
 def test_empirical_chi_desk_value(desk_f):
-    val = empirical_chi(desk_f, DESK_Y, 1.3)
+    val = prime_average(desk_f, DESK_Y, 1.3)
     assert abs(val.imag) < 1e-12  # order 2 keeps everything real
     assert abs(val.real - (-0.8748007251888871)) < 1e-9
 
@@ -666,7 +660,7 @@ def test_order3_construction_tracks_target():
     counts = Counter(spec.assignment)
     assert counts[1] == 28080 and counts[2] == 28079  # balanced split, frozen
     f = build_f(spec, 10**6)
-    val = empirical_chi(f, 1e3, 1.5)
+    val = prime_average(f, 1e3, 1.5)
     assert abs(val - (-0.5)) <= 0.05
 
 
@@ -708,8 +702,8 @@ def test_tracking_assignment_matches_numpy_greedy(k, delta, y, A, N):
     assert (np.log(sel) / math.log(y) > U).any()
     logs, alpha = tracking_inputs(sel, k, delta, y, A)
     assert list(spec.assignment) == numpy_greedy(logs, alpha, k)
-    # the rotation covers the start and the loop resumes mid-array
-    assert 0 < _rotation_prefix(logs, alpha, k)[0] < len(logs)
+    # the rotation fails past U, so the loop runs from the first prime
+    assert not _is_rotation(logs, alpha, k)
 
 
 @pytest.mark.parametrize(("k", "delta", "y", "N"), TABLE_DRIFTS + GENERAL_DRIFTS)
@@ -717,8 +711,17 @@ def test_rotation_prefix_gives_the_loop_classes(k, delta, y, N):
     spec = construct_tracking_spec(k, delta, y, 1.0, N)
     logs, alpha = tracking_inputs(spec.primes, k, delta, y, 1.0)
     assert list(spec.assignment) == numpy_greedy(logs, alpha, k)
-    s = _rotation_prefix(logs, alpha, k)[0]
-    assert s == len(logs) if delta == 1.0 / (k - 1) else s < len(logs)
+    assert _is_rotation(logs, alpha, k) == (delta == 1.0 / (k - 1))
+
+
+def rotation_with_break(k: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prime logs at alpha = 1/(k-1), a rotation end to end but for
+    alpha = 0 at step s, where class 0 takes the lead."""
+    primes = sieve_primes(10**6)
+    logs = np.log(primes[primes > 1000][: s + 40])
+    alpha = np.full(len(logs), 1.0 / (k - 1))
+    alpha[s] = 0.0
+    return logs, alpha
 
 
 @pytest.mark.parametrize(
@@ -726,33 +729,54 @@ def test_rotation_prefix_gives_the_loop_classes(k, delta, y, N):
     [(k, s) for k in (2, 3, 4) for s in sorted({0, 1, k - 2, k - 1, k, oracle._BLOCK})]
     + [(4, oracle._BLOCK + 4)],
 )
-def test_rotation_prefix_hands_the_loop_its_state(k, s):
+def test_a_rotation_break_runs_the_loop_from_the_first_prime(k, s):
     # at alpha = 1/(k-1) the whole input is a rotation; alpha = 0 at step
-    # s gives class 0 the lead there, so the loop resumes at s, past one
-    # chunk of carried sums for s >= _BLOCK
-    primes = sieve_primes(10**6)
-    logs = np.log(primes[primes > 1000][: s + 40])
-    alpha = np.full(len(logs), 1.0 / (k - 1))
-    assert _rotation_prefix(logs, alpha, k)[0] == len(logs)
-    alpha[s] = 0.0
-    assert _rotation_prefix(logs, alpha, k)[0] == s
+    # s gives class 0 the lead there, which the check rejects at s, past
+    # one chunk of carried sums for s >= _BLOCK; the loop then runs from
+    # the first prime
+    logs, alpha = rotation_with_break(k, s)
+    assert _is_rotation(logs[:s], alpha[:s], k)
+    assert not _is_rotation(logs[: s + 1], alpha[: s + 1], k)
+    assert not _is_rotation(logs, alpha, k)
     assert _greedy_classes(logs, alpha, k) == numpy_greedy(logs, alpha, k)
+
+
+def test_a_rejected_rotation_loops_over_every_prime(monkeypatch):
+    # one check, and on rejection the loop steps through all the primes,
+    # counted at the loop's own zip
+    k, s = 3, oracle._BLOCK + 4
+    logs, alpha = rotation_with_break(k, s)
+    real, checks, steps = _is_rotation, [], []
+
+    def check(*args):
+        checks.append(real(*args))
+        return checks[-1]
+
+    def counted_zip(*columns):
+        for step in zip(*columns):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(oracle, "_is_rotation", check)
+    monkeypatch.setattr(oracle, "zip", counted_zip, raising=False)
+    classes = _greedy_classes(logs, alpha, k)
+    assert checks == [False] and len(steps) == len(classes) == len(logs)
 
 
 def test_table_drift_constructions_skip_the_loop(monkeypatch):
     # the desk spec and oracle-k3's are rotations end to end, so a check
     # that falls back to the loop fails here, not only in a timing
-    real, seen = _rotation_prefix, []
+    real, seen = _is_rotation, []
 
     def spy(logs, alpha, k):
         out = real(logs, alpha, k)
-        seen.append((out[0], len(logs)))
+        seen.append((out, len(logs)))
         return out
 
-    monkeypatch.setattr(oracle, "_rotation_prefix", spy)
+    monkeypatch.setattr(oracle, "_is_rotation", spy)
     construct_tracking_spec(DESK_K, DESK_DELTA, DESK_Y, 1.0, DESK_N)
     construct_tracking_spec(3, 0.5, 1e3, 1.0, 10**6)
-    assert seen == [(277_651, 277_651), (56_159, 56_159)]
+    assert seen == [(True, 277_651), (True, 56_159)]
 
 
 def test_greedy_ties_go_to_the_lowest_class():
@@ -773,7 +797,7 @@ def test_rotation_stops_where_a_class_falls_behind():
     # lightest class is 2, not the rotation's class 1, though class 1's
     # gap is still positive
     logs, alpha = np.array([3.0, 1.0, 2.0, 6.0]), np.full(4, 1.0 / 3.0)
-    assert _rotation_prefix(logs, alpha, 4)[0] == 1
+    assert _is_rotation(logs[:1], alpha[:1], 4) and not _is_rotation(logs[:2], alpha[:2], 4)
     assert _greedy_classes(logs, alpha, 4) == numpy_greedy(logs, alpha, 4) == [1, 2, 3, 2]
 
 

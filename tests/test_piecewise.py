@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,36 +158,6 @@ def test_bisect_evaluates_strictly_inside_the_bracket(answer):
     assert x == (2.0 if answer else 1.0)  # the midpoint of adjacent floats rounds onto an end
 
 
-def _mixed_profile() -> PiecewiseFunction:
-    return PiecewiseFunction(
-        breakpoints=(0.0, 1.0, 2.0),
-        segments=(
-            ConstantSegment(1.0),
-            ConstantSegment(-0.5),
-            SampledSegment(start=2.0, h=0.5, samples=np.array([4, 6.25, 9, 12.25, 16])),
-        ),
-        domain_end=4.0,
-    )
-
-
-def test_piecewise_eval_right_continuous_at_jumps():
-    f = _mixed_profile()
-    assert f.eval(0.0) == 1.0
-    assert f.eval(1.0) == -0.5  # right limit owns the breakpoint
-    assert f.eval_left(1.0) == 1.0
-    assert abs(f.eval(2.5) - 6.25) < 1e-15
-    got = f.eval_array(np.array([0.5, 1.0, 1.5, 3.0]))
-    assert np.allclose(got, [1.0, -0.5, -0.5, 9.0])
-
-
-def test_piecewise_domain_errors():
-    f = _mixed_profile()
-    with pytest.raises(ValueError):
-        f.eval(-0.01)
-    with pytest.raises(ValueError):
-        f.eval(4.0)  # domain is half-open
-
-
 def test_piecewise_validation():
     with pytest.raises(ValueError):
         PiecewiseFunction(breakpoints=(0.5, 1.0), segments=(ConstantSegment(1),) * 2)
@@ -193,6 +165,17 @@ def test_piecewise_validation():
         PiecewiseFunction(breakpoints=(0.0, 1.0, 1.0), segments=(ConstantSegment(1),) * 3)
     with pytest.raises(ValueError):
         PiecewiseFunction(breakpoints=(0.0, 1.0), segments=(ConstantSegment(1),))
+    # non-finite breakpoints and a domain end at or before the last
+    # breakpoint, NaN included, fail at construction
+    two = (ConstantSegment(1.0), ConstantSegment(-0.3))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^breakpoints must be finite, got {bad}$"):
+            PiecewiseFunction(breakpoints=(0.0, bad), segments=two)
+    for bad in (math.nan, 1.0, 0.5, -math.inf):
+        with pytest.raises(ValueError, match=rf"^domain_end must exceed .* 1.0, got {bad}$"):
+            PiecewiseFunction(breakpoints=(0.0, 1.0), segments=two, domain_end=bad)
+    # the least domain end past the last breakpoint stays accepted
+    PiecewiseFunction(breakpoints=(0.0, 1.0), segments=two, domain_end=math.nextafter(1.0, 2.0))
 
 
 def test_sampled_segment_linear_exact():

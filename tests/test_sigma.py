@@ -15,6 +15,7 @@ from extremal_means import grid
 from extremal_means.chi_renewal import extend_chi, verify_sigma_vanishes
 from extremal_means.dickman import rho
 from extremal_means.extremal import chi_delta, compute_I, find_U, locate_first_zero
+from extremal_means.oracle import random_spec
 from extremal_means.piecewise import (
     ConstantSegment,
     PiecewiseFunction,
@@ -434,7 +435,7 @@ def test_cell_values_read_the_segment_owning_each_cell(case):
     chi = _profile(case, h)
     L, R, records = _cell_values(chi, n_cells, h)
     t_left = np.arange(n_cells) * h
-    owner = chi.segment_index(t_left + 0.5 * h)
+    owner = np.searchsorted(np.asarray(chi.breakpoints), t_left + 0.5 * h, "right") - 1
     want_L, want_R = np.empty(n_cells), np.empty(n_cells)
     for i, seg in enumerate(chi.segments):
         mask = owner == i
@@ -510,7 +511,8 @@ def test_solutions_compare_by_identity():
     grids = (sigma_dde(0.2, 3.0), sigma_dde(0.2, 3.0))
     extensions = (extend_chi(0.2), extend_chi(0.2))
     profiles = tuple(e.profile for e in extensions)
-    for a, b in (grids, extensions, profiles):
+    specs = (random_spec(3, 50.0, 2000, seed=1), random_spec(3, 50.0, 2000, seed=1))
+    for a, b in (grids, extensions, profiles, specs):
         assert (a == a) is True and (a == b) is False
         assert len({a, b}) == 2
 
@@ -573,10 +575,8 @@ def test_chi_delta_window_shape():
     delta = 0.4
     chi = chi_delta(delta)
     U = find_U(delta)
-    assert chi.eval(0.5) == 1.0
-    assert chi.eval(1.0) == -delta
-    assert chi.eval((1.0 + U) / 2.0) == -delta
-    assert chi.eval(U + 0.1) == 0.0
+    assert chi.breakpoints == (0.0, 1.0, U) and chi.domain_end == math.inf
+    assert [seg.value for seg in chi.segments] == [1.0, -delta, 0.0]
     with pytest.raises(ValueError):
         chi_delta(0.0)
     with pytest.raises(ValueError):
