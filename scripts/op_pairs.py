@@ -18,7 +18,10 @@ even ones, so a drift of the host loads both sides alike.  It prints each
 side's per-operation and per-pass median and quartiles, the child max
 RSS (its largest value, and its median and quartiles per side; a pass
 reads the largest of its operations), and in how many pairs the change
-was faster, per operation and per pass.
+was faster, per operation and per pass.  Its last line says whether the
+passes meet the gain rule of the simplicity review: the change faster in
+at least nine tenths of the pairs (ties count for neither side), and its
+median pass faster by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -149,8 +152,14 @@ def report(op_ids: list[str], passes: dict[str, list[dict]], warm: dict[str, dic
     gain = med - statistics.median(walls["change"])
     wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
     print(
-        f"change won {wins} of {pairs} pairs; its median pass is {gain:+.4f} s faster, "
+        f"change won {wins} of {pairs} pairs; its median pass is "
+        f"{'faster' if gain > 0 else 'slower'} by {abs(gain):.4f} s, "
         f"the parent's interquartile range {q3 - q1:.4f} s"
+    )
+    met = 10 * wins >= 9 * pairs and gain > q3 - q1
+    print(
+        f"gain rule (won at least 9/10 of the pairs, median gap above the parent's "
+        f"interquartile range): {'met' if met else 'not met'}"
     )
 
 

@@ -78,10 +78,10 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     Every kernel node lags at least one unit, m = 1/h steps, so the march
     fills m rows at a time from one lagged FFT sum of the earlier rows
     (a sigma.LaggedSum, as each solve_volterra leg takes) and makes no BLAS
-    call.  The kernel spans [1, U], so the sum keeps at most ceil(U) + 1
-    kernel spectra and as many history-chunk spectra, whatever t_max is,
-    each of nfft/2 + 1 complex numbers (nfft the least 5-smooth length
-    >= 2m - 1, sigma._smooth_length).
+    call.  The kernel nodes end at M h <= U, so the sum's window and weight
+    list each hold at most J = ceil(M / m) <= ceil(U) spectra, whatever
+    t_max is, each of nfft/2 + 1 complex numbers (nfft the least 5-smooth
+    length >= 2m - 1, sigma._smooth_length).
     """
     delta = float(delta)
     U, mean_at, kernel = _renewal_kernel(delta)
@@ -89,11 +89,12 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
         raise ValueError(f"t_max must be finite, got {t_max}")
     if t_max is None:
         t_max = 4.0 * U
-    if t_max <= U:
-        raise ValueError(f"t_max must exceed U = {U}")
     m = steps_per_unit(h, t_max)
     if m < 10:
         raise ValueError(f"h must divide 1 with at least 10 steps per unit, got {h}")
+    L = int(math.ceil((t_max - U) / h - 1e-9))  # the rows past ext[0] at U
+    if L < 1:
+        raise ValueError(f"t_max must exceed U = {U}")
 
     s_at_U = float(mean_at(U))          # ~0 by construction of U
 
@@ -105,7 +106,6 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
     K_end = float(kernel(np.array([U]))[0])
     stub = U - M * h
 
-    L = int(math.ceil((t_max - U) / h - 1e-9))
     ext = np.empty(L + 1)
 
     # chi at U from the right: both constant windows, no sampled region
@@ -128,7 +128,7 @@ def extend_chi(delta: float, t_max: float | None = None, h: float = 1e-4) -> Ext
         n = min(m, L + 1 - b)  # the rows of this block
         k = min(n, max(0, M + 1 - b))  # the growing ones lead it
         val = ext[b : b + n]
-        val[:] = lagged(b, b + m)[:n]
+        val[:] = lagged(b)[:n]
         val -= 0.5 * K_nodes[m] * ext[b - m : b - m + n]
         val[:k] += 0.5 * K_nodes[b : b + k] * ext[0]
         val[k:] -= 0.5 * K_nodes[M] * ext[b + k - M : b + n - M]

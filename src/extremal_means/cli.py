@@ -69,9 +69,15 @@ def _check_digits(digits: int) -> int:
     return digits
 
 
-def _check_rows(span: float, step: float) -> None:
-    """Refuse a grid of more than MAX_ROWS rows before it is built."""
-    if not span / step <= MAX_ROWS:
+def _check_rows(span: float, step: float, rows: float | None = None) -> None:
+    """Refuse a grid of more than MAX_ROWS rows before it is built.
+
+    `rows` is the caller's row count, or a real number whose ceiling it is;
+    by default span / step, for a grid that stops short of the span's end.
+    """
+    if rows is None:
+        rows = span / step
+    if not rows <= MAX_ROWS:
         raise ValueError(f"step {step} over a span of {span} gives more than {MAX_ROWS} rows")
 
 
@@ -143,9 +149,10 @@ def render_sigma_grid(delta: float, u_max: float, step: float, fmt: str, digits:
         raise ValueError(f"u_max must be finite and positive, got {u_max}")
     if not 0.0 < step <= u_max:
         raise ValueError(f"step must lie in (0, u_max], got {step}")
-    _check_rows(u_max, step)
+    stop = u_max + step / 2.0
+    _check_rows(u_max, step, stop / step)  # np.arange makes ceil(stop / step) rows
     sol = sigma_dde(delta, max(u_max, 2.0), richardson=True)
-    us = np.arange(0.0, u_max + step / 2.0, step)
+    us = np.arange(0.0, stop, step)
     us = us[us <= sol.u_max + 1e-12]
     vals = sol.value_cubic(us)
     rows = [[_fmt_key(u), fmt_table(v, digits)] for u, v in zip(us, vals)]
@@ -175,8 +182,10 @@ def render_oracle_csv(
         raise ValueError(f"u_step must be finite and positive, got {u_step}")
     spec = oracle.construct_tracking_spec(k, delta, y, a_mult, n_top)
     u_top = a_mult * find_U(delta)
-    _check_rows(u_top - 1.0, u_step)
-    u_values = [float(u) for u in np.arange(1.0, u_top - 1e-12, u_step)] + [u_top]
+    stop = u_top - 1e-12
+    # np.arange makes ceil((stop - 1) / u_step) rows, and u_top adds one
+    _check_rows(u_top - 1.0, u_step, (stop - 1.0) / u_step + 1.0)
+    u_values = [float(u) for u in np.arange(1.0, stop, u_step)] + [u_top]
     rows = oracle.spec_tracking_rows(spec, delta, u_values)
     header = ["x", "re_partial", "im_partial", "re_logmean", "im_logmean", "target", "deviation"]
     body = [

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -111,6 +112,15 @@ def test_value_regions_and_domain():
             ext.value(np.array([bad, 0.5]))
     vec = ext.value(np.array([0.5, 1.5, ext.U + 0.5]))
     assert vec.shape == (3,)
+
+
+def test_a_horizon_that_leaves_no_row_is_refused():
+    # one ulp above U the march would fill no row past ext[0]; one step
+    # above it fills one
+    U = find_U(0.5)
+    with pytest.raises(ValueError, match=rf"^t_max must exceed U = {re.escape(repr(U))}$"):
+        extend_chi(0.5, t_max=math.nextafter(U, 3))
+    assert len(extend_chi(0.5, t_max=U + 1e-4).samples) == 2
 
 
 def test_default_horizon_and_validation():
@@ -230,23 +240,23 @@ def test_blocked_march_matches_the_looped_one(delta, h):
 
 
 class PerBlockSum:
-    """sigma.LaggedSum with every chunk and weight segment transformed again
-    in each block, at LaggedSum's transform length: the bit-for-bit
-    reference for the kept spectra."""
+    """sigma.LaggedSum with every chunk and full weight segment transformed
+    again in each block, at LaggedSum's transform length: the bit-for-bit
+    reference for the sliding window."""
 
     def __init__(self, w, x, m):
         self.w, self.x, self.m = w, x, m
 
-    def __call__(self, b, e):
+    def __call__(self, b):
         m, w, x = self.m, self.w, self.x
         nfft = sigma._smooth_length(2 * m - 1)
         spec = np.zeros(nfft // 2 + 1, dtype=complex)
         for c in range(1, b, m):
             if b - c - m + 1 < len(w):
                 p = np.fft.rfft(x[c : c + m], nfft)
-                p *= np.fft.rfft(w[b - c - m + 1 : e - c], nfft)
+                p *= np.fft.rfft(w[b - c - m + 1 : b - c + m], nfft)
                 spec += p
-        return np.fft.irfft(spec, nfft)[m - 1 : m - 1 + e - b]
+        return np.fft.irfft(spec, nfft)[m - 1 : 2 * m - 1]
 
 
 def renewal_bits(delta, h):
@@ -263,8 +273,9 @@ def renewal_bits(delta, h):
 @pytest.mark.parametrize("delta", [0.1, 0.3, 0.6, 1.0])
 def test_kept_weight_spectra_leave_every_value_bit_for_bit(delta, h, monkeypatch):
     # each block multiplies the same two spectra in the same order and
-    # sums in ascending chunks, so keeping the chunk and weight spectra moves
-    # no bit (a product written W * rfft(chunk) instead moves the last bits)
+    # sums oldest chunk first, so the window and the kept weight spectra
+    # move no bit, the short Volterra blocks included (a product written
+    # W * rfft(chunk) instead moves the last bits)
     got = renewal_bits(delta, h)
     monkeypatch.setattr(chi_renewal, "LaggedSum", PerBlockSum)
     monkeypatch.setattr(sigma, "LaggedSum", PerBlockSum)
@@ -274,9 +285,9 @@ def test_kept_weight_spectra_leave_every_value_bit_for_bit(delta, h, monkeypatch
 
 def test_a_march_transforms_each_full_weight_segment_once(monkeypatch):
     # the renewal march and both Volterra legs (whose last blocks are
-    # short, with cut segments of their own), one LaggedSum each: no chunk
-    # and no weight segment is transformed twice, and every chunk up to the
-    # last block is transformed once
+    # short), one LaggedSum each: every transform is of a history chunk or
+    # a weight segment, each chunk up to the last block once, and each lag
+    # the window reaches one full segment, none cut for a short block
     sums, inputs = [], []
 
     class Recorded(LaggedSum):
@@ -285,9 +296,9 @@ def test_a_march_transforms_each_full_weight_segment_once(monkeypatch):
             self.blocks = []
             sums.append(self)
 
-        def __call__(self, b, e):
+        def __call__(self, b):
             self.blocks.append(b)
-            return super().__call__(b, e)
+            return super().__call__(b)
 
     def offsets(base):
         start = base.__array_interface__["data"][0]
@@ -305,13 +316,20 @@ def test_a_march_transforms_each_full_weight_segment_once(monkeypatch):
     solve_volterra(ext.profile, 2.5 * ext.U, richardson=True)
     assert len(sums) == 3
     for lagged in sums:
-        segments = offsets(lagged.w)
-        assert len(segments) >= 2 and len(set(segments)) == len(segments)
-        m = lagged.m
+        m, w = lagged.m, lagged.w
         assert sorted(offsets(lagged.x)) == [(c, m) for c in range(1, lagged.blocks[-1], m)]
+        J = -(-(len(w) - 1) // m)
+        lags = range(1, min(len(lagged.blocks), J) + 1)
+        full = [((t - 1) * m + 1, len(w[(t - 1) * m + 1 : (t + 1) * m])) for t in lags]
+        assert sorted(offsets(w)) == full and len(full) >= 2
+        assert len(lagged._window) <= J and len(lagged._weights) <= J
+    assert len(inputs) == sum(len(offsets(s.x)) + len(offsets(s.w)) for s in sums)
+    for leg in sums[1:]:
+        assert len(leg.w) + 1 - leg.blocks[-1] < leg.m  # a short last block
+        assert len(offsets(leg.w)) == len(leg.blocks)  # one segment per lag reached
     # the kernel spans [1, U]: at most one segment per unit of it
     assert sums[0].x is ext.samples
-    assert len(offsets(sums[0].w)) <= math.ceil(ext.U) + 1
+    assert len(offsets(sums[0].w)) <= math.ceil(ext.U)
 
 
 def test_kept_spectra_grow_the_march_by_the_kernel_support_at_most():

@@ -293,6 +293,42 @@ def test_chi_extend_refuses_an_oversized_grid_before_the_march(args, span, capsy
     assert err == f"error: step 1e-06 over a span of {span} gives more than 100000 rows\n"
 
 
+def cap_message(step: float, span: float) -> str:
+    return f"error: step {step} over a span of {span} gives more than 100000 rows\n"
+
+
+@pytest.mark.parametrize("quotient, rows", [(99999.4, 100_000), (99999.6, None)])
+def test_sigma_row_cap_counts_both_ends_of_the_grid(quotient, rows, capsys):
+    # u = 0 and u_max both print, ceil(3 / step + 1/2) rows: 100,000 at
+    # 3 / step = 99999.4, one past the cap at 99999.6
+    step = 3.0 / quotient
+    code, out, err = run_cli(["sigma", "--delta", "0.3", "--u-max", "3", f"--step={step!r}"], capsys)
+    if rows is None:
+        assert (code, out, err) == (2, "", cap_message(step, 3.0))
+    else:
+        assert code == 0 and err == "" and out.count("\n") == 1 + rows
+
+
+@pytest.mark.parametrize("quotient, rows", [(99998.5, 100_000), (99999.5, None), (100_000, None)])
+def test_oracle_row_cap_counts_the_closing_u_top_row(quotient, rows, capsys, monkeypatch):
+    # one row per u in [1, u_top) by u_step, then u_top itself; at
+    # span / u_step = 100,000 that is 100,001 rows
+    printed = []
+
+    def count_rows(spec, delta, u_values):
+        printed.append(len(u_values))
+        return []
+
+    monkeypatch.setattr(cli.oracle, "spec_tracking_rows", count_rows)
+    span = extremal.find_U(1.0) - 1.0
+    u_step = span / quotient
+    code, out, err = run_cli(["oracle", "--y", "10", "--n", "1000", f"--u-step={u_step!r}"], capsys)
+    if rows is None:
+        assert (code, out, err, printed) == (2, "", cap_message(u_step, span), [])
+    else:
+        assert code == 0 and err == "" and printed == [rows]
+
+
 @pytest.mark.parametrize("u_max", ["nan", "-1", "inf"])
 def test_sigma_names_a_bad_u_max(u_max, capsys):
     code, out, err = run_cli(["sigma", "--delta", "0.3", f"--u-max={u_max}"], capsys)

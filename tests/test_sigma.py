@@ -363,17 +363,15 @@ def looped_volterra(chi, n_total, h):
 
 
 def test_lagged_sum_matches_the_double_loop():
-    # m = 5 over 40 history values against 17 weights, one object over all
-    # blocks, so the later blocks read the chunk and weight spectra the
-    # earlier ones kept: the early chunks of the late blocks lie past the end
-    # of w and are skipped, block 1 has no history, and the last block is
-    # partial
+    # m = 5 over 40 history values against 17 weights, one object over the
+    # whole blocks from b = m + 1 on, so the later blocks read the chunk and
+    # weight spectra the earlier ones kept, and the early chunks of the late
+    # blocks, whose lags lie past the end of w, have left the window
     rng = np.random.default_rng(5)
     m, x, w = 5, rng.standard_normal(40), rng.standard_normal(17)
     lagged = LaggedSum(w, x, m)
-    for b in range(1, 40, m):
-        e = min(b + m, 38)
-        assert np.max(np.abs(lagged(b, e) - double_loop(w, x, b, e)), initial=0.0) <= 1e-13
+    for b in range(m + 1, 40, m):
+        assert np.max(np.abs(lagged(b) - double_loop(w, x, b, b + m))) <= 1e-13
 
 
 def double_loop(w, x, b, e):
@@ -396,17 +394,16 @@ def test_smooth_length_is_the_least_5_smooth_length_reaching_n():
 @pytest.mark.parametrize("m, nfft", [(5, 9), (7, 15), (11, 24), (13, 25), (24, 48)])
 def test_lagged_sum_matches_the_double_loop_at_odd_and_smooth_lengths(m, nfft):
     # transforms of odd and of non-power-of-two lengths; w reaches 3 lags
-    # past the first, so the late blocks skip their early chunks and each
-    # cache keeps at most 4 spectra; the last block is short
+    # past the first, so the window and the weight list each hold at most
+    # J = 4 spectra while the late blocks slide past their early chunks
     rng = np.random.default_rng(m)
     x, w = rng.standard_normal(8 * m + 3), rng.standard_normal(3 * m + 2)
     lagged = LaggedSum(w, x, m)
     assert lagged.nfft == nfft
-    for b in range(1, len(x) - 1, m):
-        e = min(b + m, len(x) - 1)
-        assert np.max(np.abs(lagged(b, e) - double_loop(w, x, b, e)), initial=0.0) <= 1e-13
-        assert len(lagged._chunks) <= 4 and len(lagged._spectra) <= 4
-    assert e - b < m and b - 1 - m + 1 >= len(w)  # a short last block, chunk 1 skipped
+    for b in range(m + 1, len(x) - 1, m):
+        assert np.max(np.abs(lagged(b) - double_loop(w, x, b, b + m))) <= 1e-13
+        assert len(lagged._window) <= 4 and len(lagged._weights) <= 4
+    assert b - 1 - m + 1 >= len(w)  # chunk 1 has left the window
 
 
 def _two_jump_profile():
